@@ -55,3 +55,7 @@ class SteinerValidationError(OddtownError, ValueError):
 
 class OracleSoundnessError(OddtownError, RuntimeError):
     """An exact search contradicted a proven bound, i.e. a bug."""
+
+
+class CheckpointError(OddtownError, ValueError):
+    """A search checkpoint is truncated, corrupt or for a different instance."""

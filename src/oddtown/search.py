@@ -1,13 +1,16 @@
 """Exact and heuristic minimisation of pair-count objectives over set families.
 
+Each pool member carries a bitmask row marking the members it forms a
+counted pair with, built by F2 linearity (setfamily.odd_rows for op) or by
+bit-sliced counting (setfamily.exact_t_rows for c_kt), never pair by pair.
+
 The exact engine enumerates families as increasing-index combinations over a
 mask-sorted candidate pool, so the first optimum found in depth-first order
 is the lexicographically least one.  Branch and bound adds three sound
 devices on top of plain enumeration:
 
-* an incremental objective: each pool member carries a bitmask row marking
-  its counted pairs, so extending a partial family costs one AND plus one
-  popcount per candidate;
+* an incremental objective: extending a partial family costs one AND plus
+  one popcount per candidate;
 * a deficiency floor: in a class whose rule-abiding families have size at
   most B, every family of size m has at least m - B counted pairs, because
   each member outside a maximal rule-abiding subfamily meets it oddly;
@@ -15,16 +18,24 @@ devices on top of plain enumeration:
   reaches at least v plus the sum of the r smallest candidate conflict
   counts against the fixed partial family.
 
+There is one hill climber, _climb: first-improvement single-set swaps over
+the rows, bounded by budget_nodes and budget_secs.  local_search runs it once
+per restart.  Branch and bound runs it once, from the first m pool members,
+before the tree: this hint's value primes pruning, and its family is the
+incumbent if the tree is cut before it reaches a leaf.
+
 Multi-threaded runs split the root branches of the combination tree among
-workers.  Workers share the incumbent value but prune against it strictly,
-keeping every optimal-valued subtree alive locally; the final reduction
-takes the least (value, witness) pair, so best_value and witness never
-depend on the thread count or on scheduling.
+at most min(threads, cpu count, root count) workers.  Workers share the
+incumbent value but prune against it strictly, keeping every optimal-valued
+subtree alive locally; the final reduction takes the least (value, witness)
+pair, so best_value and witness never depend on the thread count or on
+scheduling.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 from dataclasses import asdict, dataclass
@@ -32,10 +43,10 @@ from heapq import nsmallest
 from itertools import combinations
 from math import comb
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .errors import InfeasibleSpecError, OracleSoundnessError
-from .setfamily import SetFamily
+from .errors import CheckpointError, InfeasibleSpecError, OracleSoundnessError
+from .setfamily import SetFamily, _bit_indices, exact_t_rows, odd_rows
 
 DEFAULT_NODE_BUDGET = 10**9
 DEFAULT_TIME_BUDGET = 600.0
@@ -181,22 +192,11 @@ def candidate_pool(spec: SearchSpec) -> list[int]:
     return [m for m in range(1 << n) if m.bit_count() & 1 == want]
 
 
-def _pair_predicate(spec: SearchSpec) -> Callable[[int, int], bool]:
+def _pool_rows(spec: SearchSpec, pool: Sequence[int]) -> list[int]:
+    """Bitmask rows of counted pairs: bit j of row i marks (pool[i], pool[j])."""
     if spec.objective == "op":
-        return lambda a, b: (a & b).bit_count() & 1 == 1
-    t = spec.t
-    return lambda a, b: (a & b).bit_count() == t
-
-
-def _conflict_rows(pool: Sequence[int], pred: Callable[[int, int], bool]) -> list[int]:
-    rows = [0] * len(pool)
-    for i in range(len(pool)):
-        pi = pool[i]
-        for j in range(i + 1, len(pool)):
-            if pred(pi, pool[j]):
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return rows
+        return list(odd_rows(pool))
+    return list(exact_t_rows(pool, spec.t))  # type: ignore[arg-type]
 
 
 def _deficiency_floor(spec: SearchSpec) -> int:
@@ -260,48 +260,58 @@ class _WorkerOutcome:
     aborted: bool
 
 
-def _hint_value(pool: Sequence[int], rows: Sequence[int], m: int) -> int | None:
-    """Objective of a quickly improved concrete family, to prime pruning.
+def _climb(
+    rows: Sequence[int],
+    start: Iterable[int],
+    budget_nodes: int,
+    deadline: float,
+    evals: int = 0,
+) -> tuple[int, tuple[int, ...], int, bool]:
+    """First-improvement single-set swaps from the pool indices in start.
 
-    Starts from the first m pool members and applies first-improvement
-    single-set swaps.  Any real family value is a sound strict-pruning
-    ceiling, so this never changes the search outcome.
+    For a in ascending order, swap in the first c outside the family whose
+    swap strictly lowers the value; rescan after each swap, stop when none
+    improves or once evals (candidate evaluations, continuing the count
+    given) passes budget_nodes or the deadline.  w[x] counts x's pairs with
+    the family.  Returns (value, chosen indices ascending, evals, stopped).
     """
-    P = len(pool)
-    if m >= P:
-        return None
-    chosen = list(range(m))
-    in_chosen = [False] * P
-    for i in chosen:
-        in_chosen[i] = True
+    chosen = set(start)
     bits = 0
-    value = 0
-    for i in chosen:
-        value += (rows[i] & bits).bit_count()
-        bits |= 1 << i
-    evals = 0
+    for c in chosen:
+        bits |= 1 << c
+    w = [(row & bits).bit_count() for row in rows]
+    value = sum(w[c] for c in chosen) // 2
+    stopped = False
     improved = True
-    while improved and evals < 200_000:
+    while improved and not stopped:
         improved = False
         for a in sorted(chosen):
-            without = bits ^ (1 << a)
-            lost = (rows[a] & without).bit_count()
-            for c in range(P):
-                if in_chosen[c]:
+            lost = w[a]
+            row_a = rows[a]
+            for c in range(len(rows)):
+                if c in chosen:
                     continue
                 evals += 1
-                gained = (rows[c] & without).bit_count()
+                if evals & 0xFFF == 0 and (evals > budget_nodes or time.monotonic() > deadline):
+                    stopped = True
+                    break
+                if w[c] > lost:
+                    continue  # gained >= w[c] - 1 >= lost
+                gained = w[c] - (row_a >> c & 1)
                 if gained < lost:
+                    row_c = rows[c]
+                    for x in _bit_indices(row_c & ~row_a):
+                        w[x] += 1
+                    for x in _bit_indices(row_a & ~row_c):
+                        w[x] -= 1
                     chosen.remove(a)
-                    chosen.append(c)
-                    in_chosen[a], in_chosen[c] = False, True
-                    bits = without | (1 << c)
+                    chosen.add(c)
                     value += gained - lost
                     improved = True
                     break
-            if improved:
+            if improved or stopped:
                 break
-    return value
+    return value, tuple(sorted(chosen)), evals, stopped
 
 
 def _exact_worker(
@@ -426,17 +436,47 @@ def _instance_identity(spec: SearchSpec) -> dict:
     }
 
 
-def _load_checkpoint(path: Path, spec: SearchSpec) -> dict | None:
+def _load_checkpoint(path: Path, spec: SearchSpec) -> tuple[int, _WorkerOutcome] | None:
+    """(completed root count, best so far) from a checkpoint, or None if absent."""
     if not path.exists():
         return None
-    data = json.loads(path.read_text(encoding="utf-8"))
-    if data.get("instance") != _instance_identity(spec):
-        raise ValueError(f"checkpoint {path} was written for a different instance")
-    return data
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+        instance = data["instance"]
+        completed = int(data["completed_roots"])
+        witness = data["witness"]
+        outcome = _WorkerOutcome(
+            data["best_value"],
+            None if witness is None else tuple(witness),
+            data["nodes"],
+            False,
+        )
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CheckpointError(f"checkpoint {path} is truncated or corrupt: {exc}") from None
+    if instance != _instance_identity(spec):
+        raise CheckpointError(f"checkpoint {path} was written for a different instance")
+    return completed, outcome
+
+
+def _write_checkpoint(path: Path, data: dict) -> None:
+    """Replace path atomically, so a crash mid-write leaves the old checkpoint."""
+    import tempfile
+
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _minimize_exact(spec: SearchSpec, checkpoint: str | Path | None = None) -> SearchResult:
     start_time = time.monotonic()
+    deadline = start_time + spec.budget_secs
     pool = candidate_pool(spec)
     P = len(pool)
     m = spec.family_size
@@ -445,12 +485,15 @@ def _minimize_exact(spec: SearchSpec, checkpoint: str | Path | None = None) -> S
             f"exhaustive enumeration of C({P},{m}) = {comb(P, m)} families exceeds "
             f"the feasibility cap {spec.feasibility_cap}; use branch and bound"
         )
-    rows = _conflict_rows(pool, _pair_predicate(spec))
+    rows = _pool_rows(spec, pool)
     floor = _deficiency_floor(spec)
     roots = _root_indices(spec, pool)
-    hint = _hint_value(pool, rows, m) if spec.mode == "bnb" else None
-    shared = _Shared(hint)
-    deadline = start_time + spec.budget_secs
+    # the hint primes pruning, and is the incumbent if the tree is cut early
+    hint: _WorkerOutcome | None = None
+    if spec.mode == "bnb":
+        value, chosen, _, _ = _climb(rows, range(m), spec.budget_nodes, deadline)
+        hint = _WorkerOutcome(value, chosen, 0, False)
+    shared = _Shared(None if hint is None else hint.best_value)
 
     ck_path = Path(checkpoint) if checkpoint is not None else None
     preload: _WorkerOutcome | None = None
@@ -458,43 +501,34 @@ def _minimize_exact(spec: SearchSpec, checkpoint: str | Path | None = None) -> S
     if ck_path is not None:
         if spec.threads != 1:
             raise InfeasibleSpecError("checkpointing requires threads=1")
-        data = _load_checkpoint(ck_path, spec)
-        if data is not None:
-            skip_roots = data["completed_roots"]
-            preload = _WorkerOutcome(
-                data["best_value"],
-                None if data["witness"] is None else tuple(data["witness"]),
-                data["nodes"],
-                False,
-            )
+        loaded = _load_checkpoint(ck_path, spec)
+        if loaded is not None:
+            skip_roots, preload = loaded
             if preload.best_value is not None:
                 shared.publish(preload.best_value)
 
     outcomes: list[_WorkerOutcome] = []
-    if spec.threads == 1:
+    n_workers = min(spec.threads, os.cpu_count() or 1, len(roots))
+    if n_workers <= 1:
         worker_roots = roots[skip_roots:]
         base_nodes = preload.nodes if preload is not None else 0
 
         def on_root_done(
             pos: int, value: int | None, wit: tuple[int, ...] | None, nodes: int
         ) -> None:
-            if ck_path is None:
-                return
             live = [_WorkerOutcome(value, wit, nodes, False)]
             if preload is not None:
                 live.append(preload)
             best_val, best_wit = _merge_best(live)
-            ck_path.write_text(
-                json.dumps(
-                    {
-                        "instance": _instance_identity(spec),
-                        "completed_roots": skip_roots + pos + 1,
-                        "best_value": best_val,
-                        "witness": None if best_wit is None else list(best_wit),
-                        "nodes": base_nodes + nodes,
-                    }
-                ),
-                encoding="utf-8",
+            _write_checkpoint(
+                ck_path,  # type: ignore[arg-type]
+                {
+                    "instance": _instance_identity(spec),
+                    "completed_roots": skip_roots + pos + 1,
+                    "best_value": best_val,
+                    "witness": None if best_wit is None else list(best_wit),
+                    "nodes": base_nodes + nodes,
+                },
             )
 
         outcome = _exact_worker(
@@ -505,10 +539,10 @@ def _minimize_exact(spec: SearchSpec, checkpoint: str | Path | None = None) -> S
         if preload is not None:
             outcomes.append(preload)
     else:
-        results: list[_WorkerOutcome | None] = [None] * spec.threads
+        results: list[_WorkerOutcome | None] = [None] * n_workers
         workers = []
-        for w in range(spec.threads):
-            assigned = roots[w :: spec.threads]
+        for w in range(n_workers):
+            assigned = roots[w::n_workers]
 
             def run(idx: int = w, assigned: list[int] = assigned) -> None:
                 results[idx] = _exact_worker(
@@ -522,6 +556,8 @@ def _minimize_exact(spec: SearchSpec, checkpoint: str | Path | None = None) -> S
             thread.join()
         outcomes = [r for r in results if r is not None]
 
+    if hint is not None:
+        outcomes.append(hint)
     best_val, best_wit = _merge_best(outcomes)
     aborted = any(o.aborted for o in outcomes)
     nodes = sum(o.nodes for o in outcomes)
@@ -593,21 +629,17 @@ def local_search(
     import random
 
     start_time = time.monotonic()
+    deadline = start_time + spec.budget_secs
     pool = candidate_pool(spec)
     index_of = {mask: i for i, mask in enumerate(pool)}
-    P = len(pool)
     m = spec.family_size
-    pred = _pair_predicate(spec)
+    rows = _pool_rows(spec, pool)
     rng = random.Random(spec.seed if seed is None else seed)
     n_restarts = spec.restarts if restarts is None else restarts
-    deadline = start_time + spec.budget_secs
 
-    self_pair = [1 if pred(mask, mask) else 0 for mask in pool]
-    best_val: int | None = None
-    best_masks: tuple[int, ...] | None = None
+    best: tuple[int, tuple[int, ...]] | None = None
     evals = 0
     stopped = False
-
     for r in range(n_restarts):
         if stopped:
             break
@@ -615,58 +647,22 @@ def local_search(
             if len(initial) != m:
                 raise ValueError(f"initial family has {len(initial)} members, spec wants {m}")
             try:
-                idxs = sorted(index_of[mask] for mask in initial.masks())
+                start = [index_of[mask] for mask in initial.masks()]
             except KeyError as exc:
                 raise ValueError(f"initial member {exc} is not in the instance class") from None
         else:
-            idxs = sorted(rng.sample(range(P), m))
-        chosen = set(idxs)
-        w = [0] * P
-        for c in idxs:
-            pm = pool[c]
-            for x in range(P):
-                if pred(pool[x], pm):
-                    w[x] += 1
-        cur = sum(w[c] - self_pair[c] for c in idxs) // 2
+            start = rng.sample(range(len(pool)), m)
+        value, chosen, evals, stopped = _climb(
+            rows, start, spec.budget_nodes, deadline, evals
+        )
+        if best is None or (value, chosen) < best:
+            best = (value, chosen)
 
-        improved = True
-        while improved and not stopped:
-            improved = False
-            for a in sorted(chosen):
-                conf_a = w[a] - self_pair[a]
-                for c in range(P):
-                    if c in chosen:
-                        continue
-                    evals += 1
-                    if evals & 0xFFF == 0 and (
-                        evals > spec.budget_nodes or time.monotonic() > deadline
-                    ):
-                        stopped = True
-                        break
-                    delta = (w[c] - (1 if pred(pool[c], pool[a]) else 0)) - conf_a
-                    if delta < 0:
-                        pa, pc = pool[a], pool[c]
-                        for x in range(P):
-                            px = pool[x]
-                            w[x] += (1 if pred(px, pc) else 0) - (1 if pred(px, pa) else 0)
-                        chosen.remove(a)
-                        chosen.add(c)
-                        cur += delta
-                        improved = True
-                        break
-                if improved or stopped:
-                    break
-
-        masks = tuple(sorted(pool[c] for c in chosen))
-        if best_val is None or cur < best_val or (cur == best_val and masks < best_masks):  # type: ignore[operator]
-            best_val, best_masks = cur, masks
-
-    witness = (
-        None if best_masks is None else SetFamily.from_masks(spec.ground_size, best_masks)
-    )
     return SearchResult(
-        best_value=best_val,
-        witness=witness,
+        best_value=None if best is None else best[0],
+        witness=None
+        if best is None
+        else SetFamily.from_masks(spec.ground_size, [pool[i] for i in best[1]]),
         optimal=False,
         nodes_explored=evals,
         elapsed=time.monotonic() - start_time,

@@ -7,7 +7,8 @@ maximal even-rule subfamilies, and the bipartite cross-intersection
 pattern check.  Densities are exact rationals, never floats.
 
 Families keep insertion order and refuse duplicate members; a canonical
-mask-sorted form is available for comparisons.
+mask-sorted form is available for comparisons.  Pair statistics come from
+the row builders odd_rows and exact_t_rows, which never visit a pair.
 """
 
 from __future__ import annotations
@@ -105,19 +106,81 @@ class OpReport:
     density: Fraction | None
 
 
+def _bit_indices(mask: int) -> Iterator[int]:
+    """0-based positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _element_basis(targets: Sequence[int]) -> list[int]:
+    """basis[e] has bit j set iff targets[j] contains element e (0-based)."""
+    union = 0
+    for t in targets:
+        union |= t
+    basis = [0] * union.bit_length()
+    for j, t in enumerate(targets):
+        for e in _bit_indices(t):
+            basis[e] |= 1 << j
+    return basis
+
+
+def odd_rows(masks: Sequence[int], targets: Sequence[int] | None = None) -> Iterator[int]:
+    """For each mask x, the row whose bit j is |x n targets[j]| mod 2.
+
+    |x n y| mod 2 is the F2 inner product <x, y>, and <x, .> is linear in x:
+    <x ^ z, y> = <x, y> ^ <z, y>.  So the row of x is the XOR of basis[e]
+    over the elements e of x, where basis[e] marks the targets containing e,
+    and no pair of sets is ever visited.  Without targets the masks are
+    compared with themselves and bit i of row i, which is <x, x> = |x| mod 2,
+    is cleared.  Rows are yielded one at a time.
+    """
+    basis = _element_basis(masks if targets is None else targets)
+    width = (1 << len(basis)) - 1
+    for i, x in enumerate(masks):
+        row = 0
+        for e in _bit_indices(x & width):
+            row ^= basis[e]
+        if targets is None and x.bit_count() & 1:
+            row ^= 1 << i
+        yield row
+
+
+def exact_t_rows(masks: Sequence[int], t: int) -> Iterator[int]:
+    """For each mask x = masks[i], the row whose bit j (j != i) is |x n masks[j]| == t.
+
+    Adding the basis rows of x's elements in bit-sliced binary (plane p holds
+    bit p of every count) gives all of x's intersection sizes at once; the
+    row is where the planes spell t.
+    """
+    basis = _element_basis(masks)
+    everyone = (1 << len(masks)) - 1
+    for i, x in enumerate(masks):
+        planes: list[int] = []
+        for e in _bit_indices(x):
+            carry = basis[e]
+            for p, plane in enumerate(planes):
+                planes[p] = plane ^ carry
+                carry &= plane
+            if carry:
+                planes.append(carry)
+        row = 0 if t >> len(planes) else everyone & ~(1 << i)
+        for p, plane in enumerate(planes):
+            row &= plane if t >> p & 1 else ~plane
+        yield row
+
+
 def op(family: SetFamily, materialize_pairs: bool = False) -> OpReport:
     """Count unordered pairs of distinct members with odd intersection."""
-    masks = family.masks()
-    m = len(masks)
+    m = len(family)
     count = 0
     pairs: list[tuple[int, int]] | None = [] if materialize_pairs else None
-    for i in range(m):
-        mi = masks[i]
-        for j in range(i + 1, m):
-            if (mi & masks[j]).bit_count() & 1:
-                count += 1
-                if pairs is not None:
-                    pairs.append((i, j))
+    for i, row in enumerate(odd_rows(family.masks())):
+        later = row >> (i + 1)
+        count += later.bit_count()
+        if pairs is not None:
+            pairs.extend((i, i + 1 + j) for j in _bit_indices(later))
     density = Fraction(count, comb(m, 2)) if m >= 2 else None
     return OpReport(count, tuple(pairs) if pairs is not None else None, density)
 
@@ -141,14 +204,7 @@ def c_kt(family: SetFamily, t: int) -> int:
     k = _uniform_size(family)
     if not 0 <= t < k:
         raise ValueError(f"need 0 <= t < member size, got t={t}, k={k}")
-    masks = family.masks()
-    count = 0
-    for i in range(len(masks)):
-        mi = masks[i]
-        for j in range(i + 1, len(masks)):
-            if (mi & masks[j]).bit_count() == t:
-                count += 1
-    return count
+    return sum(row.bit_count() for row in exact_t_rows(family.masks(), t)) // 2
 
 
 def shadow(family: SetFamily, k: int) -> SetFamily:
@@ -249,39 +305,13 @@ def check_application_bound(family: SetFamily, k: int, s: int) -> ApplicationBou
 def is_eventown(family: SetFamily) -> bool:
     """All members even-sized and all pairwise intersections even."""
     masks = family.masks()
-    if any(m.bit_count() & 1 for m in masks):
-        return False
-    for i in range(len(masks)):
-        mi = masks[i]
-        for j in range(i + 1, len(masks)):
-            if (mi & masks[j]).bit_count() & 1:
-                return False
-    return True
+    return not any(m.bit_count() & 1 for m in masks) and not any(odd_rows(masks))
 
 
 def is_oddtown(family: SetFamily) -> bool:
     """All members odd-sized and all pairwise intersections even."""
     masks = family.masks()
-    if any(m.bit_count() & 1 == 0 for m in masks):
-        return False
-    for i in range(len(masks)):
-        mi = masks[i]
-        for j in range(i + 1, len(masks)):
-            if (mi & masks[j]).bit_count() & 1:
-                return False
-    return True
-
-
-def _conflict_graph(masks: Sequence[int]) -> list[int]:
-    """Adjacency bitmasks of the odd-intersection graph on member indices."""
-    m = len(masks)
-    adj = [0] * m
-    for i in range(m):
-        for j in range(i + 1, m):
-            if (masks[i] & masks[j]).bit_count() & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return adj
+    return all(m.bit_count() & 1 for m in masks) and not any(odd_rows(masks))
 
 
 def maximal_eventown_subfamily(
@@ -301,7 +331,7 @@ def maximal_eventown_subfamily(
     if strategy not in ("greedy", "exact"):
         raise ValueError(f"unknown strategy {strategy!r}")
     masks = family.masks()
-    adj = _conflict_graph(masks)
+    adj = list(odd_rows(masks))  # the odd-intersection graph on member indices
     if strategy == "greedy":
         chosen_bits = 0
         keep = []
@@ -345,13 +375,9 @@ def bipartite_oddtown_check(xs: SetFamily, ys: SetFamily) -> bool:
         )
     if len(xs) != len(ys):
         raise ValueError(f"family sizes differ: {len(xs)} vs {len(ys)}")
-    xm, ym = xs.masks(), ys.masks()
-    for i in range(len(xm)):
-        for j in range(len(ym)):
-            parity = (xm[i] & ym[j]).bit_count() & 1
-            if parity != (1 if i == j else 0):
-                return False
-    return True
+    return all(
+        row == 1 << i for i, row in enumerate(odd_rows(xs.masks(), ys.masks()))
+    )
 
 
 def op_density(family: SetFamily) -> Fraction:

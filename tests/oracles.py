@@ -26,6 +26,39 @@ def op_sets(sets: Sequence[frozenset[int]]) -> int:
     return count
 
 
+def odd_pairs(sets: Sequence[frozenset[int]]) -> list[tuple[int, int]]:
+    """(i, j), i < j, of every odd-intersection pair, in row-major order."""
+    return [
+        (i, j)
+        for i in range(len(sets))
+        for j in range(i + 1, len(sets))
+        if len(sets[i] & sets[j]) % 2 == 1
+    ]
+
+
+def follows_rules(sets: Sequence[frozenset[int]], member_parity: int) -> bool:
+    """Every member of size parity member_parity, every pair meeting evenly."""
+    return all(len(s) % 2 == member_parity for s in sets) and not odd_pairs(sets)
+
+
+def max_even_subfamily(sets: Sequence[frozenset[int]]) -> tuple[int, ...]:
+    """Lex-least index tuple of a largest subfamily whose pairs all meet evenly."""
+    for size in range(len(sets), -1, -1):
+        for idxs in combinations(range(len(sets)), size):
+            if not odd_pairs([sets[i] for i in idxs]):
+                return idxs
+    return ()
+
+
+def odd_diagonal(xs: Sequence[frozenset[int]], ys: Sequence[frozenset[int]]) -> bool:
+    """|X_i n Y_j| is odd exactly when i == j."""
+    return all(
+        len(x & y) % 2 == (1 if i == j else 0)
+        for i, x in enumerate(xs)
+        for j, y in enumerate(ys)
+    )
+
+
 def pairs_exact_t(sets: Sequence[frozenset[int]], t: int) -> int:
     count = 0
     for i in range(len(sets)):

@@ -173,6 +173,13 @@ class TestSearch:
         code = main(["search", "--class", "odd", "--n", "3", "--m", "9", "--mode", "exhaustive"])
         assert code == 2
 
+    def test_corrupt_checkpoint_error_names_the_file(self, capsys, tmp_path):
+        bad = tmp_path / "BAD"
+        bad.write_text('{"instance": {"gr', encoding="utf-8")
+        code = main(["search", "--class", "even", "--n", "4", "--m", "5", "--checkpoint", str(bad)])
+        assert code == 2
+        assert str(bad) in capsys.readouterr().err
+
     def test_threads_flag_deterministic(self, capsys):
         outs = []
         for threads in ("1", "2", "8"):

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import threading
+
 import pytest
 
 import oddtown as ot
-from oddtown import InfeasibleSpecError, SearchSpec
+from oddtown import CheckpointError, InfeasibleSpecError, SearchSpec
 from oddtown.search import candidate_pool, local_search, minimize, verify_theorem
 
-from oracles import all_optima_brute, min_objective_brute, op_sets, pairs_exact_t
+from oracles import all_optima_brute, min_objective_brute, op_sets, pairs_exact_t, to_sets
 
 
 def pool_sets(n: int, family_class: str, k: int | None = None) -> list[frozenset[int]]:
@@ -252,6 +255,36 @@ class TestBudgetsAndValidation:
         )
         assert (result.best_value, result.witness) == (baseline.best_value, baseline.witness)
 
+    def test_budget_out_keeps_the_hint_family(self):
+        # the tree is cut long before a leaf; the hint climb's family is the incumbent
+        kw = dict(ground_size=8, family_size=17, family_class="even")
+        result = minimize(SearchSpec(budget_nodes=10_000, **kw))
+        assert not result.optimal
+        assert result.best_value == 8
+        assert op_sets(to_sets(result.witness)) == 8
+        # a node budget too small for the climb to finish still yields a family
+        cut = minimize(SearchSpec(budget_nodes=1, **kw))
+        assert not cut.optimal
+        assert cut.best_value is not None and cut.best_value >= 8
+        assert op_sets(to_sets(cut.witness)) == cut.best_value
+
+    @pytest.mark.parametrize("cpus,started", [(1, 0), (2, 2), (None, 0)])
+    def test_worker_count_is_clamped(self, monkeypatch, cpus, started):
+        kw = dict(ground_size=4, family_size=5, family_class="odd", mode="bnb")
+        baseline = minimize(SearchSpec(**kw))
+        constructed = []
+
+        class CountingThread(threading.Thread):
+            def __init__(self, *args, **kwargs):
+                constructed.append(kwargs.get("name"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(threading, "Thread", CountingThread)
+        result = minimize(SearchSpec(threads=8, **kw))
+        assert len(constructed) == started
+        assert (result.best_value, result.witness) == (baseline.best_value, baseline.witness)
+
     def test_result_json_shape(self):
         result = minimize(
             SearchSpec(ground_size=4, family_size=5, family_class="even", mode="bnb")
@@ -298,6 +331,38 @@ class TestCheckpoint:
                 checkpoint=path,
             )
 
+    @pytest.mark.parametrize("cut", [0, 1, 14, -1])
+    def test_truncated_checkpoint_names_the_file(self, tmp_path, cut):
+        path = tmp_path / "run.ckpt"
+        spec = SearchSpec(ground_size=4, family_size=5, family_class="even", mode="bnb")
+        minimize(spec, checkpoint=path)
+        path.write_text(path.read_text(encoding="utf-8")[:cut], encoding="utf-8")
+        with pytest.raises(CheckpointError, match="run.ckpt"):
+            minimize(spec, checkpoint=path)
+
+    def test_wrong_shape_checkpoint_is_corrupt(self, tmp_path):
+        path = tmp_path / "run.ckpt"
+        spec = SearchSpec(ground_size=4, family_size=5, family_class="even", mode="bnb")
+        for text in ("[]", "{}", '"x"', "\xff\xfe"):
+            path.write_bytes(text.encode("latin-1"))
+            with pytest.raises(CheckpointError, match="run.ckpt"):
+                minimize(spec, checkpoint=path)
+
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        kw = dict(ground_size=5, family_size=6, family_class="odd", symmetry=False)
+        path = tmp_path / "run.ckpt"
+        minimize(SearchSpec(mode="exhaustive", budget_nodes=6000, **kw), checkpoint=path)
+        before = path.read_bytes()
+
+        def crash(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", crash)
+        with pytest.raises(OSError, match="disk full"):
+            minimize(SearchSpec(mode="exhaustive", **kw), checkpoint=path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["run.ckpt"]
+
 
 class TestLocalSearch:
     def test_deterministic_for_fixed_seed(self):
@@ -336,6 +401,41 @@ class TestLocalSearch:
         bad = ot.SetFamily.from_sets(4, [(1,), (2,)])
         with pytest.raises(ValueError):
             local_search(spec, initial=bad)
+
+
+# (spec kwargs, seed, initial family) -> (best_value, witness masks, nodes_explored),
+# recorded from the swap-by-swap local search this climber replaced
+LOCAL_SEARCH_PINS = [
+    (dict(ground_size=8, family_size=17, family_class="even"), 0, None,
+     (8, (0, 10, 48, 58, 65, 75, 113, 123, 132, 142, 180, 190, 197, 207, 245, 249, 255), 11063)),
+    (dict(ground_size=8, family_size=17, family_class="even"), 3, None,
+     (8, (0, 24, 33, 57, 66, 90, 99, 123, 132, 156, 165, 189, 198, 222, 231, 243, 255), 11733)),
+    (dict(ground_size=7, family_size=10, family_class="odd"), 0, None,
+     (5, (1, 2, 4, 8, 16, 97, 98, 100, 104, 112), 1460)),
+    (dict(ground_size=7, family_size=10, family_class="odd"), 1, None,
+     (9, (7, 8, 11, 16, 35, 67, 103, 109, 110, 118), 1591)),
+    (dict(ground_size=9, family_size=12, family_class="uniform", k=3), 1, None,
+     (9, (21, 37, 49, 52, 74, 138, 194, 200, 266, 322, 386, 392), 4967)),
+    (dict(ground_size=8, family_size=12, family_class="uniform", k=4, objective="ckt", t=2), 0, None,
+     (12, (15, 23, 30, 54, 86, 105, 150, 169, 201, 210, 225, 232), 2767)),
+    (dict(ground_size=8, family_size=12, family_class="uniform", k=4, objective="ckt", t=2), 3, None,
+     (12, (60, 92, 108, 116, 120, 135, 139, 147, 163, 195, 226, 232), 1893)),
+    (dict(ground_size=8, family_size=17, family_class="even", restarts=3), 5, None,
+     (8, (0, 12, 48, 60, 65, 77, 113, 125, 130, 142, 178, 190, 195, 207, 240, 243, 255), 33053)),
+    (dict(ground_size=6, family_size=12, family_class="even", restarts=2), 4, None,
+     (16, (0, 3, 10, 12, 15, 17, 36, 46, 48, 51, 53, 63), 1366)),
+    (dict(ground_size=8, family_size=17, family_class="even", restarts=2), 0, (8, 1),
+     (8, (0, 3, 6, 12, 15, 48, 51, 60, 63, 192, 195, 204, 207, 240, 243, 252, 255), 12950)),
+    (dict(ground_size=8, family_size=17, family_class="even", restarts=3, budget_nodes=5000), 0, None,
+     (14, (0, 10, 48, 58, 65, 113, 123, 132, 142, 180, 190, 197, 207, 215, 245, 249, 255), 8192)),
+]
+
+
+@pytest.mark.parametrize("kw,seed,initial,expected", LOCAL_SEARCH_PINS)
+def test_local_search_trajectory_is_pinned(kw, seed, initial, expected):
+    start = None if initial is None else ot.eventown_plus(*initial)
+    result = local_search(SearchSpec(mode="local", **kw), seed=seed, initial=start)
+    assert (result.best_value, result.witness.masks(), result.nodes_explored) == expected
 
 
 class TestVerifyTheorem:

@@ -8,7 +8,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oddtown as ot
@@ -22,7 +22,15 @@ from oddtown import (
     UniformityError,
 )
 
-from oracles import op_sets, pairs_exact_t, to_sets
+from oracles import (
+    follows_rules,
+    max_even_subfamily,
+    odd_diagonal,
+    odd_pairs,
+    op_sets,
+    pairs_exact_t,
+    to_sets,
+)
 
 
 def family_of(sets, n):
@@ -127,6 +135,56 @@ class TestOp:
             assert ot.op_count(fam) >= m - cap
 
 
+def masks_over(n: int, max_size: int):
+    """Distinct masks over [n], the empty set and odd sizes included."""
+    return st.lists(
+        st.integers(0, (1 << n) - 1), max_size=min(max_size, 1 << n), unique=True
+    )
+
+
+class TestRowKernel:
+    """Everything built on the odd-pair row kernel agrees with the set oracles."""
+
+    @given(st.integers(1, 7), st.data())
+    @example(1, None)
+    def test_op_and_rule_validators(self, n, data):
+        masks = [0, 1] if data is None else data.draw(masks_over(n, 12))
+        fam = SetFamily.from_masks(n, masks)
+        sets = to_sets(fam)
+        report = ot.op(fam, materialize_pairs=True)
+        assert report.pairs == tuple(odd_pairs(sets))
+        assert report.op_count == op_sets(sets)
+        assert ot.is_eventown(fam) == follows_rules(sets, 0)
+        assert ot.is_oddtown(fam) == follows_rules(sets, 1)
+
+    @given(st.integers(1, 6), st.data())
+    @example(1, None)
+    def test_bipartite_check(self, n, data):
+        if data is None:
+            xs, ys = [1, 0], [1, 0]
+        else:
+            m = data.draw(st.integers(0, min(7, 1 << n)))
+            pick = st.lists(
+                st.integers(0, (1 << n) - 1), min_size=m, max_size=m, unique=True
+            )
+            xs = data.draw(pick)
+            ys = xs if data.draw(st.booleans()) else data.draw(pick)
+        fx, fy = SetFamily.from_masks(n, xs), SetFamily.from_masks(n, ys)
+        assert ot.bipartite_oddtown_check(fx, fy) == odd_diagonal(to_sets(fx), to_sets(fy))
+
+    @given(st.integers(1, 7), st.data())
+    @example(1, None)
+    def test_exact_maximal_eventown_subfamily(self, n, data):
+        evens = [m for m in range(1 << n) if m.bit_count() % 2 == 0]
+        masks = [0] if data is None else data.draw(
+            st.lists(st.sampled_from(evens), max_size=10, unique=True)
+        )
+        fam = SetFamily.from_masks(n, masks)
+        sub = ot.maximal_eventown_subfamily(fam, "exact")
+        expected = max_even_subfamily(to_sets(fam))
+        assert sub.masks() == tuple(masks[i] for i in expected)
+
+
 class TestCkt:
     def test_all_4_subsets_of_5_at_t3(self):
         assert ot.c_kt(all_k_subsets(5, 4), 3) == 10
@@ -149,8 +207,8 @@ class TestCkt:
         rng = random.Random(13)
         for _ in range(50):
             n = rng.randrange(5, 9)
-            k = rng.randrange(2, 5)
-            m = rng.randrange(2, min(10, comb(n, k)) + 1)
+            k = rng.randrange(1, n)  # up to three bit planes in exact_t_rows
+            m = rng.randrange(1, min(10, comb(n, k)) + 1)
             fam = random_uniform_family(rng, n, k, m)
             for t in range(k):
                 assert ot.c_kt(fam, t) == pairs_exact_t(to_sets(fam), t)
