@@ -102,13 +102,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", choices=("op", "ckt"), default="op")
     p.add_argument("--t", type=int, help="intersection size for objective ckt")
     p.add_argument("--mode", choices=("exhaustive", "bnb", "local"), default="bnb")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help="accepted, no effect: one search thread")
     p.add_argument("--seed", type=int, default=0, help="seed for local search")
     p.add_argument("--restarts", type=int, default=1, help="restarts for local search")
     p.add_argument("--symmetry", choices=("on", "off", "auto"), default="auto")
     p.add_argument("--budget-nodes", type=int, default=None)
     p.add_argument("--budget-secs", type=float, default=None)
-    p.add_argument("--checkpoint", type=Path, help="root-level resume file (threads=1)")
+    p.add_argument("--checkpoint", type=Path, help="root-level resume file")
 
     p = sub.add_parser("verify", help="check a statement instance against the oracle")
     p.add_argument(
@@ -120,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, default=1)
     p.add_argument("--k", type=int, help="uniformity for prob-uniform (odd, default 3)")
     p.add_argument("--mode", choices=("exhaustive", "bnb"), default="bnb")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help="accepted, no effect: one search thread")
     p.add_argument("--budget-nodes", type=int, default=None)
     p.add_argument("--budget-secs", type=float, default=None)
 

@@ -24,19 +24,20 @@ per restart.  Branch and bound runs it once, from the first m pool members,
 before the tree: this hint's value primes pruning, and its family is the
 incumbent if the tree is cut before it reaches a leaf.
 
-Multi-threaded runs split the root branches of the combination tree among
-at most min(threads, cpu count, root count) workers.  Workers share the
-incumbent value but prune against it strictly, keeping every optimal-valued
-subtree alive locally; the final reduction takes the least (value, witness)
-pair, so best_value and witness never depend on the thread count or on
-scheduling.
+The tree runs on the calling thread, one root branch (choice of first
+member) after another; the root branch is also the unit a checkpoint
+records.  Pruning uses one bound: one more than the least value known
+before the tree (the hint's or a resumed checkpoint's), then each kept
+leaf's value.  A subtree or candidate is cut when its lower bound reaches
+the bound, so the tree keeps only strictly better leaves and its first
+optimum is the lex-least one.  The final merge takes the least (value,
+witness) pair over the tree, the checkpoint and the hint.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import threading
 import time
 from dataclasses import asdict, dataclass
 from heapq import nsmallest
@@ -51,8 +52,11 @@ from .setfamily import SetFamily, _bit_indices, exact_t_rows, odd_rows
 DEFAULT_NODE_BUDGET = 10**9
 DEFAULT_TIME_BUDGET = 600.0
 DEFAULT_FEASIBILITY_CAP = 10**8
-_POOL_GROUND_LIMIT = 26  # even/odd pools materialise 2^(n-1) masks
-_CHECK_INTERVAL = 1024  # budget and stop-flag polling granularity, in nodes
+# A pool of P sets has P rows of P bits, P^2/8 bytes: at most 2^16 sets
+# keeps the rows at 512 MiB.  A larger ground set is refused outright, since
+# every class on it but the lone uniform k = n set exceeds the cap.
+_POOL_CAP = 1 << 16
+_CHECK_INTERVAL = 1024  # budget polling granularity, in nodes
 
 _CLASSES = ("even", "odd", "uniform")
 _OBJECTIVES = ("op", "ckt")
@@ -68,7 +72,8 @@ class SearchSpec:
     k-subsets.  objective "op" minimises odd-intersection pairs, "ckt"
     minimises pairs meeting in exactly t elements (uniform class only).
     symmetry None resolves to branch-and-bound even-class instances with
-    ground_size >= 6.
+    ground_size >= 6.  threads is accepted (it must be >= 1) and has no
+    effect: the search always runs on the calling thread.
     """
 
     ground_size: int
@@ -89,8 +94,10 @@ class SearchSpec:
     restarts: int = 1
 
     def __post_init__(self) -> None:
-        if self.ground_size < 1:
-            raise InfeasibleSpecError(f"ground size must be >= 1, got {self.ground_size}")
+        if not 1 <= self.ground_size <= _POOL_CAP:
+            raise InfeasibleSpecError(
+                f"ground size must be in [1, {_POOL_CAP}], got {self.ground_size}"
+            )
         if self.family_size < 1:
             raise InfeasibleSpecError(f"family size must be >= 1, got {self.family_size}")
         if self.family_class not in _CLASSES:
@@ -121,15 +128,17 @@ class SearchSpec:
             raise InfeasibleSpecError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if self.threads < 1:
             raise InfeasibleSpecError(f"threads must be >= 1, got {self.threads}")
-        if self.budget_nodes < 1 or self.budget_secs <= 0:
+        if self.budget_nodes < 1 or not self.budget_secs > 0:  # NaN fails too
             raise InfeasibleSpecError("budgets must be positive")
-        if self.family_class in ("even", "odd") and self.ground_size > _POOL_GROUND_LIMIT:
+        pool = self.pool_size()
+        if pool > _POOL_CAP:
             raise InfeasibleSpecError(
-                f"even/odd pools are limited to ground size {_POOL_GROUND_LIMIT}"
+                f"the class has {pool} candidate sets, over the cap of {_POOL_CAP} "
+                f"(conflict rows take P^2/8 bytes)"
             )
-        if self.family_size > self.pool_size():
+        if self.family_size > pool:
             raise InfeasibleSpecError(
-                f"family size {self.family_size} exceeds the {self.pool_size()} "
+                f"family size {self.family_size} exceeds the {pool} "
                 f"candidate sets in the class"
             )
 
@@ -237,23 +246,8 @@ def _root_indices(spec: SearchSpec, pool: Sequence[int]) -> list[int]:
     return [i for i in idxs if pool[i] in reps]
 
 
-class _Shared:
-    """Cross-worker incumbent value, rough node counter and stop flag."""
-
-    def __init__(self, best: int | None) -> None:
-        self.lock = threading.Lock()
-        self.best = best
-        self.nodes = 0
-        self.stop = False
-
-    def publish(self, value: int) -> None:
-        with self.lock:
-            if self.best is None or value < self.best:
-                self.best = value
-
-
 @dataclass
-class _WorkerOutcome:
+class _Outcome:
     best_value: int | None
     witness: tuple[int, ...] | None  # chosen pool indices
     nodes: int
@@ -314,80 +308,61 @@ def _climb(
     return value, tuple(sorted(chosen)), evals, stopped
 
 
-def _exact_worker(
-    pool: Sequence[int],
+def _tree(
     rows: Sequence[int],
     spec: SearchSpec,
     roots: Sequence[int],
-    shared: _Shared,
+    bound: float,
     deadline: float,
     floor: int,
-    root_done: Callable[[int, int | None, tuple[int, ...] | None, int], None] | None = None,
-) -> _WorkerOutcome:
-    P = len(pool)
+    root_done: Callable[[int, _Outcome], None] | None = None,
+) -> _Outcome:
+    """Depth-first search of the combinations under roots, keeping leaves below bound.
+
+    root_done(position in roots, best so far) is called after each root
+    branch that ran to its end.
+    """
+    P = len(rows)
     m = spec.family_size
     bounding = spec.mode == "bnb"
     use_conflict = bounding and spec.use_conflict_bound
     use_floor = bounding and spec.use_deficiency_bound
     budget_nodes = spec.budget_nodes
-    INF = float("inf")
 
-    local_best: float = INF
-    local_wit: tuple[int, ...] | None = None
+    wit: tuple[int, ...] | None = None
     nodes = 0
-    flushed = 0
     next_check = _CHECK_INTERVAL
     aborted = False
     done = False  # floor reached: later branches are lex-greater ties at best
 
-    def over_budget() -> bool:
-        nonlocal flushed, aborted
-        with shared.lock:
-            shared.nodes += nodes - flushed
-            flushed = nodes
-            if shared.stop or shared.nodes > budget_nodes:
-                shared.stop = True
-                return True
-        if time.monotonic() > deadline:
-            shared.stop = True
-            return True
-        return False
-
     def extend(chosen: tuple[int, ...], chosen_bits: int, cur: int, start: int) -> None:
-        nonlocal nodes, next_check, local_best, local_wit, aborted, done
-        if aborted or done:
-            return
+        nonlocal nodes, next_check, bound, wit, aborted, done
         if nodes >= next_check:
             next_check = nodes + _CHECK_INTERVAL
-            if over_budget():
+            if nodes > budget_nodes or time.monotonic() > deadline:
                 aborted = True
                 return
         need = m - len(chosen)
         last = P - need
         ws = [(rows[j] & chosen_bits).bit_count() for j in range(start, P)]
         nodes += len(ws)
-        shared_best = shared.best
         if bounding:
             if use_conflict and need > 1:
                 lb = cur + sum(nsmallest(need, ws))
                 if use_floor and lb < floor:
                     lb = floor
-                if lb >= local_best or (shared_best is not None and lb > shared_best):
+                if lb >= bound:
                     return
-            elif use_floor and floor >= local_best:
+            elif use_floor and floor >= bound:
                 return
         for j in range(start, last + 1):
             nv = cur + ws[j - start]
-            if bounding:
-                lb = max(nv, floor) if use_floor else nv
-                if lb >= local_best or (shared_best is not None and lb > shared_best):
-                    continue
+            if bounding and (max(nv, floor) if use_floor else nv) >= bound:
+                continue
             if need == 1:
-                if nv < local_best:
-                    local_best = nv
-                    local_wit = chosen + (j,)
-                    shared.publish(nv)
-                    shared_best = shared.best
+                if nv < bound:
+                    bound = nv
+                    wit = chosen + (j,)
                     if use_floor and nv <= floor:
                         done = True
                         return
@@ -395,27 +370,23 @@ def _exact_worker(
                 extend(chosen + (j,), chosen_bits | (1 << j), nv, j + 1)
                 if aborted or done:
                     return
-                shared_best = shared.best
+
+    def outcome() -> _Outcome:
+        return _Outcome(None if wit is None else int(bound), wit, nodes, aborted)
 
     for pos, root in enumerate(roots):
-        if aborted or done:
-            break
         nodes += 1
-        if m == 1:
-            if 0 < local_best:
-                local_best = 0
-                local_wit = (root,)
-                shared.publish(0)
-            done = True
+        if m == 1:  # every one-member family has value 0
+            bound, wit, done = 0, (root,), True
         else:
             extend((root,), 1 << root, 0, root + 1)
-        if root_done is not None and not aborted:
-            root_done(pos, None if local_wit is None else int(local_best), local_wit, nodes)
-    with shared.lock:
-        shared.nodes += nodes - flushed
-    return _WorkerOutcome(
-        None if local_wit is None else int(local_best), local_wit, nodes, aborted
-    )
+        if aborted:
+            break
+        if root_done is not None:
+            root_done(pos, outcome())
+        if done:
+            break
+    return outcome()
 
 
 def _instance_identity(spec: SearchSpec) -> dict:
@@ -436,26 +407,55 @@ def _instance_identity(spec: SearchSpec) -> dict:
     }
 
 
-def _load_checkpoint(path: Path, spec: SearchSpec) -> tuple[int, _WorkerOutcome] | None:
-    """(completed root count, best so far) from a checkpoint, or None if absent."""
+def _load_checkpoint(
+    path: Path, spec: SearchSpec, rows: Sequence[int], n_roots: int
+) -> tuple[int, _Outcome] | None:
+    """(completed root count, best so far) from a checkpoint, or None if absent.
+
+    Nothing in the file is trusted: the counts must be in range, and a
+    witness must be m increasing pool indices whose value, recounted from
+    the rows, is best_value.
+    """
     if not path.exists():
         return None
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
         instance = data["instance"]
-        completed = int(data["completed_roots"])
+        completed = data["completed_roots"]
+        nodes = data["nodes"]
+        value = data["best_value"]
         witness = data["witness"]
-        outcome = _WorkerOutcome(
-            data["best_value"],
-            None if witness is None else tuple(witness),
-            data["nodes"],
-            False,
-        )
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"checkpoint {path} is truncated or corrupt: {exc}") from None
     if instance != _instance_identity(spec):
         raise CheckpointError(f"checkpoint {path} was written for a different instance")
-    return completed, outcome
+
+    def is_int(x: object) -> bool:
+        return type(x) is int  # JSON true/false load as bool, a subclass of int
+
+    problem = None
+    if not (is_int(completed) and 0 <= completed <= n_roots):
+        problem = f"completed_roots {completed!r} is not in [0, {n_roots}]"
+    elif not (is_int(nodes) and nodes >= 0):
+        problem = f"nodes {nodes!r} is not a count"
+    elif value is not None or witness is not None:
+        if not (
+            isinstance(witness, list)
+            and len(witness) == spec.family_size
+            and all(is_int(i) for i in witness)
+            and witness == sorted(set(witness))
+            and 0 <= witness[0]
+            and witness[-1] < len(rows)
+        ):
+            problem = f"witness {witness!r} is not {spec.family_size} increasing pool indices"
+        else:
+            bits = sum(1 << i for i in witness)
+            recount = sum((rows[i] & bits).bit_count() for i in witness) // 2
+            if not (is_int(value) and value == recount):
+                problem = f"best_value {value!r} is not its witness's value {recount}"
+    if problem is not None:
+        raise CheckpointError(f"checkpoint {path} is corrupt: {problem}")
+    return completed, _Outcome(value, None if witness is None else tuple(witness), nodes, False)
 
 
 def _write_checkpoint(path: Path, data: dict) -> None:
@@ -489,78 +489,40 @@ def _minimize_exact(spec: SearchSpec, checkpoint: str | Path | None = None) -> S
     floor = _deficiency_floor(spec)
     roots = _root_indices(spec, pool)
     # the hint primes pruning, and is the incumbent if the tree is cut early
-    hint: _WorkerOutcome | None = None
+    known: list[_Outcome] = []
     if spec.mode == "bnb":
         value, chosen, _, _ = _climb(rows, range(m), spec.budget_nodes, deadline)
-        hint = _WorkerOutcome(value, chosen, 0, False)
-    shared = _Shared(None if hint is None else hint.best_value)
+        known.append(_Outcome(value, chosen, 0, False))
 
     ck_path = Path(checkpoint) if checkpoint is not None else None
-    preload: _WorkerOutcome | None = None
+    preload: _Outcome | None = None
     skip_roots = 0
     if ck_path is not None:
-        if spec.threads != 1:
-            raise InfeasibleSpecError("checkpointing requires threads=1")
-        loaded = _load_checkpoint(ck_path, spec)
+        loaded = _load_checkpoint(ck_path, spec, rows, len(roots))
         if loaded is not None:
             skip_roots, preload = loaded
-            if preload.best_value is not None:
-                shared.publish(preload.best_value)
+            known.append(preload)
+    known_best, _ = _merge_best(known)
+    bound = float("inf") if known_best is None else known_best + 1
 
-    outcomes: list[_WorkerOutcome] = []
-    n_workers = min(spec.threads, os.cpu_count() or 1, len(roots))
-    if n_workers <= 1:
-        worker_roots = roots[skip_roots:]
-        base_nodes = preload.nodes if preload is not None else 0
-
-        def on_root_done(
-            pos: int, value: int | None, wit: tuple[int, ...] | None, nodes: int
-        ) -> None:
-            live = [_WorkerOutcome(value, wit, nodes, False)]
-            if preload is not None:
-                live.append(preload)
-            best_val, best_wit = _merge_best(live)
-            _write_checkpoint(
-                ck_path,  # type: ignore[arg-type]
-                {
-                    "instance": _instance_identity(spec),
-                    "completed_roots": skip_roots + pos + 1,
-                    "best_value": best_val,
-                    "witness": None if best_wit is None else list(best_wit),
-                    "nodes": base_nodes + nodes,
-                },
-            )
-
-        outcome = _exact_worker(
-            pool, rows, spec, worker_roots, shared, deadline, floor,
-            root_done=on_root_done if ck_path is not None else None,
+    def on_root_done(pos: int, so_far: _Outcome) -> None:
+        best_val, best_wit = _merge_best([so_far] if preload is None else [so_far, preload])
+        _write_checkpoint(
+            ck_path,  # type: ignore[arg-type]
+            {
+                "instance": _instance_identity(spec),
+                "completed_roots": skip_roots + pos + 1,
+                "best_value": best_val,
+                "witness": None if best_wit is None else list(best_wit),
+                "nodes": (preload.nodes if preload is not None else 0) + so_far.nodes,
+            },
         )
-        outcomes.append(outcome)
-        if preload is not None:
-            outcomes.append(preload)
-    else:
-        results: list[_WorkerOutcome | None] = [None] * n_workers
-        workers = []
-        for w in range(n_workers):
-            assigned = roots[w::n_workers]
 
-            def run(idx: int = w, assigned: list[int] = assigned) -> None:
-                results[idx] = _exact_worker(
-                    pool, rows, spec, assigned, shared, deadline, floor
-                )
-
-            thread = threading.Thread(target=run, name=f"search-worker-{w}")
-            workers.append(thread)
-            thread.start()
-        for thread in workers:
-            thread.join()
-        outcomes = [r for r in results if r is not None]
-
-    if hint is not None:
-        outcomes.append(hint)
-    best_val, best_wit = _merge_best(outcomes)
-    aborted = any(o.aborted for o in outcomes)
-    nodes = sum(o.nodes for o in outcomes)
+    tree = _tree(
+        rows, spec, roots[skip_roots:], bound, deadline, floor,
+        root_done=on_root_done if ck_path is not None else None,
+    )
+    best_val, best_wit = _merge_best([tree, *known])
     witness_family = (
         None
         if best_wit is None
@@ -569,28 +531,19 @@ def _minimize_exact(spec: SearchSpec, checkpoint: str | Path | None = None) -> S
     return SearchResult(
         best_value=best_val,
         witness=witness_family,
-        optimal=not aborted,
-        nodes_explored=nodes,
+        optimal=not tree.aborted,
+        nodes_explored=tree.nodes + sum(o.nodes for o in known),
         elapsed=time.monotonic() - start_time,
         spec=spec,
     )
 
 
 def _merge_best(
-    outcomes: Sequence[_WorkerOutcome],
+    outcomes: Sequence[_Outcome],
 ) -> tuple[int | None, tuple[int, ...] | None]:
-    best_val: int | None = None
-    best_wit: tuple[int, ...] | None = None
-    for o in outcomes:
-        if o.best_value is None:
-            continue
-        if (
-            best_val is None
-            or o.best_value < best_val
-            or (o.best_value == best_val and o.witness is not None and (best_wit is None or o.witness < best_wit))
-        ):
-            best_val, best_wit = o.best_value, o.witness
-    return best_val, best_wit
+    """The least (value, witness) pair; an outcome has both or neither."""
+    found = [(o.best_value, o.witness) for o in outcomes if o.best_value is not None]
+    return min(found, default=(None, None))  # type: ignore[return-value]
 
 
 def minimize(spec: SearchSpec, checkpoint: str | Path | None = None) -> SearchResult:
@@ -732,6 +685,7 @@ def verify_theorem(
 
     A COUNTEREXAMPLE verdict against a proven statement raises
     OracleSoundnessError, because it can only mean the search is wrong.
+    threads is passed to SearchSpec, where it has no effect.
     """
     if statement not in _STATEMENTS:
         raise ValueError(f"statement must be one of {_STATEMENTS}, got {statement!r}")

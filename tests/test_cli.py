@@ -174,11 +174,38 @@ class TestSearch:
         assert code == 2
 
     def test_corrupt_checkpoint_error_names_the_file(self, capsys, tmp_path):
+        argv = ["search", "--class", "even", "--n", "4", "--m", "5"]
         bad = tmp_path / "BAD"
-        bad.write_text('{"instance": {"gr', encoding="utf-8")
-        code = main(["search", "--class", "even", "--n", "4", "--m", "5", "--checkpoint", str(bad)])
-        assert code == 2
-        assert str(bad) in capsys.readouterr().err
+        assert main([*argv, "--checkpoint", str(bad)]) == 0
+        capsys.readouterr()
+        good = json.loads(bad.read_text(encoding="utf-8"))
+        texts = ['{"instance": {"gr'] + [
+            json.dumps({**good, **fields})
+            for fields in (
+                dict(best_value=0, witness=[0, 1, 2, 3, 4]),  # a "certified" 0; the minimum is 2
+                dict(completed_roots=-3),
+                dict(best_value="2"),
+                dict(nodes="12"),
+                dict(witness=[0, 1, 2, 3, 9]),
+            )
+        ]
+        for text in texts:
+            bad.write_text(text, encoding="utf-8")
+            code = main([*argv, "--checkpoint", str(bad)])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert str(bad) in captured.err
+            assert captured.out == ""
+
+    @pytest.mark.parametrize("where", ["flag", "env"])
+    def test_nan_time_budget_is_usage_error(self, capsys, monkeypatch, where):
+        argv = ["search", "--class", "even", "--n", "4", "--m", "5"]
+        if where == "flag":
+            argv += ["--budget-secs", "nan"]
+        else:
+            monkeypatch.setenv("ODDTOWN_BUDGET_SECS", "nan")
+        assert main(argv) == 2
+        assert "budgets must be positive" in capsys.readouterr().err
 
     def test_threads_flag_deterministic(self, capsys):
         outs = []

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import os
 import threading
+from math import comb
 
 import pytest
 
@@ -268,8 +270,7 @@ class TestBudgetsAndValidation:
         assert cut.best_value is not None and cut.best_value >= 8
         assert op_sets(to_sets(cut.witness)) == cut.best_value
 
-    @pytest.mark.parametrize("cpus,started", [(1, 0), (2, 2), (None, 0)])
-    def test_worker_count_is_clamped(self, monkeypatch, cpus, started):
+    def test_no_thread_is_started(self, monkeypatch):
         kw = dict(ground_size=4, family_size=5, family_class="odd", mode="bnb")
         baseline = minimize(SearchSpec(**kw))
         constructed = []
@@ -279,11 +280,44 @@ class TestBudgetsAndValidation:
                 constructed.append(kwargs.get("name"))
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(threading, "Thread", CountingThread)
-        result = minimize(SearchSpec(threads=8, **kw))
-        assert len(constructed) == started
-        assert (result.best_value, result.witness) == (baseline.best_value, baseline.witness)
+        for threads in (1, 2, 8):
+            result = minimize(SearchSpec(threads=threads, **kw))
+            assert (result.best_value, result.witness, result.nodes_explored) == (
+                baseline.best_value, baseline.witness, baseline.nodes_explored
+            )
+        assert constructed == []
+
+    @pytest.mark.parametrize(
+        "budgets",
+        [dict(budget_secs=float("nan")), dict(budget_secs=0.0), dict(budget_secs=-1.0),
+         dict(budget_nodes=0)],
+    )
+    def test_budgets_must_be_positive(self, budgets):
+        with pytest.raises(InfeasibleSpecError, match="budgets"):
+            SearchSpec(ground_size=4, family_size=5, family_class="even", **budgets)
+
+    @pytest.mark.parametrize(
+        "kw,pool",
+        [
+            (dict(family_class="even", ground_size=18), 2**17),
+            (dict(family_class="odd", ground_size=18), 2**17),
+            (dict(family_class="uniform", ground_size=363, k=2), 65_703),
+            (dict(family_class="uniform", ground_size=40, k=20), comb(40, 20)),
+        ],
+    )
+    def test_pool_cap_applies_to_every_class(self, kw, pool):
+        with pytest.raises(InfeasibleSpecError, match=f"{pool} candidate sets.*65536"):
+            SearchSpec(family_size=2, **kw)
+
+    def test_pool_cap_edges(self):
+        # pools of exactly 2^16 and just under it are accepted
+        assert SearchSpec(ground_size=17, family_size=2, family_class="odd").pool_size() == 2**16
+        spec = SearchSpec(ground_size=362, family_size=2, family_class="uniform", k=2)
+        assert spec.pool_size() == 65_341
+        # a ground set past the cap is refused before its pool is counted
+        with pytest.raises(InfeasibleSpecError, match="ground size"):
+            SearchSpec(ground_size=10**12, family_size=2, family_class="even")
 
     def test_result_json_shape(self):
         result = minimize(
@@ -312,12 +346,18 @@ class TestCheckpoint:
         assert resumed.best_value == direct.best_value
         assert resumed.witness == direct.witness
 
-    def test_checkpoint_requires_single_thread(self, tmp_path):
-        spec = SearchSpec(
-            ground_size=4, family_size=5, family_class="even", mode="bnb", threads=2
+    def test_resume_after_abort_at_two_threads(self, tmp_path):
+        kw = dict(ground_size=5, family_size=6, family_class="odd", symmetry=False)
+        direct = minimize(SearchSpec(mode="exhaustive", threads=1, **kw))
+        path = tmp_path / "run.ckpt"
+        partial = minimize(
+            SearchSpec(mode="exhaustive", budget_nodes=6000, threads=2, **kw), checkpoint=path
         )
-        with pytest.raises(InfeasibleSpecError):
-            minimize(spec, checkpoint=tmp_path / "x.ckpt")
+        assert not partial.optimal
+        assert json.loads(path.read_text(encoding="utf-8"))["completed_roots"] >= 1
+        resumed = minimize(SearchSpec(mode="exhaustive", threads=2, **kw), checkpoint=path)
+        assert resumed.optimal
+        assert (resumed.best_value, resumed.witness) == (direct.best_value, direct.witness)
 
     def test_checkpoint_spec_mismatch_rejected(self, tmp_path):
         path = tmp_path / "run.ckpt"
@@ -343,10 +383,38 @@ class TestCheckpoint:
     def test_wrong_shape_checkpoint_is_corrupt(self, tmp_path):
         path = tmp_path / "run.ckpt"
         spec = SearchSpec(ground_size=4, family_size=5, family_class="even", mode="bnb")
-        for text in ("[]", "{}", '"x"', "\xff\xfe"):
+        minimize(spec, checkpoint=path)
+        good = path.read_text(encoding="utf-8")
+        forged = [
+            # well formed, but the witness's value is 5 and the true minimum 2
+            dict(best_value=0, witness=[0, 1, 2, 3, 4]),
+            dict(best_value=3),
+            dict(best_value="2"),
+            dict(best_value=2.0),
+            dict(best_value=None),
+            dict(witness=None),
+            dict(witness=[0, 1, 2, 3, 8]),  # the pool has 8 sets
+            dict(witness=[-1, 0, 1, 2, 3]),
+            dict(witness=[0, 2, 1, 3, 4]),
+            dict(witness=[0, 0, 1, 2, 3]),
+            dict(witness=[0, 1, 2, 3]),
+            dict(witness=[0, 1, 2, 3, "4"]),
+            dict(witness="01234"),
+            dict(completed_roots=-3),
+            dict(completed_roots=5),  # the instance has 4 root branches
+            dict(completed_roots=True),
+            dict(completed_roots="1"),
+            dict(nodes=-1),
+            dict(nodes="12"),
+        ]
+        texts = ["[]", "{}", '"x"', "\xff\xfe"]
+        texts += [json.dumps({**json.loads(good), **fields}) for fields in forged]
+        for text in texts:
             path.write_bytes(text.encode("latin-1"))
             with pytest.raises(CheckpointError, match="run.ckpt"):
                 minimize(spec, checkpoint=path)
+        path.write_text(good, encoding="utf-8")
+        assert minimize(spec, checkpoint=path).best_value == 2
 
     def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
         kw = dict(ground_size=5, family_size=6, family_class="odd", symmetry=False)
