@@ -270,7 +270,11 @@ class TestBudgetsAndValidation:
         assert cut.best_value is not None and cut.best_value >= 8
         assert op_sets(to_sets(cut.witness)) == cut.best_value
 
-    def test_no_thread_is_started(self, monkeypatch):
+    # The worker count is clamped to none: whatever the CPU count and `threads`,
+    # the tree runs on the calling thread.  The ids keep the (CPU count, workers
+    # started) pairs of the thread pool this replaces; at 2 CPUs it started 2.
+    @pytest.mark.parametrize("cpus", [1, 2, None], ids=["1-0", "2-2", "None-0"])
+    def test_worker_count_is_clamped(self, monkeypatch, cpus):
         kw = dict(ground_size=4, family_size=5, family_class="odd", mode="bnb")
         baseline = minimize(SearchSpec(**kw))
         constructed = []
@@ -280,6 +284,7 @@ class TestBudgetsAndValidation:
                 constructed.append(kwargs.get("name"))
                 super().__init__(*args, **kwargs)
 
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(threading, "Thread", CountingThread)
         for threads in (1, 2, 8):
             result = minimize(SearchSpec(threads=threads, **kw))
