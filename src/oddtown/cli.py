@@ -84,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="ground set size")
     p.add_argument("--s", type=int, help="number of added sets, where applicable")
     p.add_argument("--k", type=int, help="uniformity parameter for f2")
-    p.add_argument("--seed", type=int, help="use the seeded selector where applicable")
+    p.add_argument("--seed", type=int, help="draw the added sets as a seeded sample, where applicable")
     p.add_argument("--out", type=Path, help="write the family file here")
 
     p = sub.add_parser("analyze", help="statistics of a family file")
@@ -148,7 +148,6 @@ def _family_stats(family: sf.SetFamily) -> dict[str, Any]:
 
 def _cmd_construct(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     name = args.family
-    selector = "deterministic" if args.seed is None else "seeded"
 
     def need(flag: str, value: Any) -> Any:
         if value is None:
@@ -160,13 +159,13 @@ def _cmd_construct(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     elif name == "eventown-b":
         family = cons.eventown_pair(need("n", args.n))[1]
     elif name == "eventown-plus":
-        family = cons.eventown_plus(need("n", args.n), need("s", args.s), selector, args.seed)
+        family = cons.eventown_plus(need("n", args.n), need("s", args.s), args.seed)
     elif name == "singletons":
         family = cons.singletons(need("n", args.n))
     elif name == "k4-triples":
         family = cons.disjoint_k4_triples(need("n", args.n))
     elif name == "oddtown-plus":
-        family = cons.oddtown_plus(need("n", args.n), need("s", args.s), selector, args.seed)
+        family = cons.oddtown_plus(need("n", args.n), need("s", args.s), args.seed)
     elif name == "x5":
         family = cons.example_x5()
     elif name == "f1":

@@ -26,8 +26,6 @@ from pathlib import Path
 from .errors import FamilyFormatError, SteinerValidationError
 from .setfamily import SetFamily, _strip_comment
 
-_SELECTORS = ("deterministic", "seeded")
-
 
 def _quad_blocks(n: int) -> tuple[list[int], list[int]]:
     """Pair-block masks (a_blocks, b_blocks) over quadruples of [n], n = 4l."""
@@ -64,31 +62,27 @@ def eventown_pair(n: int) -> tuple[SetFamily, SetFamily]:
     return _union_closure(a_blocks, n), _union_closure(b_blocks, n)
 
 
-def _pick(candidates: list[int], s: int, selector: str, seed: int | None) -> list[int]:
-    """Choose s masks: the lexicographically smallest, or a seeded sample."""
-    if selector not in _SELECTORS:
-        raise ValueError(f"selector must be one of {_SELECTORS}, got {selector!r}")
+def _pick(candidates: list[int], s: int, seed: int | None) -> list[int]:
+    """Choose s masks: the lexicographically smallest, or a sample seeded by seed."""
     if not 1 <= s <= len(candidates):
         raise ValueError(f"need 1 <= s <= {len(candidates)}, got s={s}")
     ordered = sorted(candidates)
-    if selector == "deterministic":
+    if seed is None:
         return ordered[:s]
     rng = random.Random(seed)
     return sorted(rng.sample(ordered, s))
 
 
-def eventown_plus(
-    n: int, s: int, selector: str = "deterministic", seed: int | None = None
-) -> SetFamily:
+def eventown_plus(n: int, s: int, seed: int | None = None) -> SetFamily:
     """An extremal even-rule family plus s members of its twin.
 
     Size 2^(n/2) + s with exactly s * 2^(n/2 - 1) odd pairs, for
-    1 <= s <= 2^(n/2) - 2^(n/4).  The deterministic selector takes the s
-    lexicographically smallest twin-only sets.
+    1 <= s <= 2^(n/2) - 2^(n/4).  With seed None the s lexicographically
+    smallest twin-only sets are added, otherwise a sample seeded by seed.
     """
     a, b = eventown_pair(n)
     twin_only = sorted(set(b.masks()) - set(a.masks()))
-    added = _pick(twin_only, s, selector, seed)
+    added = _pick(twin_only, s, seed)
     return SetFamily.from_masks(n, a.masks() + tuple(added))
 
 
@@ -111,13 +105,15 @@ def disjoint_k4_triples(n: int) -> SetFamily:
     return SetFamily.from_masks(n, sorted(masks))
 
 
-def oddtown_plus(
-    n: int, s: int, selector: str = "deterministic", seed: int | None = None
-) -> SetFamily:
-    """The singletons plus s block triples: n + s odd sets, 3s odd pairs."""
+def oddtown_plus(n: int, s: int, seed: int | None = None) -> SetFamily:
+    """The singletons plus s block triples: n + s odd sets, 3s odd pairs.
+
+    The triples are the s lexicographically smallest with seed None,
+    otherwise a sample seeded by seed.
+    """
     base = singletons(n)
     triples = list(disjoint_k4_triples(n).masks())
-    added = _pick(triples, s, selector, seed)
+    added = _pick(triples, s, seed)
     return SetFamily.from_masks(n, base.masks() + tuple(added))
 
 

@@ -7,16 +7,17 @@ bit-sliced counting (setfamily.exact_t_rows for c_kt), never pair by pair.
 The exact engine enumerates families as increasing-index combinations over a
 mask-sorted candidate pool, so the first optimum found in depth-first order
 is the lexicographically least one.  Branch and bound adds three sound
-devices on top of plain enumeration:
+devices on top of plain enumeration, all three always on:
 
 * an incremental objective: extending a partial family costs one AND plus
   one popcount per candidate;
-* a deficiency floor: in a class whose rule-abiding families have size at
-  most B, every family of size m has at least m - B counted pairs, because
-  each member outside a maximal rule-abiding subfamily meets it oddly;
 * a conflict bound: a partial family with value v and r more members to add
   reaches at least v plus the sum of the r smallest candidate conflict
-  counts against the fixed partial family.
+  counts against the fixed partial family;
+* a deficiency floor: in a class whose rule-abiding families have size at
+  most B, every family of size m has at least m - B counted pairs, because
+  each member outside a maximal rule-abiding subfamily meets it oddly.  The
+  first leaf that reaches the floor is optimal, so the search stops there.
 
 There is one hill climber, _climb: first-improvement single-set swaps over
 the rows, bounded by budget_nodes and budget_secs.  local_search runs it once
@@ -30,8 +31,11 @@ records.  Pruning uses one bound: one more than the least value known
 before the tree (the hint's or a resumed checkpoint's), then each kept
 leaf's value.  A subtree or candidate is cut when its lower bound reaches
 the bound, so the tree keeps only strictly better leaves and its first
-optimum is the lex-least one.  The final merge takes the least (value,
-witness) pair over the tree, the checkpoint and the hint.
+optimum is the lex-least one.  Every known value is that of a real family,
+hence at least the floor, so the bound stays above the floor until the
+floor stop ends the search: the floor never needs to raise a lower bound.
+The final merge takes the least (value, witness) pair over the tree, the
+checkpoint and the hint.
 """
 
 from __future__ import annotations
@@ -51,11 +55,11 @@ from .setfamily import SetFamily, _bit_indices, exact_t_rows, odd_rows
 
 DEFAULT_NODE_BUDGET = 10**9
 DEFAULT_TIME_BUDGET = 600.0
-DEFAULT_FEASIBILITY_CAP = 10**8
 # A pool of P sets has P rows of P bits, P^2/8 bytes: at most 2^16 sets
 # keeps the rows at 512 MiB.  A larger ground set is refused outright, since
 # every class on it but the lone uniform k = n set exceeds the cap.
 _POOL_CAP = 1 << 16
+_EXHAUSTIVE_CAP = 10**8  # most families exhaustive mode will enumerate
 _CHECK_INTERVAL = 1024  # budget polling granularity, in nodes
 
 _CLASSES = ("even", "odd", "uniform")
@@ -72,8 +76,10 @@ class SearchSpec:
     k-subsets.  objective "op" minimises odd-intersection pairs, "ckt"
     minimises pairs meeting in exactly t elements (uniform class only).
     symmetry None resolves to branch-and-bound even-class instances with
-    ground_size >= 6.  threads is accepted (it must be >= 1) and has no
-    effect: the search always runs on the calling thread.
+    ground_size >= 6.  mode "bnb" always uses the conflict bound and the
+    deficiency floor, "exhaustive" neither.  threads is accepted
+    (it must be >= 1) and has no effect: the search always runs on the
+    calling thread.  seed and restarts drive local search only.
     """
 
     ground_size: int
@@ -87,9 +93,6 @@ class SearchSpec:
     budget_secs: float = DEFAULT_TIME_BUDGET
     threads: int = 1
     symmetry: bool | None = None
-    use_deficiency_bound: bool = True
-    use_conflict_bound: bool = True
-    feasibility_cap: int = DEFAULT_FEASIBILITY_CAP
     seed: int = 0
     restarts: int = 1
 
@@ -319,14 +322,13 @@ def _tree(
 ) -> _Outcome:
     """Depth-first search of the combinations under roots, keeping leaves below bound.
 
+    The search stops at the first kept leaf whose value is at most floor.
     root_done(position in roots, best so far) is called after each root
     branch that ran to its end.
     """
     P = len(rows)
     m = spec.family_size
     bounding = spec.mode == "bnb"
-    use_conflict = bounding and spec.use_conflict_bound
-    use_floor = bounding and spec.use_deficiency_bound
     budget_nodes = spec.budget_nodes
 
     wit: tuple[int, ...] | None = None
@@ -346,24 +348,17 @@ def _tree(
         last = P - need
         ws = [(rows[j] & chosen_bits).bit_count() for j in range(start, P)]
         nodes += len(ws)
-        if bounding:
-            if use_conflict and need > 1:
-                lb = cur + sum(nsmallest(need, ws))
-                if use_floor and lb < floor:
-                    lb = floor
-                if lb >= bound:
-                    return
-            elif use_floor and floor >= bound:
-                return
+        if bounding and need > 1 and cur + sum(nsmallest(need, ws)) >= bound:
+            return
         for j in range(start, last + 1):
             nv = cur + ws[j - start]
-            if bounding and (max(nv, floor) if use_floor else nv) >= bound:
+            if bounding and nv >= bound:
                 continue
             if need == 1:
                 if nv < bound:
                     bound = nv
                     wit = chosen + (j,)
-                    if use_floor and nv <= floor:
+                    if nv <= floor:
                         done = True
                         return
             else:
@@ -392,8 +387,8 @@ def _tree(
 def _instance_identity(spec: SearchSpec) -> dict:
     """The fields that determine the enumeration space and its order.
 
-    Budgets and bound toggles may differ between an aborted run and its
-    resume without affecting soundness; these may not.
+    Budgets may differ between an aborted run and its resume without
+    affecting soundness; these may not.
     """
     return {
         "ground_size": spec.ground_size,
@@ -412,9 +407,12 @@ def _load_checkpoint(
 ) -> tuple[int, _Outcome] | None:
     """(completed root count, best so far) from a checkpoint, or None if absent.
 
-    Nothing in the file is trusted: the counts must be in range, and a
-    witness must be m increasing pool indices whose value, recounted from
-    the rows, is best_value.
+    Nothing in the file is trusted: the counts must be in range, a witness
+    must be m increasing pool indices whose value, recounted from the rows,
+    is best_value, and the digest must match the other fields.  The digest
+    catches hand edits and corruption that leave a file self-consistent,
+    such as a completed_roots count raised past the branches searched; it
+    does not authenticate a file whose digest was recomputed after an edit.
     """
     if not path.exists():
         return None
@@ -453,19 +451,33 @@ def _load_checkpoint(
             recount = sum((rows[i] & bits).bit_count() for i in witness) // 2
             if not (is_int(value) and value == recount):
                 problem = f"best_value {value!r} is not its witness's value {recount}"
+    if problem is None:
+        fields = {key: val for key, val in data.items() if key != "digest"}
+        if data.get("digest") != _digest(fields):
+            problem = "its digest is missing or does not match its fields"
     if problem is not None:
         raise CheckpointError(f"checkpoint {path} is corrupt: {problem}")
     return completed, _Outcome(value, None if witness is None else tuple(witness), nodes, False)
 
 
+def _digest(fields: dict) -> str:
+    """SHA-256 hex of the fields as sorted-key JSON."""
+    import hashlib  # loads OpenSSL, ~3.7 MB of RSS: only checkpointed runs pay it
+
+    return hashlib.sha256(json.dumps(fields, sort_keys=True).encode("utf-8")).hexdigest()
+
+
 def _write_checkpoint(path: Path, data: dict) -> None:
-    """Replace path atomically, so a crash mid-write leaves the old checkpoint."""
+    """Replace path atomically, so a crash mid-write leaves the old checkpoint.
+
+    The file holds data plus "digest", the _digest of data.
+    """
     import tempfile
 
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(data, fh)
+            json.dump({**data, "digest": _digest(data)}, fh)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -480,13 +492,14 @@ def _minimize_exact(spec: SearchSpec, checkpoint: str | Path | None = None) -> S
     pool = candidate_pool(spec)
     P = len(pool)
     m = spec.family_size
-    if spec.mode == "exhaustive" and comb(P, m) > spec.feasibility_cap:
+    if spec.mode == "exhaustive" and comb(P, m) > _EXHAUSTIVE_CAP:
         raise InfeasibleSpecError(
             f"exhaustive enumeration of C({P},{m}) = {comb(P, m)} families exceeds "
-            f"the feasibility cap {spec.feasibility_cap}; use branch and bound"
+            f"the feasibility cap {_EXHAUSTIVE_CAP}; use branch and bound"
         )
     rows = _pool_rows(spec, pool)
-    floor = _deficiency_floor(spec)
+    # exhaustive mode enumerates every family: no value is <= -1
+    floor = _deficiency_floor(spec) if spec.mode == "bnb" else -1
     roots = _root_indices(spec, pool)
     # the hint primes pruning, and is the incumbent if the tree is cut early
     known: list[_Outcome] = []
@@ -553,29 +566,10 @@ def minimize(spec: SearchSpec, checkpoint: str | Path | None = None) -> SearchRe
     return _minimize_exact(spec, checkpoint)
 
 
-def min_op(spec: SearchSpec, checkpoint: str | Path | None = None) -> SearchResult:
-    """Exact minimum odd-pair count over all families matching spec."""
-    if spec.objective != "op":
-        raise InfeasibleSpecError(f"min_op needs objective 'op', got {spec.objective!r}")
-    return minimize(spec, checkpoint)
+def local_search(spec: SearchSpec, initial: SetFamily | None = None) -> SearchResult:
+    """First-improvement hill climbing over single-set swaps, spec.restarts times.
 
-
-def min_ckt(spec: SearchSpec, checkpoint: str | Path | None = None) -> SearchResult:
-    """Exact minimum count of pairs meeting in exactly t elements."""
-    if spec.objective != "ckt":
-        raise InfeasibleSpecError(f"min_ckt needs objective 'ckt', got {spec.objective!r}")
-    return minimize(spec, checkpoint)
-
-
-def local_search(
-    spec: SearchSpec,
-    seed: int | None = None,
-    restarts: int | None = None,
-    initial: SetFamily | None = None,
-) -> SearchResult:
-    """First-improvement hill climbing over single-set swaps.
-
-    Deterministic for a fixed seed; restart 0 starts from `initial` when
+    Deterministic for a fixed spec.seed; restart 0 starts from `initial` when
     given, later restarts from seeded random families.  The result is an
     upper-bound incumbent, never a proof, so optimal is always False.
     """
@@ -587,13 +581,12 @@ def local_search(
     index_of = {mask: i for i, mask in enumerate(pool)}
     m = spec.family_size
     rows = _pool_rows(spec, pool)
-    rng = random.Random(spec.seed if seed is None else seed)
-    n_restarts = spec.restarts if restarts is None else restarts
+    rng = random.Random(spec.seed)
 
     best: tuple[int, tuple[int, ...]] | None = None
     evals = 0
     stopped = False
-    for r in range(n_restarts):
+    for r in range(spec.restarts):
         if stopped:
             break
         if r == 0 and initial is not None:

@@ -197,6 +197,20 @@ class TestSearch:
             assert str(bad) in captured.err
             assert captured.out == ""
 
+    def test_forged_checkpoint_progress_is_usage_error(self, capsys, tmp_path):
+        # all 4 root branches claimed done with a value-5 family; the minimum is 2
+        argv = ["search", "--class", "even", "--n", "4", "--m", "5", "--mode", "exhaustive"]
+        ckpt = tmp_path / "FORGED"
+        instance = dict(ground_size=4, family_size=5, family_class="even", k=None,
+                        objective="op", t=None, mode="exhaustive", symmetry=False)
+        ckpt.write_text(json.dumps(dict(instance=instance, completed_roots=4, best_value=5,
+                                        witness=[0, 1, 2, 3, 4], nodes=0)), encoding="utf-8")
+        code = main([*argv, "--checkpoint", str(ckpt)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert str(ckpt) in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("where", ["flag", "env"])
     def test_nan_time_budget_is_usage_error(self, capsys, monkeypatch, where):
         argv = ["search", "--class", "even", "--n", "4", "--m", "5"]

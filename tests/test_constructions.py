@@ -61,9 +61,9 @@ class TestEventownPlus:
         assert all(added_index in pair for pair in report.pairs)
 
     def test_seeded_selector_is_deterministic_and_valid(self):
-        one = ot.eventown_plus(8, 3, "seeded", seed=42)
-        two = ot.eventown_plus(8, 3, "seeded", seed=42)
-        other = ot.eventown_plus(8, 3, "seeded", seed=43)
+        one = ot.eventown_plus(8, 3, seed=42)
+        two = ot.eventown_plus(8, 3, seed=42)
+        other = ot.eventown_plus(8, 3, seed=43)
         assert one == two
         assert ot.op_count(one) == 3 * 8 == ot.op_count(other)
 
@@ -72,10 +72,6 @@ class TestEventownPlus:
             ot.eventown_plus(4, 0)
         with pytest.raises(ValueError):
             ot.eventown_plus(4, 3)  # |twin \ base| = 2 at n=4
-
-    def test_selector_names(self):
-        with pytest.raises(ValueError):
-            ot.eventown_plus(4, 1, "random")
 
 
 class TestOddtownSide:
@@ -223,10 +219,10 @@ class TestSeededSelectors:
             n = rng.choice([4, 8])
             k, l = n // 2, n // 4
             s = rng.randrange(1, (1 << k) - (1 << l) + 1)
-            fam = ot.eventown_plus(n, s, "seeded", seed=rng.randrange(10**6))
+            fam = ot.eventown_plus(n, s, seed=rng.randrange(10**6))
             assert ot.op_count(fam) == s * (1 << (k - 1))
             s2 = rng.randrange(1, n + 1)
-            fam2 = ot.oddtown_plus(n, s2, "seeded", seed=rng.randrange(10**6))
+            fam2 = ot.oddtown_plus(n, s2, seed=rng.randrange(10**6))
             assert ot.op_count(fam2) == 3 * s2
 
     def test_blocks_helper_consistency(self):

@@ -113,6 +113,35 @@ class TestExactMinima:
         assert odd.best_value <= ot.op_count(ot.oddtown_plus(4, 1))
 
 
+# (mode, spec kwargs) -> (best_value, nodes_explored): the tree's work, which
+# any change to its pruning or expansion order moves
+NODE_COUNT_PINS = [
+    ("bnb", dict(ground_size=6, family_size=9, family_class="even"), (4, 43_339)),
+    ("bnb", dict(ground_size=5, family_size=7, family_class="odd"), (6, 6_663)),
+    ("bnb", dict(ground_size=6, family_size=8, family_class="odd"), (4, 104_393)),
+    ("bnb", dict(ground_size=6, family_size=9, family_class="uniform", k=4, objective="ckt", t=2),
+     (12, 4_835)),
+    # the first leaf reaches the floor 0 and stops the search; in the last two,
+    # later root branches would add nodes had it not stopped
+    ("bnb", dict(ground_size=5, family_size=5, family_class="uniform", k=4, objective="ckt", t=2),
+     (0, 11)),
+    ("bnb", dict(ground_size=6, family_size=5, family_class="uniform", k=4, objective="ckt", t=2),
+     (0, 51)),
+    ("bnb", dict(ground_size=5, family_size=5, family_class="odd"), (0, 54)),
+    ("exhaustive", dict(ground_size=5, family_size=7, family_class="odd"), (6, 23_809)),
+    ("exhaustive",
+     dict(ground_size=6, family_size=9, family_class="uniform", k=4, objective="ckt", t=2),
+     (12, 17_866)),
+]
+
+
+@pytest.mark.parametrize("mode,kw,expected", NODE_COUNT_PINS)
+def test_node_counts_are_pinned(mode, kw, expected):
+    result = minimize(SearchSpec(mode=mode, **kw))
+    assert result.optimal
+    assert (result.best_value, result.nodes_explored) == expected
+
+
 class TestDeterminismAndSoundness:
     @pytest.mark.parametrize("threads", [1, 2, 8])
     def test_thread_count_does_not_change_answer(self, threads):
@@ -122,22 +151,6 @@ class TestDeterminismAndSoundness:
                 baseline = minimize(SearchSpec(mode=mode, threads=1, **kw))
                 assert result.best_value == baseline.best_value == expected
                 assert result.witness == baseline.witness
-
-    def test_bound_toggles_do_not_change_answer(self):
-        kw = dict(ground_size=5, family_size=6, family_class="odd")
-        results = set()
-        for deficiency in (True, False):
-            for conflict in (True, False):
-                r = minimize(
-                    SearchSpec(
-                        mode="bnb",
-                        use_deficiency_bound=deficiency,
-                        use_conflict_bound=conflict,
-                        **kw,
-                    )
-                )
-                results.add((r.best_value, r.witness.masks()))
-        assert len(results) == 1
 
     def test_symmetry_reduction_is_value_sound(self):
         for kw, expected in EXACT_INSTANCES:
@@ -215,14 +228,9 @@ class TestBudgetsAndValidation:
             )
 
     def test_exhaustive_feasibility_cap(self):
-        spec = SearchSpec(
-            ground_size=6,
-            family_size=9,
-            family_class="even",
-            mode="exhaustive",
-            feasibility_cap=10**6,
-        )
-        with pytest.raises(InfeasibleSpecError):
+        # C(64, 9) ~ 2.75e10 families, over the 10^8 that exhaustive mode enumerates
+        spec = SearchSpec(ground_size=7, family_size=9, family_class="even", mode="exhaustive")
+        with pytest.raises(InfeasibleSpecError, match="feasibility cap"):
             minimize(spec)
 
     def test_pool_matches_class(self):
@@ -414,6 +422,12 @@ class TestCheckpoint:
         ]
         texts = ["[]", "{}", '"x"', "\xff\xfe"]
         texts += [json.dumps({**json.loads(good), **fields}) for fields in forged]
+        # self-consistent but undigested: the genuine file, and one claiming all
+        # 4 root branches are done with a real family of value 5
+        undigested = {k: v for k, v in json.loads(good).items() if k != "digest"}
+        texts.append(json.dumps(undigested))
+        texts.append(json.dumps({**undigested, "completed_roots": 4, "best_value": 5,
+                                 "witness": [0, 1, 2, 3, 4]}))
         for text in texts:
             path.write_bytes(text.encode("latin-1"))
             with pytest.raises(CheckpointError, match="run.ckpt"):
@@ -439,12 +453,10 @@ class TestCheckpoint:
 
 class TestLocalSearch:
     def test_deterministic_for_fixed_seed(self):
-        spec = SearchSpec(
-            ground_size=8, family_size=17, family_class="even", mode="local", restarts=3
-        )
-        a = local_search(spec, seed=5)
-        b = local_search(spec, seed=5)
-        c = local_search(spec, seed=6)
+        kw = dict(ground_size=8, family_size=17, family_class="even", mode="local", restarts=3)
+        a = local_search(SearchSpec(seed=5, **kw))
+        b = local_search(SearchSpec(seed=5, **kw))
+        c = local_search(SearchSpec(seed=6, **kw))
         assert (a.best_value, a.witness) == (b.best_value, b.witness)
         assert not a.optimal
         assert ot.op_count(c.witness) == c.best_value
@@ -452,13 +464,15 @@ class TestLocalSearch:
     def test_seeded_with_construction_keeps_its_value(self):
         start = ot.eventown_plus(8, 1)
         spec = SearchSpec(ground_size=8, family_size=17, family_class="even", mode="local")
-        result = local_search(spec, seed=0, restarts=1, initial=start)
+        result = local_search(spec, initial=start)
         assert result.best_value <= ot.op_count(start) == 8
 
     def test_large_even_instance_reaches_construction_value(self):
         start = ot.eventown_plus(12, 1)
-        spec = SearchSpec(ground_size=12, family_size=65, family_class="even", mode="local")
-        result = local_search(spec, seed=0, restarts=2, initial=start)
+        spec = SearchSpec(
+            ground_size=12, family_size=65, family_class="even", mode="local", restarts=2
+        )
+        result = local_search(spec, initial=start)
         assert result.best_value <= 32
 
     def test_mode_dispatch(self):
@@ -507,7 +521,7 @@ LOCAL_SEARCH_PINS = [
 @pytest.mark.parametrize("kw,seed,initial,expected", LOCAL_SEARCH_PINS)
 def test_local_search_trajectory_is_pinned(kw, seed, initial, expected):
     start = None if initial is None else ot.eventown_plus(*initial)
-    result = local_search(SearchSpec(mode="local", **kw), seed=seed, initial=start)
+    result = local_search(SearchSpec(mode="local", seed=seed, **kw), initial=start)
     assert (result.best_value, result.witness.masks(), result.nodes_explored) == expected
 
 
@@ -571,6 +585,16 @@ class TestVerifyTheorem:
         assert report.result.optimal
         assert report.verdict == "COUNTEREXAMPLE"
         assert report.minimum == minimum == s + 2
+
+    @pytest.mark.slow
+    def test_odd_class_minimum_at_n8_s2(self):
+        # the README's (n=8, s=2) finding: 10 odd sets over [8] with 4 odd
+        # pairs, under the conjectured 6; ~50 s and ~137M evaluations
+        report = verify_theorem("conj-odd", 8, 2, symmetry=True)
+        assert report.result.optimal
+        assert report.verdict == "COUNTEREXAMPLE"
+        assert report.minimum == 4
+        assert ot.op_count(report.result.witness) == 4
 
     def test_conj_even_is_tight_across_its_range_at_n6(self):
         # recorded finding: the even-class bound s*2^(n/2-1) is attained for
