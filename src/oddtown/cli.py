@@ -32,18 +32,19 @@ EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_REFUTED = 4
 
-_FAMILY_NAMES = (
-    "eventown-a",
-    "eventown-b",
-    "eventown-plus",
-    "singletons",
-    "k4-triples",
-    "oddtown-plus",
-    "x5",
-    "f1",
-    "f2",
-    "steiner-partition",
-)
+# the construct flags each family takes; all but --seed are required
+_FAMILY_FLAGS = {
+    "eventown-a": ("n",),
+    "eventown-b": ("n",),
+    "eventown-plus": ("n", "s", "seed"),
+    "singletons": ("n",),
+    "k4-triples": ("n",),
+    "oddtown-plus": ("n", "s", "seed"),
+    "x5": (),
+    "f1": (),
+    "f2": ("k",),
+    "steiner-partition": ("n",),
+}
 
 
 def _env_int(name: str, default: int) -> int:
@@ -57,14 +58,16 @@ def _env_float(name: str, default: float) -> float:
 
 
 def _emit(payload: dict[str, Any], as_json: bool) -> None:
+    """Print payload and flush, so a closed stdout raises BrokenPipeError here."""
     if as_json or not sys.stdout.isatty():
         print(json.dumps(payload, indent=2))
-        return
-    width = max((len(k) for k in payload), default=0)
-    for key, value in payload.items():
-        if isinstance(value, (dict, list)):
-            value = json.dumps(value)
-        print(f"{key.ljust(width)}  {value}")
+    else:
+        width = max((len(k) for k in payload), default=0)
+        for key, value in payload.items():
+            if isinstance(value, (dict, list)):
+                value = json.dumps(value)
+            print(f"{key.ljust(width)}  {value}")
+    sys.stdout.flush()
 
 
 def _fraction_fields(value: Fraction) -> dict[str, Any]:
@@ -80,11 +83,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="generate a named family")
-    p.add_argument("--family", required=True, choices=_FAMILY_NAMES)
+    p.add_argument("--family", required=True, choices=tuple(_FAMILY_FLAGS))
     p.add_argument("--n", type=int, help="ground set size")
-    p.add_argument("--s", type=int, help="number of added sets, where applicable")
+    p.add_argument("--s", type=int, help="number of added sets (eventown-plus, oddtown-plus)")
     p.add_argument("--k", type=int, help="uniformity parameter for f2")
-    p.add_argument("--seed", type=int, help="draw the added sets as a seeded sample, where applicable")
+    p.add_argument("--seed", type=int, help="draw the added sets as a seeded sample (eventown-plus, oddtown-plus)")
     p.add_argument("--out", type=Path, help="write the family file here")
 
     p = sub.add_parser("analyze", help="statistics of a family file")
@@ -108,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--symmetry", choices=("on", "off", "auto"), default="auto")
     p.add_argument("--budget-nodes", type=int, default=None)
     p.add_argument("--budget-secs", type=float, default=None)
-    p.add_argument("--checkpoint", type=Path, help="root-level resume file")
+    p.add_argument("--checkpoint", type=Path, help="root-level resume file (exact modes only)")
 
     p = sub.add_parser("verify", help="check a statement instance against the oracle")
     p.add_argument(
@@ -148,32 +151,34 @@ def _family_stats(family: sf.SetFamily) -> dict[str, Any]:
 
 def _cmd_construct(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     name = args.family
-
-    def need(flag: str, value: Any) -> Any:
-        if value is None:
+    takes = _FAMILY_FLAGS[name]
+    for flag in ("n", "s", "k", "seed"):
+        given = getattr(args, flag) is not None
+        if given and flag not in takes:
+            raise ValueError(f"--family {name} does not take --{flag}")
+        if not given and flag in takes and flag != "seed":
             raise ValueError(f"--family {name} requires --{flag}")
-        return value
 
     if name == "eventown-a":
-        family = cons.eventown_pair(need("n", args.n))[0]
+        family = cons.eventown_pair(args.n)[0]
     elif name == "eventown-b":
-        family = cons.eventown_pair(need("n", args.n))[1]
+        family = cons.eventown_pair(args.n)[1]
     elif name == "eventown-plus":
-        family = cons.eventown_plus(need("n", args.n), need("s", args.s), args.seed)
+        family = cons.eventown_plus(args.n, args.s, args.seed)
     elif name == "singletons":
-        family = cons.singletons(need("n", args.n))
+        family = cons.singletons(args.n)
     elif name == "k4-triples":
-        family = cons.disjoint_k4_triples(need("n", args.n))
+        family = cons.disjoint_k4_triples(args.n)
     elif name == "oddtown-plus":
-        family = cons.oddtown_plus(need("n", args.n), need("s", args.s), args.seed)
+        family = cons.oddtown_plus(args.n, args.s, args.seed)
     elif name == "x5":
         family = cons.example_x5()
     elif name == "f1":
         family = cons.example_f1()
     elif name == "f2":
-        family = cons.example_f2(need("k", args.k))
+        family = cons.example_f2(args.k)
     else:  # steiner-partition
-        system = cons.steiner_partition(need("n", args.n))
+        system = cons.steiner_partition(args.n)
         family = system.blocks
     payload: dict[str, Any] = {"family": name, **_family_stats(family)}
     if name == "steiner-partition":
@@ -317,15 +322,20 @@ def main(argv: list[str] | None = None) -> int:
         payload = {"valid": False, "error": str(exc)}
         if exc.offending is not None:
             payload["offending"] = list(exc.offending)
-        _emit(payload, args.json)
-        return EXIT_REFUTED
+        code = EXIT_REFUTED
     except (OddtownError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _emit(payload, args.json)
+    try:
+        _emit(payload, args.json)
+    except BrokenPipeError:
+        # the reader left early; point stdout at devnull so the flush at exit
+        # cannot raise again (the SIGPIPE note in the signal module docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
     return code
 
 

@@ -9,8 +9,10 @@ mask-sorted candidate pool, so the first optimum found in depth-first order
 is the lexicographically least one.  Branch and bound adds three sound
 devices on top of plain enumeration, all three always on:
 
-* an incremental objective: extending a partial family costs one AND plus
-  one popcount per candidate;
+* packed counts: each tree node holds every candidate's count of counted
+  pairs with the partial family as one field of one integer, so adding a
+  member is one addition of its spread row and a node reads all its counts
+  with one to_bytes;
 * a conflict bound: a partial family with value v and r more members to add
   reaches at least v plus the sum of the r smallest candidate conflict
   counts against the fixed partial family;
@@ -42,9 +44,10 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
+from array import array
 from dataclasses import asdict, dataclass
-from heapq import nsmallest
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -59,6 +62,10 @@ DEFAULT_TIME_BUDGET = 600.0
 # keeps the rows at 512 MiB.  A larger ground set is refused outright, since
 # every class on it but the lone uniform k = n set exceeds the cap.
 _POOL_CAP = 1 << 16
+# A tree spread row takes P or 2P bytes (a 1- or 2-byte count per pool set),
+# so keeping all P of them could take 8 GiB at the cap: the tree keeps at
+# most 2^29 bytes of them (512 MiB, as much as the rows) and rebuilds the rest.
+_SPREAD_BYTES = 1 << 29
 _EXHAUSTIVE_CAP = 10**8  # most families exhaustive mode will enumerate
 _CHECK_INTERVAL = 1024  # budget polling granularity, in nodes
 
@@ -311,6 +318,14 @@ def _climb(
     return value, tuple(sorted(chosen)), evals, stopped
 
 
+def _two_byte_fields(raw: bytes) -> array:
+    """The little-endian 2-byte fields of raw as numbers, on a host of either byte order."""
+    fields = array("H", raw)
+    if sys.byteorder == "big":
+        fields.byteswap()
+    return fields
+
+
 def _tree(
     rows: Sequence[int],
     spec: SearchSpec,
@@ -322,6 +337,11 @@ def _tree(
 ) -> _Outcome:
     """Depth-first search of the combinations under roots, keeping leaves below bound.
 
+    Each node carries one packed integer whose field j counts candidate j's
+    pairs with the partial family.  Fields are 1 byte wide when m <= 256
+    and 2 bytes otherwise, since a count is at most m - 1.  Adding member j
+    adds spread(j), row j with each bit widened to a field, so a node reads
+    all its counts with one to_bytes instead of a popcount per candidate.
     The search stops at the first kept leaf whose value is at most floor.
     root_done(position in roots, best so far) is called after each root
     branch that ran to its end.
@@ -330,6 +350,24 @@ def _tree(
     m = spec.family_size
     bounding = spec.mode == "bnb"
     budget_nodes = spec.budget_nodes
+    width = 1 if m <= 256 else 2
+    bits = 8 * width
+    nbytes = P * width
+    bit_bytes = bytes.maketrans(b"01", b"\x00\x01")
+    # spreads of the first `room` pool indices are kept; later ones are rebuilt
+    room = _SPREAD_BYTES // nbytes
+    memo: list[int | None] = [None] * P
+
+    def spread(j: int) -> int:
+        s = memo[j]
+        if s is None:
+            # format puts bit P-1 first, so read big-endian, field j holds bit j
+            field = bytearray(nbytes)
+            field[width - 1 :: width] = format(rows[j], f"0{P}b").encode().translate(bit_bytes)
+            s = int.from_bytes(field, "big")
+            if j < room:
+                memo[j] = s
+        return s
 
     wit: tuple[int, ...] | None = None
     nodes = 0
@@ -337,7 +375,7 @@ def _tree(
     aborted = False
     done = False  # floor reached: later branches are lex-greater ties at best
 
-    def extend(chosen: tuple[int, ...], chosen_bits: int, cur: int, start: int) -> None:
+    def extend(chosen: tuple[int, ...], packed: int, cur: int, start: int) -> None:
         nonlocal nodes, next_check, bound, wit, aborted, done
         if nodes >= next_check:
             next_check = nodes + _CHECK_INTERVAL
@@ -345,26 +383,26 @@ def _tree(
                 aborted = True
                 return
         need = m - len(chosen)
-        last = P - need
-        ws = [(rows[j] & chosen_bits).bit_count() for j in range(start, P)]
-        nodes += len(ws)
-        if bounding and need > 1 and cur + sum(nsmallest(need, ws)) >= bound:
+        raw = (packed >> (start * bits)).to_bytes((P - start) * width, "little")
+        ws = raw if width == 1 else _two_byte_fields(raw)
+        nodes += P - start
+        if need == 1:  # keep the first least leaf, as ascending j would: none is below floor
+            w = min(ws)
+            if cur + w < bound:
+                bound = cur + w
+                wit = chosen + (start + ws.index(w),)
+                if bound <= floor:
+                    done = True
             return
-        for j in range(start, last + 1):
-            nv = cur + ws[j - start]
+        if bounding and cur + sum(sorted(ws)[:need]) >= bound:
+            return
+        for j, w in zip(range(start, P - need + 1), ws):
+            nv = cur + w
             if bounding and nv >= bound:
                 continue
-            if need == 1:
-                if nv < bound:
-                    bound = nv
-                    wit = chosen + (j,)
-                    if nv <= floor:
-                        done = True
-                        return
-            else:
-                extend(chosen + (j,), chosen_bits | (1 << j), nv, j + 1)
-                if aborted or done:
-                    return
+            extend(chosen + (j,), packed + spread(j), nv, j + 1)
+            if aborted or done:
+                return
 
     def outcome() -> _Outcome:
         return _Outcome(None if wit is None else int(bound), wit, nodes, aborted)
@@ -374,7 +412,7 @@ def _tree(
         if m == 1:  # every one-member family has value 0
             bound, wit, done = 0, (root,), True
         else:
-            extend((root,), 1 << root, 0, root + 1)
+            extend((root,), spread(root), 0, root + 1)
         if aborted:
             break
         if root_done is not None:
@@ -560,8 +598,14 @@ def _merge_best(
 
 
 def minimize(spec: SearchSpec, checkpoint: str | Path | None = None) -> SearchResult:
-    """Dispatch on spec.mode; exhaustive and bnb are exact, local is heuristic."""
+    """Dispatch on spec.mode; exhaustive and bnb are exact, local is heuristic.
+
+    A checkpoint records the root branches of an exact search, so local
+    mode, which has none, refuses one.
+    """
     if spec.mode == "local":
+        if checkpoint is not None:
+            raise InfeasibleSpecError("checkpoints apply to exact modes only, not mode 'local'")
         return local_search(spec)
     return _minimize_exact(spec, checkpoint)
 

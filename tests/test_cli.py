@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -20,6 +23,18 @@ def run(capsys, *argv) -> tuple[int, dict]:
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, (json.loads(out) if out.strip() else {})
+
+
+def run_process(*argv, **kwargs) -> subprocess.CompletedProcess:
+    """`python -m oddtown.cli argv` in a child process that imports this oddtown."""
+    src = str(Path(ot.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "oddtown.cli", *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        text=True,
+        **kwargs,
+    )
 
 
 class TestConstruct:
@@ -59,6 +74,26 @@ class TestConstruct:
         err = capsys.readouterr().err
         assert code == 2
         assert "--s" in err
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["--family", "x5", "--n", "9"], "--n"),
+            (["--family", "x5", "--seed", "3"], "--seed"),
+            (["--family", "singletons", "--n", "4", "--s", "2"], "--s"),
+            (["--family", "f1", "--k", "5"], "--k"),
+            (["--family", "steiner-partition", "--n", "8", "--seed", "1"], "--seed"),
+        ],
+        ids=["x5-n", "x5-seed", "singletons-s", "f1-k", "steiner-partition-seed"],
+    )
+    def test_flag_the_family_ignores_is_usage_error(self, capsys, tmp_path, argv, flag):
+        out = tmp_path / "fam.txt"
+        code = main(["construct", *argv, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"does not take {flag}" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_bad_parameter_names_precondition(self, capsys):
         code = main(["construct", "--family", "eventown-a", "--n", "6"])
@@ -168,6 +203,16 @@ class TestSearch:
         assert doc["optimal"] is False
         assert doc["best_value"] >= 8  # proven bound for this shape
         jsonschema.validate(doc, SCHEMA)
+
+    def test_local_mode_checkpoint_is_usage_error(self, capsys, tmp_path):
+        ckpt = tmp_path / "lc.ckpt"
+        code = main(["search", "--class", "even", "--n", "4", "--m", "5", "--mode", "local",
+                     "--checkpoint", str(ckpt)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "local" in captured.err
+        assert captured.out == ""
+        assert not ckpt.exists()
 
     def test_infeasible_spec_is_usage_error(self, capsys):
         code = main(["search", "--class", "odd", "--n", "3", "--m", "9", "--mode", "exhaustive"])
@@ -337,14 +382,27 @@ class TestHarness:
         assert docs[0] == docs[1]
         assert docs[0]["op"] == docs[2]["op"] == 16
 
-    def test_module_entry_point(self):
-        import subprocess
-        import sys
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["construct", "--family", "x5"], 0),
+            (["verify", "--statement", "conj-odd", "--n", "5", "--s", "2"], 0),
+            (["verify", "--statement", "prob-uniform", "--n", "5", "--k", "3"], 4),
+        ],
+        ids=["construct", "verify-tight", "verify-counterexample"],
+    )
+    def test_closed_stdout_exits_quietly(self, argv, code):
+        # the reader of stdout is gone before the command writes, as with `| head`
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_process("--json", *argv, stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        assert proc.stderr == ""
+        assert proc.returncode == code
 
-        proc = subprocess.run(
-            [sys.executable, "-m", "oddtown.cli", "construct", "--family", "x5"],
-            capture_output=True,
-            text=True,
-        )
+    def test_module_entry_point(self):
+        proc = run_process("construct", "--family", "x5", capture_output=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["op"] == 3

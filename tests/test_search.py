@@ -10,7 +10,7 @@ from math import comb
 import pytest
 
 import oddtown as ot
-from oddtown import CheckpointError, InfeasibleSpecError, SearchSpec
+from oddtown import CheckpointError, InfeasibleSpecError, SearchSpec, search
 from oddtown.search import candidate_pool, local_search, minimize, verify_theorem
 
 from oracles import all_optima_brute, min_objective_brute, op_sets, pairs_exact_t, to_sets
@@ -140,6 +140,32 @@ def test_node_counts_are_pinned(mode, kw, expected):
     result = minimize(SearchSpec(mode=mode, **kw))
     assert result.optimal
     assert (result.best_value, result.nodes_explored) == expected
+
+
+@pytest.mark.parametrize("mode,kw,expected", NODE_COUNT_PINS)
+def test_spreads_rebuilt_past_the_memo_cap(monkeypatch, mode, kw, expected):
+    # a cap of 0 bytes stores no spread, so every child rebuilds its own
+    kept = minimize(SearchSpec(mode=mode, **kw))
+    monkeypatch.setattr(search, "_SPREAD_BYTES", 0)
+    rebuilt = minimize(SearchSpec(mode=mode, **kw))
+    assert (rebuilt.best_value, rebuilt.witness, rebuilt.nodes_explored) == (
+        kept.best_value, kept.witness, kept.nodes_explored
+    )
+    assert (rebuilt.best_value, rebuilt.nodes_explored) == expected
+
+
+@pytest.mark.parametrize("mode", ["bnb", "exhaustive"])
+def test_counts_past_one_byte(mode):
+    # 258 of the 259 sets of size 258 over [259]: every pair meets in 257
+    # points, so every pair is odd and a candidate's count reaches 257
+    spec = SearchSpec(
+        ground_size=259, family_size=258, family_class="uniform", k=258, mode=mode
+    )
+    result = minimize(spec)
+    assert (result.best_value, result.nodes_explored, result.optimal) == (
+        33153, 2_895_621, True
+    )
+    assert result.best_value == comb(258, 2)
 
 
 class TestDeterminismAndSoundness:
@@ -435,6 +461,13 @@ class TestCheckpoint:
         path.write_text(good, encoding="utf-8")
         assert minimize(spec, checkpoint=path).best_value == 2
 
+    def test_local_mode_refuses_a_checkpoint(self, tmp_path):
+        path = tmp_path / "run.ckpt"
+        spec = SearchSpec(ground_size=4, family_size=5, family_class="even", mode="local")
+        with pytest.raises(InfeasibleSpecError, match="local"):
+            minimize(spec, checkpoint=path)
+        assert not path.exists()
+
     def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
         kw = dict(ground_size=5, family_size=6, family_class="odd", symmetry=False)
         path = tmp_path / "run.ckpt"
@@ -589,7 +622,7 @@ class TestVerifyTheorem:
     @pytest.mark.slow
     def test_odd_class_minimum_at_n8_s2(self):
         # the README's (n=8, s=2) finding: 10 odd sets over [8] with 4 odd
-        # pairs, under the conjectured 6; ~50 s and ~137M evaluations
+        # pairs, under the conjectured 6; ~17 s and ~137M evaluations
         report = verify_theorem("conj-odd", 8, 2, symmetry=True)
         assert report.result.optimal
         assert report.verdict == "COUNTEREXAMPLE"
