@@ -16,10 +16,11 @@ devices on top of plain enumeration, all three always on:
 * a conflict bound: a partial family with value v and r more members to add
   reaches at least v plus the sum of the r smallest candidate conflict
   counts against the fixed partial family;
-* a deficiency floor: in a class whose rule-abiding families have size at
-  most B, every family of size m has at least m - B counted pairs, because
-  each member outside a maximal rule-abiding subfamily meets it oddly.  The
-  first leaf that reaches the floor is optimal, so the search stops there.
+* a floor (_floor): the larger of the deficiency floor (a class whose
+  rule-abiding families have at most B members forces m - B odd pairs on m
+  members) and the averaging bound from each certified minimum of a smaller
+  family of the same class in _CERTIFIED_MINIMA.  The first leaf that
+  reaches the floor is optimal, so the search stops there.
 
 There is one hill climber, _climb: first-improvement single-set swaps over
 the rows, bounded by budget_nodes and budget_secs.  local_search runs it once
@@ -84,9 +85,10 @@ class SearchSpec:
     minimises pairs meeting in exactly t elements (uniform class only).
     symmetry None resolves to branch-and-bound even-class instances with
     ground_size >= 6.  mode "bnb" always uses the conflict bound and the
-    deficiency floor, "exhaustive" neither.  threads is accepted
-    (it must be >= 1) and has no effect: the search always runs on the
-    calling thread.  seed and restarts drive local search only.
+    class floor (deficiency and averaging, see _floor), "exhaustive"
+    neither.  threads is accepted (it must be >= 1) and has no effect: the
+    search always runs on the calling thread.  seed and restarts drive
+    local search only.
     """
 
     ground_size: int
@@ -176,6 +178,9 @@ class SearchResult:
     optimal is True only when the instance space was fully covered or
     pruned soundly; local search never sets it.  witness members are in
     ascending mask order and satisfy objective(witness) == best_value.
+    The JSON form adds the bracket's lower end: lower_bound is best_value
+    when optimal and the class floor otherwise, and floor_entry names the
+    certified-minimum table entry that set the floor, if one did.
     """
 
     best_value: int | None
@@ -186,12 +191,17 @@ class SearchResult:
     spec: SearchSpec
 
     def to_json_dict(self) -> dict:
+        floor, entry = _floor(self.spec)
         return {
             "best_value": self.best_value,
             "witness": None
             if self.witness is None
             else [list(m.elements()) for m in self.witness.members],
             "optimal": self.optimal,
+            "lower_bound": self.best_value if self.optimal else floor,
+            "floor_entry": None
+            if entry is None
+            else {"family_size": entry[0], "minimum": entry[1]},
             "nodes_explored": self.nodes_explored,
             "elapsed_ms": int(self.elapsed * 1000),
             "spec": asdict(self.spec),
@@ -218,18 +228,55 @@ def _pool_rows(spec: SearchSpec, pool: Sequence[int]) -> list[int]:
     return list(exact_t_rows(pool, spec.t))  # type: ignore[arg-type]
 
 
-def _deficiency_floor(spec: SearchSpec) -> int:
-    """A lower bound on the objective of every family in the class."""
-    if spec.objective != "op":
-        return 0
+# Class minima certified by this package's own branch and bound, each pinned
+# by a test that recomputes it without the table.  The key is every field that
+# defines the class: (family_class, objective, k, t, ground_size, family_size).
+# An entry is a searched minimum, never a statement's proven bound taken on trust.
+_CERTIFIED_MINIMA: dict[tuple[str, str, int | None, int | None, int, int], int] = {
+    ("odd", "op", None, None, 4, 5): 3,
+    ("odd", "op", None, None, 5, 6): 3,
+    ("odd", "op", None, None, 6, 7): 3,
+    ("odd", "op", None, None, 7, 8): 3,
+    ("odd", "op", None, None, 8, 9): 3,  # thm-odd n=8: ~46 s
+}
+
+
+def _floor(spec: SearchSpec) -> tuple[int, tuple[int, int] | None]:
+    """A lower bound on the objective of every family in the class, and its source.
+
+    The bound is the larger of two:
+
+    * the deficiency floor (op only): in a class whose rule-abiding families
+      have size at most B, every family of size m has at least m - B counted
+      pairs, because each member outside a maximal rule-abiding subfamily
+      meets it oddly;
+    * the averaging bound of each table entry (m2, v) of the same class with
+      m2 < m: each pair of an m-family lies in C(m-2, m2-2) of its
+      m2-subfamilies, each of which has at least v pairs, so the family has
+      at least ceil(v * m(m-1) / (m2(m2-1))).
+
+    The source is the (family size, minimum) entry whose bound is the floor,
+    or None when the deficiency floor is at least as large.
+    """
     n, m = spec.ground_size, spec.family_size
-    if spec.family_class == "even":
-        rule_bound = 1 << (n // 2)
-    elif spec.family_class == "odd":
-        rule_bound = n
-    else:
-        rule_bound = n if (spec.k or 0) & 1 else 1 << (n // 2)
-    return max(0, m - rule_bound)
+    floor = 0
+    if spec.objective == "op":
+        if spec.family_class == "even":
+            rule_bound = 1 << (n // 2)
+        elif spec.family_class == "odd":
+            rule_bound = n
+        else:
+            rule_bound = n if (spec.k or 0) & 1 else 1 << (n // 2)
+        floor = max(0, m - rule_bound)
+    entry = None
+    cls = (spec.family_class, spec.objective, spec.k, spec.t, n)
+    for key, v in _CERTIFIED_MINIMA.items():
+        m2 = key[-1]
+        if key[:-1] == cls and m2 < m:
+            bound = -(-v * m * (m - 1) // (m2 * (m2 - 1)))
+            if bound > floor:
+                floor, entry = bound, (m2, v)
+    return floor, entry
 
 
 def _root_indices(spec: SearchSpec, pool: Sequence[int]) -> list[int]:
@@ -342,7 +389,8 @@ def _tree(
     and 2 bytes otherwise, since a count is at most m - 1.  Adding member j
     adds spread(j), row j with each bit widened to a field, so a node reads
     all its counts with one to_bytes instead of a popcount per candidate.
-    The search stops at the first kept leaf whose value is at most floor.
+    The search stops at the first kept leaf whose value is at most floor,
+    a lower bound on every family (_floor's, or -1 to search every family).
     root_done(position in roots, best so far) is called after each root
     branch that ran to its end.
     """
@@ -537,7 +585,7 @@ def _minimize_exact(spec: SearchSpec, checkpoint: str | Path | None = None) -> S
         )
     rows = _pool_rows(spec, pool)
     # exhaustive mode enumerates every family: no value is <= -1
-    floor = _deficiency_floor(spec) if spec.mode == "bnb" else -1
+    floor = _floor(spec)[0] if spec.mode == "bnb" else -1
     roots = _root_indices(spec, pool)
     # the hint primes pruning, and is the incumbent if the tree is cut early
     known: list[_Outcome] = []

@@ -307,6 +307,27 @@ class TestVerify:
         assert code == 2
 
 
+class TestBracket:
+    @pytest.mark.parametrize(
+        "argv,lower,entry",
+        [
+            (["thm-even", "--n", "8", "--s", "1"], 1, None),
+            (["conj-odd", "--n", "8", "--s", "5"], 7, {"family_size": 9, "minimum": 3}),
+        ],
+        ids=["thm-even-n8-s1", "conj-odd-n8-s5"],
+    )
+    def test_budgeted_run_reports_its_lower_bound(self, capsys, argv, lower, entry):
+        # an unfinished run brackets the minimum in [lower_bound, best_value]:
+        # even m=17 has only the deficiency floor 17 - 16; odd m=13 has the
+        # averaging floor ceil(3 * 13*12 / (9*8)) from the n=8, m=9 minimum 3
+        code, doc = run(capsys, "verify", "--statement", *argv, "--budget-nodes", "2000")
+        search = doc["search"]
+        assert search["optimal"] is False and code in (3, 4)
+        assert (search["lower_bound"], search["floor_entry"]) == (lower, entry)
+        assert search["lower_bound"] <= search["best_value"]
+        jsonschema.validate(search, SCHEMA)
+
+
 class TestSteiner:
     def test_partition_with_shadow(self, capsys, tmp_path):
         out = tmp_path / "shadow.txt"

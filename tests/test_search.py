@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+from dataclasses import replace
 from math import comb
 
 import pytest
@@ -118,7 +119,9 @@ class TestExactMinima:
 NODE_COUNT_PINS = [
     ("bnb", dict(ground_size=6, family_size=9, family_class="even"), (4, 43_339)),
     ("bnb", dict(ground_size=5, family_size=7, family_class="odd"), (6, 6_663)),
-    ("bnb", dict(ground_size=6, family_size=8, family_class="odd"), (4, 104_393)),
+    # the (6, 7) table entry gives the averaging floor ceil(3*56/42) = 4, the
+    # optimum, so the search stops at its first optimal leaf
+    ("bnb", dict(ground_size=6, family_size=8, family_class="odd"), (4, 3_419)),
     ("bnb", dict(ground_size=6, family_size=9, family_class="uniform", k=4, objective="ckt", t=2),
      (12, 4_835)),
     # the first leaf reaches the floor 0 and stops the search; in the last two,
@@ -140,6 +143,15 @@ def test_node_counts_are_pinned(mode, kw, expected):
     result = minimize(SearchSpec(mode=mode, **kw))
     assert result.optimal
     assert (result.best_value, result.nodes_explored) == expected
+
+
+def test_node_count_without_the_table(monkeypatch):
+    # an empty table leaves the deficiency floor 2, below the optimum, so the
+    # whole tree runs
+    monkeypatch.setattr(search, "_CERTIFIED_MINIMA", {})
+    result = minimize(SearchSpec(ground_size=6, family_size=8, family_class="odd"))
+    assert result.optimal
+    assert (result.best_value, result.nodes_explored) == (4, 104_393)
 
 
 @pytest.mark.parametrize("mode,kw,expected", NODE_COUNT_PINS)
@@ -166,6 +178,66 @@ def test_counts_past_one_byte(mode):
         33153, 2_895_621, True
     )
     assert result.best_value == comb(258, 2)
+
+
+def _entry_spec(key: tuple) -> SearchSpec:
+    family_class, objective, k, t, n, m = key
+    return SearchSpec(
+        ground_size=n, family_size=m, family_class=family_class, k=k, objective=objective, t=t
+    )
+
+
+class TestCertifiedMinima:
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            pytest.param(key, value, marks=[pytest.mark.slow] if key[4] >= 8 else [])
+            for key, value in search._CERTIFIED_MINIMA.items()
+        ],
+        ids=lambda x: "-".join(map(str, x)) if isinstance(x, tuple) else str(x),
+    )
+    def test_entry_is_recomputed(self, monkeypatch, key, value):
+        # each entry stands on its own search, with no table floor under it;
+        # the n=8 entry takes ~46 s, so it is marked slow
+        monkeypatch.setattr(search, "_CERTIFIED_MINIMA", {})
+        result = minimize(_entry_spec(key))
+        assert result.optimal
+        assert result.best_value == value
+
+    def test_no_entry_certifies_itself(self):
+        # the floor of an entry's own class stays below its value, so no
+        # entry, nor one of equal or larger size, feeds its own search
+        for key, value in search._CERTIFIED_MINIMA.items():
+            floor, entry = search._floor(_entry_spec(key))
+            assert floor < value, key
+            assert entry is None or entry[0] < key[-1], key
+
+    def test_averaging_floor_values(self):
+        # ceil(3 * m(m-1) / 72) from the n=8, m=9 entry, against m - 8
+        spec = lambda m: SearchSpec(ground_size=8, family_size=m, family_class="odd")
+        assert [search._floor(spec(m)) for m in (9, 10, 11, 12, 13)] == [
+            (1, None), (4, (9, 3)), (5, (9, 3)), (6, (9, 3)), (7, (9, 3))
+        ]
+        # no entry of another class, objective or ground size applies
+        assert search._floor(SearchSpec(ground_size=8, family_size=17, family_class="even")) == (1, None)
+        assert search._floor(SearchSpec(ground_size=9, family_size=11, family_class="odd")) == (2, None)
+
+    @pytest.mark.parametrize(
+        "n,m", [(n, m) for n in range(4, 8) for m in range(n + 1, n + 4)]
+    )
+    def test_table_keeps_value_and_witness(self, monkeypatch, n, m):
+        # the floor is only a leaf stop, so the table may cut nodes but never
+        # change the value or the lex-least witness
+        spec = SearchSpec(ground_size=n, family_size=m, family_class="odd")
+        with_table = minimize(spec)
+        monkeypatch.setattr(search, "_CERTIFIED_MINIMA", {})
+        without = minimize(spec)
+        assert with_table.optimal and without.optimal
+        assert (with_table.best_value, with_table.witness) == (without.best_value, without.witness)
+        assert op_sets(witness_sets(with_table)) == with_table.best_value
+        if comb(spec.pool_size(), m) <= search._EXHAUSTIVE_CAP:
+            plain = minimize(replace(spec, mode="exhaustive"))
+            assert (plain.best_value, plain.witness) == (with_table.best_value, with_table.witness)
 
 
 class TestDeterminismAndSoundness:
@@ -366,6 +438,7 @@ class TestBudgetsAndValidation:
         assert doc["best_value"] == 2
         assert doc["optimal"] is True
         assert isinstance(doc["witness"], list)
+        assert (doc["lower_bound"], doc["floor_entry"]) == (2, None)
         assert doc["spec"]["ground_size"] == 4
         assert isinstance(doc["elapsed_ms"], int)
 
@@ -602,11 +675,13 @@ class TestVerifyTheorem:
         assert op_sets([frozenset(m.elements()) for m in paired.members]) == 4
         assert ot.op_count(report.result.witness) == 4
 
-    @pytest.mark.parametrize("n,s,minimum", [(7, 2, 4), (7, 3, 5)])
+    @pytest.mark.parametrize("n,s,minimum", [(7, 2, 4), (7, 3, 5), (8, 2, 4), (8, 3, 5), (8, 4, 6)])
     def test_odd_class_minimum_is_s_plus_2_not_3s(self, n, s, minimum):
         # recorded finding: s+2 singleton/triple pairs over a reserved 2-set
         # plus padding singletons give n+s odd sets with op = s+2, and the
-        # exact minimum matches; 3s only survives where n < s+4
+        # exact minimum matches; 3s only survives where n < s+4.  In every
+        # case here the averaging floor from the thm-odd minimum 3 at m = n+1
+        # equals s+2, so the search stops at its first optimal leaf
         padded = ot.SetFamily.from_sets(
             n,
             [(i,) for i in range(1, n - 1)]
@@ -618,16 +693,7 @@ class TestVerifyTheorem:
         assert report.result.optimal
         assert report.verdict == "COUNTEREXAMPLE"
         assert report.minimum == minimum == s + 2
-
-    @pytest.mark.slow
-    def test_odd_class_minimum_at_n8_s2(self):
-        # the README's (n=8, s=2) finding: 10 odd sets over [8] with 4 odd
-        # pairs, under the conjectured 6; ~17 s and ~137M evaluations
-        report = verify_theorem("conj-odd", 8, 2, symmetry=True)
-        assert report.result.optimal
-        assert report.verdict == "COUNTEREXAMPLE"
-        assert report.minimum == 4
-        assert ot.op_count(report.result.witness) == 4
+        assert ot.op_count(report.result.witness) == minimum
 
     def test_conj_even_is_tight_across_its_range_at_n6(self):
         # recorded finding: the even-class bound s*2^(n/2-1) is attained for
