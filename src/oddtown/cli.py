@@ -108,7 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=1, help="accepted, no effect: one search thread")
     p.add_argument("--seed", type=int, default=0, help="seed for local search")
     p.add_argument("--restarts", type=int, default=1, help="restarts for local search")
-    p.add_argument("--symmetry", choices=("on", "off", "auto"), default="auto")
     p.add_argument("--budget-nodes", type=int, default=None)
     p.add_argument("--budget-secs", type=float, default=None)
     p.add_argument("--checkpoint", type=Path, help="root-level resume file (exact modes only)")
@@ -229,7 +228,6 @@ def _budget_args(args: argparse.Namespace) -> tuple[int, float]:
 
 def _cmd_search(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     nodes, secs = _budget_args(args)
-    symmetry = {"on": True, "off": False, "auto": None}[args.symmetry]
     spec = se.SearchSpec(
         ground_size=args.n,
         family_size=args.m,
@@ -241,7 +239,6 @@ def _cmd_search(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
         budget_nodes=nodes,
         budget_secs=secs,
         threads=args.threads,
-        symmetry=symmetry,
         seed=args.seed,
         restarts=args.restarts,
     )

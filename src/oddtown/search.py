@@ -6,9 +6,13 @@ bit-sliced counting (setfamily.exact_t_rows for c_kt), never pair by pair.
 
 The exact engine enumerates families as increasing-index combinations over a
 mask-sorted candidate pool, so the first optimum found in depth-first order
-is the lexicographically least one.  Branch and bound adds three sound
-devices on top of plain enumeration, all three always on:
+is the lexicographically least one.  Branch and bound adds four sound
+devices on top of plain enumeration, all four always on:
 
+* prefix roots (_root_indices): the first member is a prefix set
+  {1,..,c}.  Relabeling the ground set keeps every class and value, so
+  every skipped family has a copy of equal value under an earlier prefix
+  root, and the lex-least optimum itself starts with a prefix set;
 * packed counts: each tree node holds every candidate's count of counted
   pairs with the partial family as one field of one integer, so adding a
   member is one addition of its spread row and a node reads all its counts
@@ -83,12 +87,11 @@ class SearchSpec:
     parity (the empty set counts as even); "uniform" ranges over all
     k-subsets.  objective "op" minimises odd-intersection pairs, "ckt"
     minimises pairs meeting in exactly t elements (uniform class only).
-    symmetry None resolves to branch-and-bound even-class instances with
-    ground_size >= 6.  mode "bnb" always uses the conflict bound and the
-    class floor (deficiency and averaging, see _floor), "exhaustive"
-    neither.  threads is accepted (it must be >= 1) and has no effect: the
-    search always runs on the calling thread.  seed and restarts drive
-    local search only.
+    mode "bnb" always uses prefix roots, the conflict bound and the class
+    floor (deficiency and averaging, see _floor), "exhaustive" none of
+    them; both return the lex-least optimum.  threads is accepted (it must
+    be >= 1) and has no effect: the search always runs on the calling
+    thread.  seed and restarts (>= 1) drive local search only.
     """
 
     ground_size: int
@@ -101,7 +104,6 @@ class SearchSpec:
     budget_nodes: int = DEFAULT_NODE_BUDGET
     budget_secs: float = DEFAULT_TIME_BUDGET
     threads: int = 1
-    symmetry: bool | None = None
     seed: int = 0
     restarts: int = 1
 
@@ -140,6 +142,8 @@ class SearchSpec:
             raise InfeasibleSpecError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if self.threads < 1:
             raise InfeasibleSpecError(f"threads must be >= 1, got {self.threads}")
+        if self.restarts < 1:
+            raise InfeasibleSpecError(f"restarts must be >= 1, got {self.restarts}")
         if self.budget_nodes < 1 or not self.budget_secs > 0:  # NaN fails too
             raise InfeasibleSpecError("budgets must be positive")
         pool = self.pool_size()
@@ -160,15 +164,6 @@ class SearchSpec:
         if self.ground_size == 1:
             return 1
         return 1 << (self.ground_size - 1)
-
-    def resolved_symmetry(self) -> bool:
-        if self.symmetry is not None:
-            return self.symmetry
-        return (
-            self.mode == "bnb"
-            and self.family_class == "even"
-            and self.ground_size >= 6
-        )
 
 
 @dataclass(frozen=True)
@@ -280,27 +275,20 @@ def _floor(spec: SearchSpec) -> tuple[int, tuple[int, int] | None]:
 
 
 def _root_indices(spec: SearchSpec, pool: Sequence[int]) -> list[int]:
-    """First-member choices, restricted to orbit representatives when symmetric.
+    """First-member choices: every index in exhaustive mode, prefix sets in bnb.
 
-    Relabeling the ground set maps any family to one whose minimum-mask
-    member is the prefix set {1,..,c} of the least member cardinality c, so
-    restricting the first chosen set to prefix-set masks keeps at least one
-    representative of every relabeling class.
+    A relabeling of the ground set that sends a family's least member X to
+    the prefix set {1,..,|X|}, the least mask of its size, keeps the class
+    and the value, and gives a family whose least member is at most that
+    prefix set.  So the lex-least optimum starts with a prefix set, and
+    repeating the relabeling gives every family under a non-prefix root a
+    copy of equal value under an earlier prefix root: the bound moves
+    exactly as in the full tree.
     """
-    limit = len(pool) - spec.family_size
-    idxs = range(limit + 1)
-    if not spec.resolved_symmetry():
+    idxs = range(len(pool) - spec.family_size + 1)
+    if spec.mode != "bnb":
         return list(idxs)
-    reps = set()
-    if spec.family_class == "uniform":
-        cards = [spec.k]
-    elif spec.family_class == "even":
-        cards = list(range(0, spec.ground_size + 1, 2))
-    else:
-        cards = list(range(1, spec.ground_size + 1, 2))
-    for c in cards:
-        reps.add((1 << c) - 1)
-    return [i for i in idxs if pool[i] in reps]
+    return [i for i in idxs if pool[i] & (pool[i] + 1) == 0]  # mask is 2^c - 1
 
 
 @dataclass
@@ -484,7 +472,6 @@ def _instance_identity(spec: SearchSpec) -> dict:
         "objective": spec.objective,
         "t": spec.t,
         "mode": spec.mode,
-        "symmetry": spec.resolved_symmetry(),
     }
 
 
@@ -756,7 +743,6 @@ def verify_theorem(
     threads: int = 1,
     budget_nodes: int = DEFAULT_NODE_BUDGET,
     budget_secs: float = DEFAULT_TIME_BUDGET,
-    symmetry: bool | None = None,
 ) -> TheoremReport:
     """Compare the exact class minimum against a statement's claimed bound.
 
@@ -824,7 +810,6 @@ def verify_theorem(
         threads=threads,
         budget_nodes=budget_nodes,
         budget_secs=budget_secs,
-        symmetry=symmetry,
     )
     result = minimize(spec)
 

@@ -75,7 +75,6 @@ def test_criterion_2_even_family_oracle():
 
         t6 = time.monotonic()
         spec6 = SearchSpec(ground_size=6, family_size=9, family_class="even", mode="bnb")
-        assert spec6.resolved_symmetry()
         r69 = minimize(spec6)
         elapsed_n6 = time.monotonic() - t6
         assert r69.optimal

@@ -247,13 +247,23 @@ class TestSearch:
         argv = ["search", "--class", "even", "--n", "4", "--m", "5", "--mode", "exhaustive"]
         ckpt = tmp_path / "FORGED"
         instance = dict(ground_size=4, family_size=5, family_class="even", k=None,
-                        objective="op", t=None, mode="exhaustive", symmetry=False)
+                        objective="op", t=None, mode="exhaustive")
         ckpt.write_text(json.dumps(dict(instance=instance, completed_roots=4, best_value=5,
                                         witness=[0, 1, 2, 3, 4], nodes=0)), encoding="utf-8")
         code = main([*argv, "--checkpoint", str(ckpt)])
         captured = capsys.readouterr()
         assert code == 2
         assert str(ckpt) in captured.err
+        assert "digest" in captured.err  # refused for its digest, not its instance
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("restarts", ["0", "-3"])
+    def test_no_restarts_is_usage_error(self, capsys, restarts):
+        code = main(["search", "--class", "even", "--n", "4", "--m", "5", "--mode", "local",
+                     "--restarts", restarts])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "restarts" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("where", ["flag", "env"])

@@ -118,12 +118,12 @@ class TestExactMinima:
 # any change to its pruning or expansion order moves
 NODE_COUNT_PINS = [
     ("bnb", dict(ground_size=6, family_size=9, family_class="even"), (4, 43_339)),
-    ("bnb", dict(ground_size=5, family_size=7, family_class="odd"), (6, 6_663)),
+    ("bnb", dict(ground_size=5, family_size=7, family_class="odd"), (6, 3_349)),
     # the (6, 7) table entry gives the averaging floor ceil(3*56/42) = 4, the
     # optimum, so the search stops at its first optimal leaf
     ("bnb", dict(ground_size=6, family_size=8, family_class="odd"), (4, 3_419)),
     ("bnb", dict(ground_size=6, family_size=9, family_class="uniform", k=4, objective="ckt", t=2),
-     (12, 4_835)),
+     (12, 2_292)),
     # the first leaf reaches the floor 0 and stops the search; in the last two,
     # later root branches would add nodes had it not stopped
     ("bnb", dict(ground_size=5, family_size=5, family_class="uniform", k=4, objective="ckt", t=2),
@@ -151,7 +151,7 @@ def test_node_count_without_the_table(monkeypatch):
     monkeypatch.setattr(search, "_CERTIFIED_MINIMA", {})
     result = minimize(SearchSpec(ground_size=6, family_size=8, family_class="odd"))
     assert result.optimal
-    assert (result.best_value, result.nodes_explored) == (4, 104_393)
+    assert (result.best_value, result.nodes_explored) == (4, 41_534)
 
 
 @pytest.mark.parametrize("mode,kw,expected", NODE_COUNT_PINS)
@@ -166,16 +166,19 @@ def test_spreads_rebuilt_past_the_memo_cap(monkeypatch, mode, kw, expected):
     assert (rebuilt.best_value, rebuilt.nodes_explored) == expected
 
 
-@pytest.mark.parametrize("mode", ["bnb", "exhaustive"])
-def test_counts_past_one_byte(mode):
+@pytest.mark.parametrize(
+    "mode,nodes", [("bnb", 2_862_467), ("exhaustive", 2_895_621)], ids=["bnb", "exhaustive"]
+)
+def test_counts_past_one_byte(mode, nodes):
     # 258 of the 259 sets of size 258 over [259]: every pair meets in 257
-    # points, so every pair is odd and a candidate's count reaches 257
+    # points, so every pair is odd and a candidate's count reaches 257.  The
+    # uniform class has one prefix set, so bnb runs only the first root branch
     spec = SearchSpec(
         ground_size=259, family_size=258, family_class="uniform", k=258, mode=mode
     )
     result = minimize(spec)
     assert (result.best_value, result.nodes_explored, result.optimal) == (
-        33153, 2_895_621, True
+        33153, nodes, True
     )
     assert result.best_value == comb(258, 2)
 
@@ -190,15 +193,11 @@ def _entry_spec(key: tuple) -> SearchSpec:
 class TestCertifiedMinima:
     @pytest.mark.parametrize(
         "key,value",
-        [
-            pytest.param(key, value, marks=[pytest.mark.slow] if key[4] >= 8 else [])
-            for key, value in search._CERTIFIED_MINIMA.items()
-        ],
+        list(search._CERTIFIED_MINIMA.items()),
         ids=lambda x: "-".join(map(str, x)) if isinstance(x, tuple) else str(x),
     )
     def test_entry_is_recomputed(self, monkeypatch, key, value):
-        # each entry stands on its own search, with no table floor under it;
-        # the n=8 entry takes ~46 s, so it is marked slow
+        # each entry stands on its own search, with no table floor under it
         monkeypatch.setattr(search, "_CERTIFIED_MINIMA", {})
         result = minimize(_entry_spec(key))
         assert result.optimal
@@ -250,17 +249,29 @@ class TestDeterminismAndSoundness:
                 assert result.best_value == baseline.best_value == expected
                 assert result.witness == baseline.witness
 
-    def test_symmetry_reduction_is_value_sound(self):
-        for kw, expected in EXACT_INSTANCES:
-            on = minimize(SearchSpec(mode="bnb", symmetry=True, **kw))
-            off = minimize(SearchSpec(mode="bnb", symmetry=False, **kw))
-            assert on.best_value == off.best_value == expected
-
-    def test_symmetric_bnb_matches_symmetric_exhaustive(self):
-        kw = dict(ground_size=5, family_size=6, family_class="odd")
-        a = minimize(SearchSpec(mode="bnb", symmetry=True, **kw))
-        b = minimize(SearchSpec(mode="exhaustive", symmetry=True, **kw))
-        assert (a.best_value, a.witness) == (b.best_value, b.witness)
+    def test_prefix_roots_keep_value_and_witness(self):
+        # every class, objective, t and m at n <= 5 small enough to enumerate:
+        # bnb, which starts only from prefix sets, returns plain enumeration's
+        # lex-least optimum
+        checked = 0
+        for n in range(1, 6):
+            classes = [dict(family_class="even"), dict(family_class="odd")]
+            for k in range(1, n + 1):
+                classes.append(dict(family_class="uniform", k=k))
+                classes += [dict(family_class="uniform", k=k, objective="ckt", t=t)
+                            for t in range(k)]
+            for cls in classes:
+                pool = SearchSpec(ground_size=n, family_size=1, **cls).pool_size()
+                for m in range(1, pool + 1):
+                    if comb(pool, m) > 20_000:
+                        continue
+                    spec = SearchSpec(ground_size=n, family_size=m, **cls)
+                    bnb = minimize(spec)
+                    plain = minimize(replace(spec, mode="exhaustive"))
+                    assert bnb.optimal and plain.optimal
+                    assert (bnb.best_value, bnb.witness) == (plain.best_value, plain.witness), spec
+                    checked += 1
+        assert checked == 248
 
     def test_randomized_mode_and_thread_equivalence(self):
         import random
@@ -290,7 +301,6 @@ class TestDeterminismAndSoundness:
 
     def test_n6_even_flagship_instance(self):
         spec = SearchSpec(ground_size=6, family_size=9, family_class="even", mode="bnb")
-        assert spec.resolved_symmetry()
         result = minimize(spec)
         assert result.optimal
         assert result.best_value == 4  # matches the proven bound at s=1
@@ -408,6 +418,13 @@ class TestBudgetsAndValidation:
         with pytest.raises(InfeasibleSpecError, match="budgets"):
             SearchSpec(ground_size=4, family_size=5, family_class="even", **budgets)
 
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_restarts_must_be_positive(self, restarts):
+        # no restart would climb from no family and return a null result
+        with pytest.raises(InfeasibleSpecError, match="restarts"):
+            SearchSpec(ground_size=4, family_size=5, family_class="even", mode="local",
+                       restarts=restarts)
+
     @pytest.mark.parametrize(
         "kw,pool",
         [
@@ -445,7 +462,7 @@ class TestBudgetsAndValidation:
 
 class TestCheckpoint:
     def test_resume_after_abort_matches_direct_run(self, tmp_path):
-        kw = dict(ground_size=5, family_size=6, family_class="odd", symmetry=False)
+        kw = dict(ground_size=5, family_size=6, family_class="odd")
         direct = minimize(SearchSpec(mode="exhaustive", **kw))
         path = tmp_path / "run.ckpt"
         partial = minimize(
@@ -459,7 +476,7 @@ class TestCheckpoint:
         assert resumed.witness == direct.witness
 
     def test_resume_after_abort_at_two_threads(self, tmp_path):
-        kw = dict(ground_size=5, family_size=6, family_class="odd", symmetry=False)
+        kw = dict(ground_size=5, family_size=6, family_class="odd")
         direct = minimize(SearchSpec(mode="exhaustive", threads=1, **kw))
         path = tmp_path / "run.ckpt"
         partial = minimize(
@@ -513,7 +530,7 @@ class TestCheckpoint:
             dict(witness=[0, 1, 2, 3, "4"]),
             dict(witness="01234"),
             dict(completed_roots=-3),
-            dict(completed_roots=5),  # the instance has 4 root branches
+            dict(completed_roots=3),  # the instance has 2 root branches, at {} and {1, 2}
             dict(completed_roots=True),
             dict(completed_roots="1"),
             dict(nodes=-1),
@@ -521,12 +538,16 @@ class TestCheckpoint:
         ]
         texts = ["[]", "{}", '"x"', "\xff\xfe"]
         texts += [json.dumps({**json.loads(good), **fields}) for fields in forged]
-        # self-consistent but undigested: the genuine file, and one claiming all
-        # 4 root branches are done with a real family of value 5
+        # self-consistent but undigested: the genuine file, and one claiming both
+        # root branches are done with a real family of value 5
         undigested = {k: v for k, v in json.loads(good).items() if k != "digest"}
         texts.append(json.dumps(undigested))
-        texts.append(json.dumps({**undigested, "completed_roots": 4, "best_value": 5,
+        texts.append(json.dumps({**undigested, "completed_roots": 2, "best_value": 5,
                                  "witness": [0, 1, 2, 3, 4]}))
+        # digested, in the format that still named a symmetry setting, whose
+        # root positions counted every first member
+        legacy = {**undigested, "instance": {**undigested["instance"], "symmetry": False}}
+        texts.append(json.dumps({**legacy, "digest": search._digest(legacy)}))
         for text in texts:
             path.write_bytes(text.encode("latin-1"))
             with pytest.raises(CheckpointError, match="run.ckpt"):
@@ -542,7 +563,7 @@ class TestCheckpoint:
         assert not path.exists()
 
     def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
-        kw = dict(ground_size=5, family_size=6, family_class="odd", symmetry=False)
+        kw = dict(ground_size=5, family_size=6, family_class="odd")
         path = tmp_path / "run.ckpt"
         minimize(SearchSpec(mode="exhaustive", budget_nodes=6000, **kw), checkpoint=path)
         before = path.read_bytes()
@@ -689,7 +710,7 @@ class TestVerifyTheorem:
         )
         assert len(padded) == n + s
         assert op_sets([frozenset(m.elements()) for m in padded.members]) == s + 2
-        report = verify_theorem("conj-odd", n, s, symmetry=True)
+        report = verify_theorem("conj-odd", n, s)
         assert report.result.optimal
         assert report.verdict == "COUNTEREXAMPLE"
         assert report.minimum == minimum == s + 2
