@@ -6,20 +6,26 @@ bit-sliced counting (setfamily.exact_t_rows for c_kt), never pair by pair.
 
 The exact engine enumerates families as increasing-index combinations over a
 mask-sorted candidate pool, so the first optimum found in depth-first order
-is the lexicographically least one.  Branch and bound adds four sound
-devices on top of plain enumeration, all four always on:
+is the lexicographically least one.  Branch and bound adds five sound
+devices on top of plain enumeration, all always on:
 
-* prefix roots (_root_indices): the first member is a prefix set
-  {1,..,c}.  Relabeling the ground set keeps every class and value, so
-  every skipped family has a copy of equal value under an earlier prefix
-  root, and the lex-least optimum itself starts with a prefix set;
+* roots (_root_indices): the first member is the empty set in the even
+  class, which meets every set evenly, and a prefix set {1,..,c} in the
+  others, since relabeling the ground set keeps every class and value.
+  Either way the lex-least optimum starts with a root;
+* complement twins (_tree; even class, even n): a set and its complement
+  have the same conflict row, so a set holding point n is admitted only
+  beside its complement, the smaller mask.  Swapping such a set for its
+  missing complement keeps the value and makes the family lex-smaller, so
+  the lex-least optimum obeys the rule;
 * packed counts: each tree node holds every candidate's count of counted
   pairs with the partial family as one field of one integer, so adding a
   member is one addition of its spread row and a node reads all its counts
   with one to_bytes;
 * a conflict bound: a partial family with value v and r more members to add
   reaches at least v plus the sum of the r smallest candidate conflict
-  counts against the fixed partial family;
+  counts against the fixed partial family (under the twin rule, counting
+  each undecided set below point n twice, for itself and its twin);
 * a floor (_floor): the larger of the deficiency floor (a class whose
   rule-abiding families have at most B members forces m - B odd pairs on m
   members) and the averaging bound from each certified minimum of a smaller
@@ -34,15 +40,16 @@ incumbent if the tree is cut before it reaches a leaf.
 
 The tree runs on the calling thread, one root branch (choice of first
 member) after another; the root branch is also the unit a checkpoint
-records.  Pruning uses one bound: one more than the least value known
-before the tree (the hint's or a resumed checkpoint's), then each kept
-leaf's value.  A subtree or candidate is cut when its lower bound reaches
-the bound, so the tree keeps only strictly better leaves and its first
-optimum is the lex-least one.  Every known value is that of a real family,
-hence at least the floor, so the bound stays above the floor until the
-floor stop ends the search: the floor never needs to raise a lower bound.
-The final merge takes the least (value, witness) pair over the tree, the
-checkpoint and the hint.
+records, so an even-class bnb checkpoint, with its one root branch,
+records progress only once the whole search ends.  Pruning uses one
+bound: one more than the least value known before the tree (the hint's or
+a resumed checkpoint's), then each kept leaf's value.  A subtree or
+candidate is cut when its lower bound reaches the bound, so the tree keeps
+only strictly better leaves and its first optimum is the lex-least one.
+Every known value is that of a real family, hence at least the floor, so
+the bound stays above the floor until the floor stop ends the search: the
+floor never needs to raise a lower bound.  The final merge takes the least
+(value, witness) pair over the tree, the checkpoint and the hint.
 """
 
 from __future__ import annotations
@@ -87,11 +94,13 @@ class SearchSpec:
     parity (the empty set counts as even); "uniform" ranges over all
     k-subsets.  objective "op" minimises odd-intersection pairs, "ckt"
     minimises pairs meeting in exactly t elements (uniform class only).
-    mode "bnb" always uses prefix roots, the conflict bound and the class
-    floor (deficiency and averaging, see _floor), "exhaustive" none of
-    them; both return the lex-least optimum.  threads is accepted (it must
-    be >= 1) and has no effect: the search always runs on the calling
-    thread.  seed and restarts (>= 1) drive local search only.
+    mode "bnb" always uses its roots (the empty set in the even class,
+    prefix sets in the others), complement twins (even class, even n), the
+    conflict bound and the class floor (deficiency and averaging, see
+    _floor), "exhaustive" none of them; both return the lex-least optimum.
+    threads is accepted (it must be >= 1) and has no effect: the search
+    always runs on the calling thread.  seed and restarts (>= 1) drive local
+    search only.
     """
 
     ground_size: int
@@ -275,19 +284,28 @@ def _floor(spec: SearchSpec) -> tuple[int, tuple[int, int] | None]:
 
 
 def _root_indices(spec: SearchSpec, pool: Sequence[int]) -> list[int]:
-    """First-member choices: every index in exhaustive mode, prefix sets in bnb.
+    """First-member choices: every index in exhaustive mode; in bnb, the
+    empty set alone in the even class and the prefix sets in the others.
 
-    A relabeling of the ground set that sends a family's least member X to
-    the prefix set {1,..,|X|}, the least mask of its size, keeps the class
-    and the value, and gives a family whose least member is at most that
-    prefix set.  So the lex-least optimum starts with a prefix set, and
-    repeating the relabeling gives every family under a non-prefix root a
-    copy of equal value under an earlier prefix root: the bound moves
-    exactly as in the full tree.
+    Even class: the empty set meets every set evenly, so an optimum without
+    it keeps its value when its largest member is swapped for it, and gets
+    lex-smaller.  So the lex-least optimum holds the empty set, index 0.
+
+    Odd and uniform classes: a relabeling of the ground set that sends a
+    family's least member X to the prefix set {1,..,|X|}, the least mask of
+    its size, keeps the class and the value, and gives a family whose least
+    member is at most that prefix set.  So the lex-least optimum starts
+    with a prefix set.
+
+    Either way the lex-least optimum lies under a root, and the tree meets
+    the families under its roots in lex order, so it still finds that
+    optimum first.
     """
     idxs = range(len(pool) - spec.family_size + 1)
     if spec.mode != "bnb":
         return list(idxs)
+    if spec.family_class == "even":
+        return [0]
     return [i for i in idxs if pool[i] & (pool[i] + 1) == 0]  # mask is 2^c - 1
 
 
@@ -377,14 +395,38 @@ def _tree(
     and 2 bytes otherwise, since a count is at most m - 1.  Adding member j
     adds spread(j), row j with each bit widened to a field, so a node reads
     all its counts with one to_bytes instead of a popcount per candidate.
-    The search stops at the first kept leaf whose value is at most floor,
-    a lower bound on every family (_floor's, or -1 to search every family).
-    root_done(position in roots, best so far) is called after each root
-    branch that ran to its end.
+
+    Complement twins (bnb, even class, even n): for even Y, |X^c & Y| and
+    |X & Y| have the same parity, and X meets X^c in no point, so X and its
+    complement X^c have the same row and the same count.  The map X -> X^c
+    reverses the mask order of the pool, so the twin of index j is
+    P - 1 - j, and the sets holding point n are the upper half [P/2, P).
+    An upper set is admitted only when its twin, the smaller mask and so
+    decided earlier, is chosen.  The lex-least optimum obeys this rule: a
+    family holding an upper X but not X^c keeps its value when X is swapped
+    for X^c, and gets lex-smaller.  The admitted candidates of a node are
+    the lower ones in [start, P/2) and the pending twins: those of chosen
+    members, at index >= start.  Its conflict bound sums the smallest
+    counts of a multiset holding each pending twin once and each lower
+    candidate twice, once for itself and once for its twin, which a later
+    choice may admit; the lower candidates and their twins are the slice
+    [start, P - start) of the counts.  Dropping those undecided twins from
+    the bound would be unsound, and a node with fewer counts than members
+    to add is cut.  In every other class and mode the lower half is the
+    whole pool and no twin is pending.
+
+    A node adds its admitted candidates to the evaluation count
+    (nodes_explored, the unit of budget_nodes), and each root branch adds
+    one.  The search stops at the first kept leaf whose value is at most
+    floor, a lower bound on every family (_floor's, or -1 to search every
+    family).  root_done(position in roots, best so far) is called after each
+    root branch that ran to its end.
     """
     P = len(rows)
     m = spec.family_size
     bounding = spec.mode == "bnb"
+    twinned = bounding and spec.family_class == "even" and spec.ground_size % 2 == 0
+    half = P // 2 if twinned else P
     budget_nodes = spec.budget_nodes
     width = 1 if m <= 256 else 2
     bits = 8 * width
@@ -411,7 +453,10 @@ def _tree(
     aborted = False
     done = False  # floor reached: later branches are lex-greater ties at best
 
-    def extend(chosen: tuple[int, ...], packed: int, cur: int, start: int) -> None:
+    def extend(
+        chosen: tuple[int, ...], pending: tuple[int, ...], packed: int, cur: int, start: int
+    ) -> None:
+        # pending: the twins admitted by chosen members, ascending, all >= start
         nonlocal nodes, next_check, bound, wit, aborted, done
         if nodes >= next_check:
             next_check = nodes + _CHECK_INTERVAL
@@ -421,24 +466,52 @@ def _tree(
         need = m - len(chosen)
         raw = (packed >> (start * bits)).to_bytes((P - start) * width, "little")
         ws = raw if width == 1 else _two_byte_fields(raw)
-        nodes += P - start
+        low = half - start if start < half else 0  # lower candidates: [start, half)
+        nodes += low + len(pending)
         if need == 1:  # keep the first least leaf, as ascending j would: none is below floor
-            w = min(ws)
+            w = min(ws[:low]) if low else bound
+            j = None
+            if pending:  # empty outside the twin rule
+                for t in pending:
+                    if ws[t - start] < w:
+                        w, j = ws[t - start], t
             if cur + w < bound:
                 bound = cur + w
-                wit = chosen + (start + ws.index(w),)
+                wit = chosen + (start + ws.index(w) if j is None else j,)
                 if bound <= floor:
                     done = True
             return
-        if bounding and cur + sum(sorted(ws)[:need]) >= bound:
-            return
-        for j, w in zip(range(start, P - need + 1), ws):
+        if bounding:
+            counts = ws[: 2 * low] if twinned else ws
+            if pending:  # a loop, not a generator, keeps ws and start local
+                counts = list(counts)
+                for t in pending:
+                    counts.append(ws[t - start])
+            if cur + sum(sorted(counts)[:need]) >= bound or len(counts) < need:
+                return
+        for j, w in zip(range(start, min(half, P - need + 1)), ws):
             nv = cur + w
             if bounding and nv >= bound:
                 continue
-            extend(chosen + (j,), packed + spread(j), nv, j + 1)
+            extend(
+                chosen + (j,),
+                (P - 1 - j,) + pending if twinned else pending,
+                packed + spread(j),
+                nv,
+                j + 1,
+            )
             if aborted or done:
                 return
+        if pending:  # empty outside the twin rule
+            for i, t in enumerate(pending):
+                if t > P - need:  # too few sets after t, as for j above
+                    break
+                nv = cur + ws[t - start]
+                if nv >= bound:
+                    continue
+                extend(chosen + (t,), pending[i + 1 :], packed + spread(t), nv, t + 1)
+                if aborted or done:
+                    return
 
     def outcome() -> _Outcome:
         return _Outcome(None if wit is None else int(bound), wit, nodes, aborted)
@@ -448,7 +521,8 @@ def _tree(
         if m == 1:  # every one-member family has value 0
             bound, wit, done = 0, (root,), True
         else:
-            extend((root,), spread(root), 0, root + 1)
+            pending = (P - 1 - root,) if twinned and root < half else ()
+            extend((root,), pending, spread(root), 0, root + 1)
         if aborted:
             break
         if root_done is not None:

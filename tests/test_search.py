@@ -117,7 +117,7 @@ class TestExactMinima:
 # (mode, spec kwargs) -> (best_value, nodes_explored): the tree's work, which
 # any change to its pruning or expansion order moves
 NODE_COUNT_PINS = [
-    ("bnb", dict(ground_size=6, family_size=9, family_class="even"), (4, 43_339)),
+    ("bnb", dict(ground_size=6, family_size=9, family_class="even"), (4, 4_481)),
     ("bnb", dict(ground_size=5, family_size=7, family_class="odd"), (6, 3_349)),
     # the (6, 7) table entry gives the averaging floor ceil(3*56/42) = 4, the
     # optimum, so the search stops at its first optimal leaf
@@ -135,6 +135,8 @@ NODE_COUNT_PINS = [
     ("exhaustive",
      dict(ground_size=6, family_size=9, family_class="uniform", k=4, objective="ckt", t=2),
      (12, 17_866)),
+    # complement twins cut 58 evaluations (the empty-set root alone) to 30
+    ("bnb", dict(ground_size=4, family_size=7, family_class="even"), (8, 30)),
 ]
 
 
@@ -239,6 +241,21 @@ class TestCertifiedMinima:
             assert (plain.best_value, plain.witness) == (with_table.best_value, with_table.witness)
 
 
+# even class, n = 6: (m, minimum, lex-least witness masks)
+EVEN_N6_MINIMA = [
+    (7, 0, (0, 3, 12, 15, 48, 51, 60)),
+    (8, 0, (0, 3, 12, 15, 48, 51, 60, 63)),
+    (9, 4, (0, 3, 5, 10, 15, 48, 53, 58, 63)),
+    (10, 8, (0, 3, 5, 10, 12, 15, 48, 51, 60, 63)),
+    (11, 12, (0, 3, 5, 6, 15, 23, 40, 48, 57, 58, 63)),
+    (12, 16, (0, 3, 5, 6, 15, 23, 24, 39, 40, 57, 58, 63)),
+    (13, 20, (0, 3, 5, 6, 15, 23, 24, 39, 40, 48, 57, 58, 63)),
+    (14, 24, (0, 3, 5, 6, 15, 23, 24, 39, 40, 48, 57, 58, 60, 63)),
+    (15, 32, (0, 3, 5, 6, 9, 15, 18, 23, 40, 45, 48, 54, 57, 58, 63)),
+    (16, 40, (0, 3, 5, 6, 9, 10, 15, 20, 23, 40, 43, 48, 53, 58, 60, 63)),
+]
+
+
 class TestDeterminismAndSoundness:
     @pytest.mark.parametrize("threads", [1, 2, 8])
     def test_thread_count_does_not_change_answer(self, threads):
@@ -251,7 +268,8 @@ class TestDeterminismAndSoundness:
 
     def test_prefix_roots_keep_value_and_witness(self):
         # every class, objective, t and m at n <= 5 small enough to enumerate:
-        # bnb, which starts only from prefix sets, returns plain enumeration's
+        # bnb, which starts only from its roots (the empty set in the even
+        # class, prefix sets in the others), returns plain enumeration's
         # lex-least optimum
         checked = 0
         for n in range(1, 6):
@@ -272,6 +290,54 @@ class TestDeterminismAndSoundness:
                     assert (bnb.best_value, bnb.witness) == (plain.best_value, plain.witness), spec
                     checked += 1
         assert checked == 248
+
+    def test_root_lists(self):
+        # bnb roots: the empty set alone in the even class, every prefix set
+        # in the odd class, the one prefix set of a uniform class; exhaustive:
+        # every index
+        def roots(mode="bnb", **kw):
+            spec = SearchSpec(family_size=1, mode=mode, **kw)
+            pool = candidate_pool(spec)
+            return [pool[i] for i in search._root_indices(spec, pool)]
+
+        for n in (4, 5, 6):
+            assert roots(ground_size=n, family_class="even") == [0]
+        assert roots(ground_size=5, family_class="odd") == [0b1, 0b111, 0b11111]
+        assert roots(ground_size=6, family_class="odd") == [0b1, 0b111, 0b11111]
+        assert roots(ground_size=5, family_class="uniform", k=3) == [0b111]
+        for cls in ("even", "odd"):
+            spec = SearchSpec(ground_size=5, family_size=3, family_class=cls, mode="exhaustive")
+            assert search._root_indices(spec, candidate_pool(spec)) == list(range(14))
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_twin_rule_matches_plain_enumeration(self, n):
+        # even class, even n: bnb starts at the empty set and admits a set
+        # holding point n only beside its complement.  Every instance with at
+        # most 250,000 families (n = 6: m <= 5 or m >= 27) returns plain
+        # enumeration's lex-least optimum; a bound that drops the twins of
+        # undecided lower candidates changes the witness at (4, 6) and (4, 7)
+        pool = 1 << (n - 1)
+        sizes = [m for m in range(1, pool + 1) if comb(pool, m) <= 250_000]
+        for m in sizes:
+            spec = SearchSpec(ground_size=n, family_size=m, family_class="even")
+            bnb = minimize(spec)
+            plain = minimize(replace(spec, mode="exhaustive"))
+            assert bnb.optimal and plain.optimal
+            assert (bnb.best_value, bnb.witness) == (plain.best_value, plain.witness), spec
+            assert op_sets(witness_sets(bnb)) == bnb.best_value
+        assert len(sizes) == {2: 2, 4: 8, 6: 11}[n]
+
+    @pytest.mark.parametrize(
+        "m,value,masks", EVEN_N6_MINIMA, ids=[f"m{m}" for m, _, _ in EVEN_N6_MINIMA]
+    )
+    def test_twin_rule_keeps_the_pinned_n6_witnesses(self, m, value, masks):
+        # the values and lex-least witnesses branch and bound gave before the
+        # twin rule and the empty-set root; (6, 8)-(6, 10) are where dropping
+        # the undecided twins from the bound changes the witness
+        result = minimize(SearchSpec(ground_size=6, family_size=m, family_class="even"))
+        assert result.optimal
+        assert (result.best_value, result.witness.masks()) == (value, masks)
+        assert op_sets(witness_sets(result)) == value
 
     def test_randomized_mode_and_thread_equivalence(self):
         import random
@@ -530,7 +596,7 @@ class TestCheckpoint:
             dict(witness=[0, 1, 2, 3, "4"]),
             dict(witness="01234"),
             dict(completed_roots=-3),
-            dict(completed_roots=3),  # the instance has 2 root branches, at {} and {1, 2}
+            dict(completed_roots=2),  # the instance has 1 root branch, at the empty set
             dict(completed_roots=True),
             dict(completed_roots="1"),
             dict(nodes=-1),
@@ -538,11 +604,11 @@ class TestCheckpoint:
         ]
         texts = ["[]", "{}", '"x"', "\xff\xfe"]
         texts += [json.dumps({**json.loads(good), **fields}) for fields in forged]
-        # self-consistent but undigested: the genuine file, and one claiming both
-        # root branches are done with a real family of value 5
+        # self-consistent but undigested: the genuine file, and one claiming its
+        # root branch is done with a real family of value 5
         undigested = {k: v for k, v in json.loads(good).items() if k != "digest"}
         texts.append(json.dumps(undigested))
-        texts.append(json.dumps({**undigested, "completed_roots": 2, "best_value": 5,
+        texts.append(json.dumps({**undigested, "completed_roots": 1, "best_value": 5,
                                  "witness": [0, 1, 2, 3, 4]}))
         # digested, in the format that still named a symmetry setting, whose
         # root positions counted every first member
@@ -724,6 +790,14 @@ class TestVerifyTheorem:
             assert report.result.optimal
             assert report.verdict == "TIGHT"
             assert report.minimum == 4 * s
+
+    def test_thm_even_n8_s1_is_certified(self):
+        # recorded finding: 17 even sets over [8] force 8 odd pairs, and the
+        # bound is attained; the complement-twin rule certifies it in ~5 s
+        report = verify_theorem("thm-even", 8, 1)
+        assert report.result.optimal
+        assert (report.verdict, report.minimum, report.claimed_bound) == ("TIGHT", 8, 8)
+        assert op_sets(to_sets(report.result.witness)) == 8
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
