@@ -6,13 +6,22 @@ bit-sliced counting (setfamily.exact_t_rows for c_kt), never pair by pair.
 
 The exact engine enumerates families as increasing-index combinations over a
 mask-sorted candidate pool, so the first optimum found in depth-first order
-is the lexicographically least one.  Branch and bound adds five sound
+is the lexicographically least one.  Branch and bound adds six sound
 devices on top of plain enumeration, all always on:
 
 * roots (_root_indices): the first member is the empty set in the even
   class, which meets every set evenly, and a prefix set {1,..,c} in the
-  others, since relabeling the ground set keeps every class and value.
-  Either way the lex-least optimum starts with a root;
+  others, the lex-leaders of the ground set (below).  Either way the
+  lex-least optimum starts with a root;
+* lex-leaders (_tree, _lex_leader, _split): each node carries the cells of
+  the ground set, the classes of points that every chosen member treats
+  alike, and admits a set only if it holds the lowest points of each cell.
+  A permutation inside the cells fixes every chosen member and keeps the
+  class and the value; one of them sends a set that fails the test to a
+  lesser mask, and a family that continues with it to a lex-smaller one.
+  So the lex-least optimum passes the test at every depth.  This is
+  McKay's lex-leader rule ("Isomorph-free exhaustive generation",
+  J. Algorithms 1998) under coordinate permutations;
 * complement twins (_tree; even class, even n): a set and its complement
   have the same conflict row, so a set holding point n is admitted only
   beside its complement, the smaller mask.  Swapping such a set for its
@@ -25,7 +34,8 @@ devices on top of plain enumeration, all always on:
 * a conflict bound: a partial family with value v and r more members to add
   reaches at least v plus the sum of the r smallest candidate conflict
   counts against the fixed partial family (under the twin rule, counting
-  each undecided set below point n twice, for itself and its twin);
+  each undecided set below point n twice, for itself and its twin), sets
+  the lex-leader test refuses included, since a deeper node may admit them;
 * a floor (_floor): the larger of the deficiency floor (a class whose
   rule-abiding families have at most B members forces m - B odd pairs on m
   members) and the averaging bound from each certified minimum of a smaller
@@ -95,7 +105,8 @@ class SearchSpec:
     k-subsets.  objective "op" minimises odd-intersection pairs, "ckt"
     minimises pairs meeting in exactly t elements (uniform class only).
     mode "bnb" always uses its roots (the empty set in the even class,
-    prefix sets in the others), complement twins (even class, even n), the
+    prefix sets in the others), the lex-leader test under coordinate
+    permutations at every depth, complement twins (even class, even n), the
     conflict bound and the class floor (deficiency and averaging, see
     _floor), "exhaustive" none of them; both return the lex-least optimum.
     threads is accepted (it must be >= 1) and has no effect: the search
@@ -241,7 +252,7 @@ _CERTIFIED_MINIMA: dict[tuple[str, str, int | None, int | None, int, int], int] 
     ("odd", "op", None, None, 5, 6): 3,
     ("odd", "op", None, None, 6, 7): 3,
     ("odd", "op", None, None, 7, 8): 3,
-    ("odd", "op", None, None, 8, 9): 3,  # thm-odd n=8: ~46 s
+    ("odd", "op", None, None, 8, 9): 3,  # thm-odd n=8: ~0.3 s
 }
 
 
@@ -283,6 +294,33 @@ def _floor(spec: SearchSpec) -> tuple[int, tuple[int, int] | None]:
     return floor, entry
 
 
+def _lex_leader(x: int, cells: Iterable[int]) -> bool:
+    """Whether mask x holds the lowest points of each cell, a mask of points.
+
+    For a cell c, with y = x & c and r = c ^ y (the points of c outside x),
+    that holds when r == 0 or every point of y lies below the lowest point
+    of r.  A set that fails is sent to a lesser mask by a permutation of
+    the points inside the cells: the one that moves x & c onto the lowest
+    points of each cell c.
+    """
+    for c in cells:
+        y = x & c
+        r = c ^ y
+        if r and y >= r & -r:
+            return False
+    return True
+
+
+def _split(x: int, cells: Iterable[int]) -> tuple[int, ...]:
+    """The cells split by mask x, keeping the parts of two or more points."""
+    parts = []
+    for c in cells:
+        for part in (c & x, c & ~x):
+            if part & (part - 1):
+                parts.append(part)
+    return tuple(parts)
+
+
 def _root_indices(spec: SearchSpec, pool: Sequence[int]) -> list[int]:
     """First-member choices: every index in exhaustive mode; in bnb, the
     empty set alone in the even class and the prefix sets in the others.
@@ -291,9 +329,11 @@ def _root_indices(spec: SearchSpec, pool: Sequence[int]) -> list[int]:
     it keeps its value when its largest member is swapped for it, and gets
     lex-smaller.  So the lex-least optimum holds the empty set, index 0.
 
-    Odd and uniform classes: a relabeling of the ground set that sends a
-    family's least member X to the prefix set {1,..,|X|}, the least mask of
-    its size, keeps the class and the value, and gives a family whose least
+    Odd and uniform classes: the roots are the sets that pass the tree's
+    lex-leader test (_lex_leader) against the single cell [n], the prefix
+    sets {1,..,c}.  A relabeling of the ground set that sends a family's
+    least member X to the prefix set of its size, the least mask of that
+    size, keeps the class and the value, and gives a family whose least
     member is at most that prefix set.  So the lex-least optimum starts
     with a prefix set.
 
@@ -306,7 +346,8 @@ def _root_indices(spec: SearchSpec, pool: Sequence[int]) -> list[int]:
         return list(idxs)
     if spec.family_class == "even":
         return [0]
-    return [i for i in idxs if pool[i] & (pool[i] + 1) == 0]  # mask is 2^c - 1
+    ground = ((1 << spec.ground_size) - 1,)
+    return [i for i in idxs if _lex_leader(pool[i], ground)]
 
 
 @dataclass
@@ -380,6 +421,7 @@ def _two_byte_fields(raw: bytes) -> array:
 
 
 def _tree(
+    pool: Sequence[int],
     rows: Sequence[int],
     spec: SearchSpec,
     roots: Sequence[int],
@@ -415,7 +457,25 @@ def _tree(
     to add is cut.  In every other class and mode the lower half is the
     whole pool and no twin is pending.
 
-    A node adds its admitted candidates to the evaluation count
+    Lex-leaders (bnb): each node carries the cells of the ground set, the
+    classes of two or more points that every chosen member treats alike;
+    below a root they are the ground set [n] split by the root.  A lower
+    candidate X is admitted only if it holds the lowest points of each cell
+    (_lex_leader), and its child splits each cell by X (_split).  A
+    permutation of the points inside the cells fixes each chosen member
+    setwise and keeps the class and the value.  If the lex-least optimum
+    continued with an X that fails the test, one such permutation would
+    send X to a lesser mask and the family to a lex-smaller one with the
+    same value.  So the lex-least optimum passes the test at every depth.
+    Pending twins are neither tested nor used to split: a twin splits the
+    cells as its chosen complement did.  The conflict bound still counts
+    every candidate, since one refused here may pass deeper, once its cell
+    is split.  At the last level the least count is taken over every lower
+    candidate: a leaf the test would refuse is still a real family, met in
+    lex order.
+
+    A node adds its candidates, the lower ones and the pending twins,
+    counted before the lex-leader test, to the evaluation count
     (nodes_explored, the unit of budget_nodes), and each root branch adds
     one.  The search stops at the first kept leaf whose value is at most
     floor, a lower bound on every family (_floor's, or -1 to search every
@@ -454,9 +514,15 @@ def _tree(
     done = False  # floor reached: later branches are lex-greater ties at best
 
     def extend(
-        chosen: tuple[int, ...], pending: tuple[int, ...], packed: int, cur: int, start: int
+        chosen: tuple[int, ...],
+        pending: tuple[int, ...],
+        cells: tuple[int, ...],
+        packed: int,
+        cur: int,
+        start: int,
     ) -> None:
-        # pending: the twins admitted by chosen members, ascending, all >= start
+        # pending: the twins admitted by chosen members, ascending, all >= start;
+        # cells: the points every chosen member treats alike, two or more a cell
         nonlocal nodes, next_check, bound, wit, aborted, done
         if nodes >= next_check:
             next_check = nodes + _CHECK_INTERVAL
@@ -493,9 +559,13 @@ def _tree(
             nv = cur + w
             if bounding and nv >= bound:
                 continue
+            x = pool[j]
+            if not _lex_leader(x, cells):  # cells is empty outside bnb
+                continue
             extend(
                 chosen + (j,),
                 (P - 1 - j,) + pending if twinned else pending,
+                _split(x, cells),
                 packed + spread(j),
                 nv,
                 j + 1,
@@ -509,20 +579,22 @@ def _tree(
                 nv = cur + ws[t - start]
                 if nv >= bound:
                     continue
-                extend(chosen + (t,), pending[i + 1 :], packed + spread(t), nv, t + 1)
+                # a twin splits the cells as its chosen complement did
+                extend(chosen + (t,), pending[i + 1 :], cells, packed + spread(t), nv, t + 1)
                 if aborted or done:
                     return
 
     def outcome() -> _Outcome:
         return _Outcome(None if wit is None else int(bound), wit, nodes, aborted)
 
+    ground = ((1 << spec.ground_size) - 1,) if bounding else ()
     for pos, root in enumerate(roots):
         nodes += 1
         if m == 1:  # every one-member family has value 0
             bound, wit, done = 0, (root,), True
         else:
             pending = (P - 1 - root,) if twinned and root < half else ()
-            extend((root,), pending, spread(root), 0, root + 1)
+            extend((root,), pending, _split(pool[root], ground), spread(root), 0, root + 1)
         if aborted:
             break
         if root_done is not None:
@@ -679,7 +751,7 @@ def _minimize_exact(spec: SearchSpec, checkpoint: str | Path | None = None) -> S
         )
 
     tree = _tree(
-        rows, spec, roots[skip_roots:], bound, deadline, floor,
+        pool, rows, spec, roots[skip_roots:], bound, deadline, floor,
         root_done=on_root_done if ck_path is not None else None,
     )
     best_val, best_wit = _merge_best([tree, *known])

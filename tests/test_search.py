@@ -117,13 +117,13 @@ class TestExactMinima:
 # (mode, spec kwargs) -> (best_value, nodes_explored): the tree's work, which
 # any change to its pruning or expansion order moves
 NODE_COUNT_PINS = [
-    ("bnb", dict(ground_size=6, family_size=9, family_class="even"), (4, 4_481)),
-    ("bnb", dict(ground_size=5, family_size=7, family_class="odd"), (6, 3_349)),
+    ("bnb", dict(ground_size=6, family_size=9, family_class="even"), (4, 439)),
+    ("bnb", dict(ground_size=5, family_size=7, family_class="odd"), (6, 1_325)),
     # the (6, 7) table entry gives the averaging floor ceil(3*56/42) = 4, the
     # optimum, so the search stops at its first optimal leaf
-    ("bnb", dict(ground_size=6, family_size=8, family_class="odd"), (4, 3_419)),
+    ("bnb", dict(ground_size=6, family_size=8, family_class="odd"), (4, 2_941)),
     ("bnb", dict(ground_size=6, family_size=9, family_class="uniform", k=4, objective="ckt", t=2),
-     (12, 2_292)),
+     (12, 471)),
     # the first leaf reaches the floor 0 and stops the search; in the last two,
     # later root branches would add nodes had it not stopped
     ("bnb", dict(ground_size=5, family_size=5, family_class="uniform", k=4, objective="ckt", t=2),
@@ -135,8 +135,12 @@ NODE_COUNT_PINS = [
     ("exhaustive",
      dict(ground_size=6, family_size=9, family_class="uniform", k=4, objective="ckt", t=2),
      (12, 17_866)),
-    # complement twins cut 58 evaluations (the empty-set root alone) to 30
-    ("bnb", dict(ground_size=4, family_size=7, family_class="even"), (8, 30)),
+    # complement twins cut 58 evaluations (the empty-set root alone) to 30,
+    # and the lex-leader test to 24
+    ("bnb", dict(ground_size=4, family_size=7, family_class="even"), (8, 24)),
+    # odd n, so no twin rule: below the empty-set root the lex-leader test
+    # does all the cutting (4,733,204 evaluations without it)
+    ("bnb", dict(ground_size=7, family_size=9, family_class="even"), (4, 36_377)),
 ]
 
 
@@ -153,7 +157,7 @@ def test_node_count_without_the_table(monkeypatch):
     monkeypatch.setattr(search, "_CERTIFIED_MINIMA", {})
     result = minimize(SearchSpec(ground_size=6, family_size=8, family_class="odd"))
     assert result.optimal
-    assert (result.best_value, result.nodes_explored) == (4, 41_534)
+    assert (result.best_value, result.nodes_explored) == (4, 10_011)
 
 
 @pytest.mark.parametrize("mode,kw,expected", NODE_COUNT_PINS)
@@ -169,12 +173,14 @@ def test_spreads_rebuilt_past_the_memo_cap(monkeypatch, mode, kw, expected):
 
 
 @pytest.mark.parametrize(
-    "mode,nodes", [("bnb", 2_862_467), ("exhaustive", 2_895_621)], ids=["bnb", "exhaustive"]
+    "mode,nodes", [("bnb", 33_411), ("exhaustive", 2_895_621)], ids=["bnb", "exhaustive"]
 )
 def test_counts_past_one_byte(mode, nodes):
     # 258 of the 259 sets of size 258 over [259]: every pair meets in 257
     # points, so every pair is odd and a candidate's count reaches 257.  The
-    # uniform class has one prefix set, so bnb runs only the first root branch
+    # uniform class has one prefix set, so bnb runs only the first root
+    # branch, where the lex-leader test admits one candidate a node: the set
+    # missing the highest point of the one cell left
     spec = SearchSpec(
         ground_size=259, family_size=258, family_class="uniform", k=258, mode=mode
     )
@@ -254,6 +260,112 @@ EVEN_N6_MINIMA = [
     (15, 32, (0, 3, 5, 6, 9, 15, 18, 23, 40, 45, 48, 54, 57, 58, 63)),
     (16, 40, (0, 3, 5, 6, 9, 10, 15, 20, 23, 40, 43, 48, 53, 58, 60, 63)),
 ]
+
+# (spec kwargs, minimum, lex-least witness masks): what branch and bound gave
+# before the lex-leader test, at sizes too large to check against exhaustive mode
+LEX_LEADER_PINS = [
+    (dict(ground_size=6, family_size=7, family_class="odd"), 3, (1, 2, 4, 7, 8, 16, 32)),
+    (dict(ground_size=6, family_size=8, family_class="odd"), 4, (1, 2, 4, 8, 49, 50, 52, 56)),
+    (dict(ground_size=6, family_size=9, family_class="odd"), 8,
+     (1, 2, 4, 8, 16, 35, 37, 41, 49)),
+    (dict(ground_size=6, family_size=10, family_class="odd"), 12,
+     (1, 2, 4, 7, 8, 11, 13, 14, 16, 32)),
+    (dict(ground_size=6, family_size=11, family_class="odd"), 15,
+     (1, 2, 4, 8, 16, 35, 37, 38, 41, 42, 44)),
+    (dict(ground_size=6, family_size=12, family_class="odd"), 20,
+     (1, 2, 4, 8, 16, 31, 35, 37, 38, 41, 42, 44)),
+    (dict(ground_size=7, family_size=8, family_class="uniform", k=3), 9,
+     (7, 11, 13, 14, 19, 21, 22, 25)),
+    (dict(ground_size=7, family_size=9, family_class="uniform", k=3), 12,
+     (7, 11, 13, 14, 19, 21, 22, 25, 26)),
+    (dict(ground_size=7, family_size=10, family_class="uniform", k=3), 15,
+     (7, 11, 13, 14, 19, 21, 22, 25, 26, 28)),
+    (dict(ground_size=7, family_size=11, family_class="uniform", k=3), 21,
+     (7, 11, 13, 14, 19, 21, 22, 25, 26, 28, 35)),
+    (dict(ground_size=7, family_size=9, family_class="even"), 4,
+     (0, 3, 5, 10, 15, 48, 53, 58, 63)),
+]
+
+
+def _lex_leader_path(masks, n):
+    """Whether each member of an ascending family passes the lex-leader test
+    against the cells of the members before it."""
+    cells = ((1 << n) - 1,)
+    for x in masks:
+        if not search._lex_leader(x, cells):
+            return False
+        cells = search._split(x, cells)
+    return True
+
+
+class TestLexLeader:
+    def test_cell_test_by_hand(self):
+        whole = (0b1111,)
+        assert search._lex_leader(0b0000, whole)
+        assert search._lex_leader(0b0011, whole)
+        assert search._lex_leader(0b1111, whole)
+        assert not search._lex_leader(0b0101, whole)  # holds point 3 without point 2
+        assert not search._lex_leader(0b1000, whole)
+        assert search._lex_leader(0b10000, whole)  # points outside every cell are free
+        halves = (0b0011, 0b1100)
+        assert search._lex_leader(0b0101, halves)
+        assert search._lex_leader(0b0111, halves)
+        assert not search._lex_leader(0b0110, halves)  # point 2 without point 1
+        assert not search._lex_leader(0b1001, halves)  # point 4 without point 3
+        assert search._lex_leader(0b1010_0000, ())
+
+    def test_refinement_by_hand(self):
+        assert search._split(0b0011, (0b1111,)) == (0b0011, 0b1100)
+        assert search._split(0b0000, (0b1111,)) == (0b1111,)
+        assert search._split(0b1111, (0b1111,)) == (0b1111,)
+        # parts of one point are dropped
+        assert search._split(0b0001, (0b0111,)) == (0b0110,)
+        assert search._split(0b0101, (0b0011, 0b1100)) == ()
+        assert search._split(0b0_0111, (0b1_1111, 0b110_0000)) == (0b0_0111, 0b1_1000, 0b110_0000)
+        # a set and its complement split the cells alike, in another order
+        cells = (0b0_1111, 0b1_0000)
+        assert search._split(0b1_0110, cells) == (0b0110, 0b1001)
+        assert search._split(0b0_1001, cells) == (0b1001, 0b0110)
+        # test and split along a family: {2} first fails against the ground
+        # set; after {1}, the cell {2, 3} admits {2} but not {3}
+        assert not _lex_leader_path((0b010,), 3)
+        assert _lex_leader_path((0b001, 0b010, 0b100), 3)
+        assert not _lex_leader_path((0b001, 0b100), 3)
+
+    def test_prefix_sets_are_the_lex_leaders_of_the_ground_set(self):
+        for n in range(1, 8):
+            ground = ((1 << n) - 1,)
+            for x in range(1 << n):
+                assert search._lex_leader(x, ground) == (x & (x + 1) == 0), (n, x)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_lex_least_optima_pass_at_every_depth(self, n):
+        # the soundness claim itself, on plain enumeration's witnesses: each
+        # member holds the lowest points of every cell its predecessors leave
+        checked = 0
+        for family_class in ("even", "odd"):
+            pool = 1 << (n - 1)
+            for m in range(1, pool + 1):
+                if comb(pool, m) > 20_000:
+                    continue
+                spec = SearchSpec(ground_size=n, family_size=m, family_class=family_class,
+                                  mode="exhaustive")
+                assert _lex_leader_path(minimize(spec).witness.masks(), n), spec
+                checked += 1
+        assert checked == {3: 8, 4: 16, 5: 32}[n]
+
+    @pytest.mark.parametrize(
+        "kw,value,masks",
+        LEX_LEADER_PINS,
+        ids=[f"{kw['family_class']}-{kw['ground_size']}-{kw['family_size']}"
+             for kw, _, _ in LEX_LEADER_PINS],
+    )
+    def test_lex_leader_keeps_the_pinned_witnesses(self, kw, value, masks):
+        result = minimize(SearchSpec(**kw))
+        assert result.optimal
+        assert (result.best_value, result.witness.masks()) == (value, masks)
+        assert op_sets(witness_sets(result)) == value
+        assert _lex_leader_path(masks, kw["ground_size"])
 
 
 class TestDeterminismAndSoundness:
@@ -793,11 +905,19 @@ class TestVerifyTheorem:
 
     def test_thm_even_n8_s1_is_certified(self):
         # recorded finding: 17 even sets over [8] force 8 odd pairs, and the
-        # bound is attained; the complement-twin rule certifies it in ~5 s
+        # bound is attained; certified in ~0.1 s
         report = verify_theorem("thm-even", 8, 1)
         assert report.result.optimal
         assert (report.verdict, report.minimum, report.claimed_bound) == ("TIGHT", 8, 8)
         assert op_sets(to_sets(report.result.witness)) == 8
+
+    def test_thm_even_n8_s2_is_certified(self):
+        # recorded finding: 18 even sets over [8] force 16 odd pairs, and the
+        # bound is attained; with the lex-leader test it is certified in ~4 s
+        report = verify_theorem("thm-even", 8, 2)
+        assert report.result.optimal
+        assert (report.verdict, report.minimum, report.claimed_bound) == ("TIGHT", 16, 16)
+        assert op_sets(to_sets(report.result.witness)) == 16
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
