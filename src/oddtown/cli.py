@@ -110,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=1, help="restarts for local search")
     p.add_argument("--budget-nodes", type=int, default=None)
     p.add_argument("--budget-secs", type=float, default=None)
-    p.add_argument("--checkpoint", type=Path, help="root-level resume file (exact modes only)")
+    p.add_argument("--checkpoint", type=Path, help="resume file, written after each first-level branch (exact modes only)")
 
     p = sub.add_parser("verify", help="check a statement instance against the oracle")
     p.add_argument(
@@ -232,9 +232,9 @@ def _cmd_search(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
         ground_size=args.n,
         family_size=args.m,
         family_class=args.family_class,
-        k=args.k if args.family_class == "uniform" else None,
+        k=args.k,
         objective=args.objective,
-        t=args.t if args.objective == "ckt" else None,
+        t=args.t,
         mode=args.mode,
         budget_nodes=nodes,
         budget_secs=secs,
@@ -273,6 +273,9 @@ def _cmd_steiner(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     if args.partition:
         if args.n is None:
             raise ValueError("--partition requires --n")
+        for flag in ("k", "t"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--partition does not take --{flag}")
         system = cons.steiner_partition(args.n)
     else:
         system = cons.load_steiner(args.validate, args.n, args.k, args.t)

@@ -9,10 +9,10 @@ mask-sorted candidate pool, so the first optimum found in depth-first order
 is the lexicographically least one.  Branch and bound adds six sound
 devices on top of plain enumeration, all always on:
 
-* roots (_root_indices): the first member is the empty set in the even
-  class, which meets every set evenly, and a prefix set {1,..,c} in the
-  others, the lex-leaders of the ground set (below).  Either way the
-  lex-least optimum starts with a root;
+* the top node (_tree): the tree grows from one node, the empty family,
+  whose one cell [n] lets the lex-leader test (below) admit only the prefix
+  sets {1,..,c} as first members.  In the even class it is {∅} instead:
+  the empty set meets every set evenly, so the lex-least optimum holds it;
 * lex-leaders (_tree, _lex_leader, _split): each node carries the cells of
   the ground set, the classes of points that every chosen member treats
   alike, and admits a set only if it holds the lowest points of each cell.
@@ -48,12 +48,13 @@ per restart.  Branch and bound runs it once, from the first m pool members,
 before the tree: this hint's value primes pruning, and its family is the
 incumbent if the tree is cut before it reaches a leaf.
 
-The tree runs on the calling thread, one root branch (choice of first
-member) after another; the root branch is also the unit a checkpoint
-records, so an even-class bnb checkpoint, with its one root branch,
-records progress only once the whole search ends.  Pruning uses one
-bound: one more than the least value known before the tree (the hint's or
-a resumed checkpoint's), then each kept leaf's value.  A subtree or
+The tree runs on the calling thread.  A checkpoint records first-level
+branches, the children of the top node: its next_branch is the pool index
+where the top node's loop resumes.  An even-class bnb run thus records
+progress after each child of {∅}, but at thm-even n=8 s=2 the first child
+holds ~80 % of the work, and a cut inside it records nothing.  Pruning uses one bound:
+one more than the least value known before the tree (the hint's or a
+resumed checkpoint's), then each kept leaf's value.  A subtree or
 candidate is cut when its lower bound reaches the bound, so the tree keeps
 only strictly better leaves and its first optimum is the lex-least one.
 Every known value is that of a real family, hence at least the floor, so
@@ -104,8 +105,8 @@ class SearchSpec:
     parity (the empty set counts as even); "uniform" ranges over all
     k-subsets.  objective "op" minimises odd-intersection pairs, "ckt"
     minimises pairs meeting in exactly t elements (uniform class only).
-    mode "bnb" always uses its roots (the empty set in the even class,
-    prefix sets in the others), the lex-leader test under coordinate
+    mode "bnb" always starts from its top node ({∅} in the even class, the
+    empty family in the others), uses the lex-leader test under coordinate
     permutations at every depth, complement twins (even class, even n), the
     conflict bound and the class floor (deficiency and averaging, see
     _floor), "exhaustive" none of them; both return the lex-least optimum.
@@ -321,35 +322,6 @@ def _split(x: int, cells: Iterable[int]) -> tuple[int, ...]:
     return tuple(parts)
 
 
-def _root_indices(spec: SearchSpec, pool: Sequence[int]) -> list[int]:
-    """First-member choices: every index in exhaustive mode; in bnb, the
-    empty set alone in the even class and the prefix sets in the others.
-
-    Even class: the empty set meets every set evenly, so an optimum without
-    it keeps its value when its largest member is swapped for it, and gets
-    lex-smaller.  So the lex-least optimum holds the empty set, index 0.
-
-    Odd and uniform classes: the roots are the sets that pass the tree's
-    lex-leader test (_lex_leader) against the single cell [n], the prefix
-    sets {1,..,c}.  A relabeling of the ground set that sends a family's
-    least member X to the prefix set of its size, the least mask of that
-    size, keeps the class and the value, and gives a family whose least
-    member is at most that prefix set.  So the lex-least optimum starts
-    with a prefix set.
-
-    Either way the lex-least optimum lies under a root, and the tree meets
-    the families under its roots in lex order, so it still finds that
-    optimum first.
-    """
-    idxs = range(len(pool) - spec.family_size + 1)
-    if spec.mode != "bnb":
-        return list(idxs)
-    if spec.family_class == "even":
-        return [0]
-    ground = ((1 << spec.ground_size) - 1,)
-    return [i for i in idxs if _lex_leader(pool[i], ground)]
-
-
 @dataclass
 class _Outcome:
     best_value: int | None
@@ -424,13 +396,17 @@ def _tree(
     pool: Sequence[int],
     rows: Sequence[int],
     spec: SearchSpec,
-    roots: Sequence[int],
+    start: int,
     bound: float,
     deadline: float,
     floor: int,
-    root_done: Callable[[int, _Outcome], None] | None = None,
+    branch_done: Callable[[int, _Outcome], None] | None = None,
 ) -> _Outcome:
-    """Depth-first search of the combinations under roots, keeping leaves below bound.
+    """Depth-first search of the combinations from one top node, keeping leaves below bound.
+
+    The top node is the empty family, or {∅} in the even class under bnb
+    with m >= 2.  Its loop over first members (the first-level branches)
+    begins at pool index start, 0 unless a checkpoint resumes the search.
 
     Each node carries one packed integer whose field j counts candidate j's
     pairs with the partial family.  Fields are 1 byte wide when m <= 256
@@ -459,7 +435,8 @@ def _tree(
 
     Lex-leaders (bnb): each node carries the cells of the ground set, the
     classes of two or more points that every chosen member treats alike;
-    below a root they are the ground set [n] split by the root.  A lower
+    at the empty family they are the one cell [n], so the first members
+    admitted are the prefix sets {1,..,c}.  A lower
     candidate X is admitted only if it holds the lowest points of each cell
     (_lex_leader), and its child splits each cell by X (_split).  A
     permutation of the points inside the cells fixes each chosen member
@@ -476,11 +453,14 @@ def _tree(
 
     A node adds its candidates, the lower ones and the pending twins,
     counted before the lex-leader test, to the evaluation count
-    (nodes_explored, the unit of budget_nodes), and each root branch adds
-    one.  The search stops at the first kept leaf whose value is at most
-    floor, a lower bound on every family (_floor's, or -1 to search every
-    family).  root_done(position in roots, best so far) is called after each
-    root branch that ran to its end.
+    (nodes_explored, the unit of budget_nodes).  The search stops at the
+    first kept leaf whose value is at most floor, a lower bound on every
+    family (_floor's, or -1 to search every family).  branch_done(next
+    branch, best so far) is called after each first-level branch that ran
+    to its end, with the pool index where the top node's loop resumes.  The
+    even class's pending twin [n] is the last pool set, so it is never a
+    first-level branch: a family it completes (m = 2) is a leaf of the top
+    node, which then has no branches and writes no checkpoint.
     """
     P = len(rows)
     m = spec.family_size
@@ -570,7 +550,11 @@ def _tree(
                 nv,
                 j + 1,
             )
-            if aborted or done:
+            if aborted:
+                return
+            if branch_done is not None and len(chosen) == top_size:
+                branch_done(j + 1, outcome())
+            if done:
                 return
         if pending:  # empty outside the twin rule
             for i, t in enumerate(pending):
@@ -587,20 +571,17 @@ def _tree(
     def outcome() -> _Outcome:
         return _Outcome(None if wit is None else int(bound), wit, nodes, aborted)
 
-    ground = ((1 << spec.ground_size) - 1,) if bounding else ()
-    for pos, root in enumerate(roots):
-        nodes += 1
-        if m == 1:  # every one-member family has value 0
-            bound, wit, done = 0, (root,), True
-        else:
-            pending = (P - 1 - root,) if twinned and root < half else ()
-            extend((root,), pending, _split(pool[root], ground), spread(root), 0, root + 1)
-        if aborted:
-            break
-        if root_done is not None:
-            root_done(pos, outcome())
-        if done:
-            break
+    top: tuple[int, ...] = ()
+    pending: tuple[int, ...] = ()
+    if bounding and spec.family_class == "even" and m >= 2:
+        # ∅ meets every set evenly, so an optimum without it keeps its value
+        # when its largest member is swapped for ∅, and gets lex-smaller: the
+        # lex-least optimum holds ∅, index 0.  Its row is 0, it splits no
+        # cell, and at even n its twin is [n], index P - 1
+        top, start = (0,), max(start, 1)
+        pending = (P - 1,) if twinned and P - 1 >= start else ()
+    top_size = len(top)
+    extend(top, pending, ((1 << spec.ground_size) - 1,) if bounding else (), 0, 0, start)
     return outcome()
 
 
@@ -622,23 +603,25 @@ def _instance_identity(spec: SearchSpec) -> dict:
 
 
 def _load_checkpoint(
-    path: Path, spec: SearchSpec, rows: Sequence[int], n_roots: int
+    path: Path, spec: SearchSpec, rows: Sequence[int]
 ) -> tuple[int, _Outcome] | None:
-    """(completed root count, best so far) from a checkpoint, or None if absent.
+    """(next first-level branch, best so far) from a checkpoint, or None if absent.
 
-    Nothing in the file is trusted: the counts must be in range, a witness
-    must be m increasing pool indices whose value, recounted from the rows,
-    is best_value, and the digest must match the other fields.  The digest
-    catches hand edits and corruption that leave a file self-consistent,
-    such as a completed_roots count raised past the branches searched; it
-    does not authenticate a file whose digest was recomputed after an edit.
+    Nothing in the file is trusted: next_branch must be a pool index in
+    [0, P] and nodes a count, a witness must be m increasing pool indices
+    whose value, recounted from the rows, is best_value, and the digest must
+    match the other fields.  The digest catches hand edits and corruption
+    that leave a file self-consistent, such as a next_branch raised past the
+    branches searched; it does not authenticate a file whose digest was
+    recomputed after an edit.  A file without next_branch, such as one in
+    the older format that counted root branches, is corrupt.
     """
     if not path.exists():
         return None
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
         instance = data["instance"]
-        completed = data["completed_roots"]
+        next_branch = data["next_branch"]
         nodes = data["nodes"]
         value = data["best_value"]
         witness = data["witness"]
@@ -651,8 +634,8 @@ def _load_checkpoint(
         return type(x) is int  # JSON true/false load as bool, a subclass of int
 
     problem = None
-    if not (is_int(completed) and 0 <= completed <= n_roots):
-        problem = f"completed_roots {completed!r} is not in [0, {n_roots}]"
+    if not (is_int(next_branch) and 0 <= next_branch <= len(rows)):
+        problem = f"next_branch {next_branch!r} is not in [0, {len(rows)}]"
     elif not (is_int(nodes) and nodes >= 0):
         problem = f"nodes {nodes!r} is not a count"
     elif value is not None or witness is not None:
@@ -676,7 +659,7 @@ def _load_checkpoint(
             problem = "its digest is missing or does not match its fields"
     if problem is not None:
         raise CheckpointError(f"checkpoint {path} is corrupt: {problem}")
-    return completed, _Outcome(value, None if witness is None else tuple(witness), nodes, False)
+    return next_branch, _Outcome(value, None if witness is None else tuple(witness), nodes, False)
 
 
 def _digest(fields: dict) -> str:
@@ -719,7 +702,6 @@ def _minimize_exact(spec: SearchSpec, checkpoint: str | Path | None = None) -> S
     rows = _pool_rows(spec, pool)
     # exhaustive mode enumerates every family: no value is <= -1
     floor = _floor(spec)[0] if spec.mode == "bnb" else -1
-    roots = _root_indices(spec, pool)
     # the hint primes pruning, and is the incumbent if the tree is cut early
     known: list[_Outcome] = []
     if spec.mode == "bnb":
@@ -728,22 +710,22 @@ def _minimize_exact(spec: SearchSpec, checkpoint: str | Path | None = None) -> S
 
     ck_path = Path(checkpoint) if checkpoint is not None else None
     preload: _Outcome | None = None
-    skip_roots = 0
+    start = 0
     if ck_path is not None:
-        loaded = _load_checkpoint(ck_path, spec, rows, len(roots))
+        loaded = _load_checkpoint(ck_path, spec, rows)
         if loaded is not None:
-            skip_roots, preload = loaded
+            start, preload = loaded
             known.append(preload)
     known_best, _ = _merge_best(known)
     bound = float("inf") if known_best is None else known_best + 1
 
-    def on_root_done(pos: int, so_far: _Outcome) -> None:
+    def on_branch_done(next_branch: int, so_far: _Outcome) -> None:
         best_val, best_wit = _merge_best([so_far] if preload is None else [so_far, preload])
         _write_checkpoint(
             ck_path,  # type: ignore[arg-type]
             {
                 "instance": _instance_identity(spec),
-                "completed_roots": skip_roots + pos + 1,
+                "next_branch": next_branch,
                 "best_value": best_val,
                 "witness": None if best_wit is None else list(best_wit),
                 "nodes": (preload.nodes if preload is not None else 0) + so_far.nodes,
@@ -751,8 +733,8 @@ def _minimize_exact(spec: SearchSpec, checkpoint: str | Path | None = None) -> S
         )
 
     tree = _tree(
-        pool, rows, spec, roots[skip_roots:], bound, deadline, floor,
-        root_done=on_root_done if ck_path is not None else None,
+        pool, rows, spec, start, bound, deadline, floor,
+        branch_done=on_branch_done if ck_path is not None else None,
     )
     best_val, best_wit = _merge_best([tree, *known])
     witness_family = (
@@ -781,8 +763,8 @@ def _merge_best(
 def minimize(spec: SearchSpec, checkpoint: str | Path | None = None) -> SearchResult:
     """Dispatch on spec.mode; exhaustive and bnb are exact, local is heuristic.
 
-    A checkpoint records the root branches of an exact search, so local
-    mode, which has none, refuses one.
+    A checkpoint records the first-level branches of an exact search's
+    tree, so local mode, which has no tree, refuses one.
     """
     if spec.mode == "local":
         if checkpoint is not None:
@@ -902,10 +884,13 @@ def verify_theorem(
 
     A COUNTEREXAMPLE verdict against a proven statement raises
     OracleSoundnessError, because it can only mean the search is wrong.
-    threads is passed to SearchSpec, where it has no effect.
+    k applies to prob-uniform only.  threads is passed to SearchSpec, where
+    it has no effect.
     """
     if statement not in _STATEMENTS:
         raise ValueError(f"statement must be one of {_STATEMENTS}, got {statement!r}")
+    if k is not None and statement != "prob-uniform":
+        raise ValueError(f"k only applies to prob-uniform, not {statement}")
     half = n // 2
     family_class = "even"
     spec_k: int | None = None

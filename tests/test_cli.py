@@ -214,6 +214,21 @@ class TestSearch:
         assert captured.out == ""
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize(
+        "argv,word",
+        [
+            (["--class", "even", "--k", "3"], "k only"),
+            (["--class", "odd", "--t", "1"], "t only"),
+        ],
+        ids=["even-k", "odd-t"],
+    )
+    def test_flag_the_class_ignores_is_usage_error(self, capsys, argv, word):
+        code = main(["search", *argv, "--n", "4", "--m", "5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert word in captured.err
+        assert captured.out == ""
+
     def test_infeasible_spec_is_usage_error(self, capsys):
         code = main(["search", "--class", "odd", "--n", "3", "--m", "9", "--mode", "exhaustive"])
         assert code == 2
@@ -228,7 +243,7 @@ class TestSearch:
             json.dumps({**good, **fields})
             for fields in (
                 dict(best_value=0, witness=[0, 1, 2, 3, 4]),  # a "certified" 0; the minimum is 2
-                dict(completed_roots=-3),
+                dict(next_branch=-3),
                 dict(best_value="2"),
                 dict(nodes="12"),
                 dict(witness=[0, 1, 2, 3, 9]),
@@ -243,12 +258,13 @@ class TestSearch:
             assert captured.out == ""
 
     def test_forged_checkpoint_progress_is_usage_error(self, capsys, tmp_path):
-        # all 4 root branches claimed done with a value-5 family; the minimum is 2
+        # all 4 first-level branches (pool indices 0-3) claimed done with a
+        # value-5 family; the minimum is 2
         argv = ["search", "--class", "even", "--n", "4", "--m", "5", "--mode", "exhaustive"]
         ckpt = tmp_path / "FORGED"
         instance = dict(ground_size=4, family_size=5, family_class="even", k=None,
                         objective="op", t=None, mode="exhaustive")
-        ckpt.write_text(json.dumps(dict(instance=instance, completed_roots=4, best_value=5,
+        ckpt.write_text(json.dumps(dict(instance=instance, next_branch=4, best_value=5,
                                         witness=[0, 1, 2, 3, 4], nodes=0)), encoding="utf-8")
         code = main([*argv, "--checkpoint", str(ckpt)])
         captured = capsys.readouterr()
@@ -312,6 +328,13 @@ class TestVerify:
         assert code == 3
         assert doc["verdict"] == "INCONCLUSIVE"
 
+    def test_k_outside_prob_uniform_is_usage_error(self, capsys):
+        code = main(["verify", "--statement", "thm-even", "--n", "4", "--k", "3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "k only applies to prob-uniform" in captured.err
+        assert captured.out == ""
+
     def test_out_of_range_s_is_usage_error(self, capsys):
         code = main(["verify", "--statement", "thm-even", "--n", "4", "--s", "5"])
         assert code == 2
@@ -352,6 +375,15 @@ class TestSteiner:
         assert doc["shadow"]["matches_formula"] is True
         shade = ot.load_family(out)
         assert shade.canonical() == ot.disjoint_k4_triples(8).canonical()
+
+    @pytest.mark.parametrize("flag", ["--k", "--t"])
+    def test_partition_refuses_design_flags(self, capsys, flag):
+        # the partition design is always k=4, t=1: --k and --t would do nothing
+        code = main(["steiner", "--partition", "--n", "8", flag, "5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"does not take {flag}" in captured.err
+        assert captured.out == ""
 
     def test_validate_good_file(self, capsys, tmp_path):
         path = tmp_path / "good.blocks"

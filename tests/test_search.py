@@ -115,32 +115,33 @@ class TestExactMinima:
 
 
 # (mode, spec kwargs) -> (best_value, nodes_explored): the tree's work, which
-# any change to its pruning or expansion order moves
+# any change to its pruning or expansion order moves.  Each node adds its
+# candidates, the top node too: the empty family adds all P pool sets
 NODE_COUNT_PINS = [
-    ("bnb", dict(ground_size=6, family_size=9, family_class="even"), (4, 439)),
-    ("bnb", dict(ground_size=5, family_size=7, family_class="odd"), (6, 1_325)),
+    ("bnb", dict(ground_size=6, family_size=9, family_class="even"), (4, 438)),
+    ("bnb", dict(ground_size=5, family_size=7, family_class="odd"), (6, 1_339)),
     # the (6, 7) table entry gives the averaging floor ceil(3*56/42) = 4, the
     # optimum, so the search stops at its first optimal leaf
-    ("bnb", dict(ground_size=6, family_size=8, family_class="odd"), (4, 2_941)),
+    ("bnb", dict(ground_size=6, family_size=8, family_class="odd"), (4, 2_972)),
     ("bnb", dict(ground_size=6, family_size=9, family_class="uniform", k=4, objective="ckt", t=2),
-     (12, 471)),
+     (12, 485)),
     # the first leaf reaches the floor 0 and stops the search; in the last two,
-    # later root branches would add nodes had it not stopped
+    # later first-level branches would add nodes had it not stopped
     ("bnb", dict(ground_size=5, family_size=5, family_class="uniform", k=4, objective="ckt", t=2),
-     (0, 11)),
+     (0, 15)),
     ("bnb", dict(ground_size=6, family_size=5, family_class="uniform", k=4, objective="ckt", t=2),
-     (0, 51)),
-    ("bnb", dict(ground_size=5, family_size=5, family_class="odd"), (0, 54)),
-    ("exhaustive", dict(ground_size=5, family_size=7, family_class="odd"), (6, 23_809)),
+     (0, 65)),
+    ("bnb", dict(ground_size=5, family_size=5, family_class="odd"), (0, 69)),
+    ("exhaustive", dict(ground_size=5, family_size=7, family_class="odd"), (6, 23_815)),
     ("exhaustive",
      dict(ground_size=6, family_size=9, family_class="uniform", k=4, objective="ckt", t=2),
-     (12, 17_866)),
-    # complement twins cut 58 evaluations (the empty-set root alone) to 30,
-    # and the lex-leader test to 24
-    ("bnb", dict(ground_size=4, family_size=7, family_class="even"), (8, 24)),
-    # odd n, so no twin rule: below the empty-set root the lex-leader test
-    # does all the cutting (4,733,204 evaluations without it)
-    ("bnb", dict(ground_size=7, family_size=9, family_class="even"), (4, 36_377)),
+     (12, 17_874)),
+    # complement twins cut 57 evaluations (below the top node {∅}) to 29,
+    # and the lex-leader test to 23
+    ("bnb", dict(ground_size=4, family_size=7, family_class="even"), (8, 23)),
+    # odd n, so no twin rule: below the top node {∅} the lex-leader test
+    # does all the cutting (4,733,203 evaluations without it)
+    ("bnb", dict(ground_size=7, family_size=9, family_class="even"), (4, 36_376)),
 ]
 
 
@@ -157,7 +158,7 @@ def test_node_count_without_the_table(monkeypatch):
     monkeypatch.setattr(search, "_CERTIFIED_MINIMA", {})
     result = minimize(SearchSpec(ground_size=6, family_size=8, family_class="odd"))
     assert result.optimal
-    assert (result.best_value, result.nodes_explored) == (4, 10_011)
+    assert (result.best_value, result.nodes_explored) == (4, 10_040)
 
 
 @pytest.mark.parametrize("mode,kw,expected", NODE_COUNT_PINS)
@@ -173,14 +174,14 @@ def test_spreads_rebuilt_past_the_memo_cap(monkeypatch, mode, kw, expected):
 
 
 @pytest.mark.parametrize(
-    "mode,nodes", [("bnb", 33_411), ("exhaustive", 2_895_621)], ids=["bnb", "exhaustive"]
+    "mode,nodes", [("bnb", 33_669), ("exhaustive", 2_895_878)], ids=["bnb", "exhaustive"]
 )
 def test_counts_past_one_byte(mode, nodes):
     # 258 of the 259 sets of size 258 over [259]: every pair meets in 257
     # points, so every pair is odd and a candidate's count reaches 257.  The
-    # uniform class has one prefix set, so bnb runs only the first root
-    # branch, where the lex-leader test admits one candidate a node: the set
-    # missing the highest point of the one cell left
+    # uniform class has one prefix set, so bnb's top node admits only the
+    # first pool set, and below it the lex-leader test admits one candidate
+    # a node: the set missing the highest point of the one cell left
     spec = SearchSpec(
         ground_size=259, family_size=258, family_class="uniform", k=258, mode=mode
     )
@@ -242,7 +243,9 @@ class TestCertifiedMinima:
         assert with_table.optimal and without.optimal
         assert (with_table.best_value, with_table.witness) == (without.best_value, without.witness)
         assert op_sets(witness_sets(with_table)) == with_table.best_value
-        if comb(spec.pool_size(), m) <= search._EXHAUSTIVE_CAP:
+        # plain enumeration of C(32, 9) = 28,048,800 families at (6, 9) took
+        # ~20 s; LEX_LEADER_PINS odd-6-9 pins the value and witness it gave
+        if comb(spec.pool_size(), m) <= 2 * 10**7:
             plain = minimize(replace(spec, mode="exhaustive"))
             assert (plain.best_value, plain.witness) == (with_table.best_value, with_table.witness)
 
@@ -403,23 +406,34 @@ class TestDeterminismAndSoundness:
                     checked += 1
         assert checked == 248
 
-    def test_root_lists(self):
-        # bnb roots: the empty set alone in the even class, every prefix set
-        # in the odd class, the one prefix set of a uniform class; exhaustive:
-        # every index
-        def roots(mode="bnb", **kw):
-            spec = SearchSpec(family_size=1, mode=mode, **kw)
-            pool = candidate_pool(spec)
-            return [pool[i] for i in search._root_indices(spec, pool)]
+    def test_first_level_branches(self, monkeypatch, tmp_path):
+        # the checkpoint is written after each child of the top node, so its
+        # next_branch values name the first-level branches: in bnb, the prefix
+        # sets (a uniform class has one), and below {∅} in the even class the
+        # even ones; in exhaustive mode every index that leaves room for the
+        # rest of the family.  The even class's pending twin [n] is the last
+        # pool set, so it starts a branch only when it completes the family
+        # (m = 2), where the top node is a leaf and has no branches
+        seen = []
+        monkeypatch.setattr(search, "_write_checkpoint", lambda path, data: seen.append(data))
 
-        for n in (4, 5, 6):
-            assert roots(ground_size=n, family_class="even") == [0]
-        assert roots(ground_size=5, family_class="odd") == [0b1, 0b111, 0b11111]
-        assert roots(ground_size=6, family_class="odd") == [0b1, 0b111, 0b11111]
-        assert roots(ground_size=5, family_class="uniform", k=3) == [0b111]
+        def branches(**kw):
+            seen.clear()
+            spec = SearchSpec(**kw)
+            assert minimize(spec, checkpoint=tmp_path / "run.ckpt").optimal
+            pool = candidate_pool(spec)
+            return [pool[data["next_branch"] - 1] for data in seen]
+
+        # pool index 15 holds {1,..,5} and leaves too few sets after it for m = 7
+        assert branches(ground_size=5, family_size=7, family_class="odd") == [0b1, 0b111]
+        assert branches(ground_size=6, family_size=9, family_class="odd") == [0b1, 0b111, 0b11111]
+        assert branches(ground_size=5, family_size=6, family_class="uniform", k=3) == [0b111]
+        for n in (5, 6):
+            assert branches(ground_size=n, family_size=9, family_class="even") == [0b11, 0b1111]
         for cls in ("even", "odd"):
-            spec = SearchSpec(ground_size=5, family_size=3, family_class=cls, mode="exhaustive")
-            assert search._root_indices(spec, candidate_pool(spec)) == list(range(14))
+            masks = branches(ground_size=5, family_size=3, family_class=cls, mode="exhaustive")
+            assert masks == candidate_pool(SearchSpec(ground_size=5, family_size=3,
+                                                      family_class=cls))[:14]
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_twin_rule_matches_plain_enumeration(self, n):
@@ -661,10 +675,24 @@ class TestCheckpoint:
             SearchSpec(mode="exhaustive", budget_nodes=6000, threads=2, **kw), checkpoint=path
         )
         assert not partial.optimal
-        assert json.loads(path.read_text(encoding="utf-8"))["completed_roots"] >= 1
+        assert json.loads(path.read_text(encoding="utf-8"))["next_branch"] >= 1
         resumed = minimize(SearchSpec(mode="exhaustive", threads=2, **kw), checkpoint=path)
         assert resumed.optimal
         assert (resumed.best_value, resumed.witness) == (direct.best_value, direct.witness)
+
+    def test_even_class_resume_after_abort_matches_direct_run(self, tmp_path):
+        # thm-even n=8 s=1: a budget cut inside the top node {∅} still leaves
+        # a checkpoint, since its first child ends before the budget does
+        kw = dict(ground_size=8, family_size=17, family_class="even")
+        direct = minimize(SearchSpec(**kw))
+        path = tmp_path / "run.ckpt"
+        partial = minimize(SearchSpec(budget_nodes=130_000, **kw), checkpoint=path)
+        assert not partial.optimal
+        assert json.loads(path.read_text(encoding="utf-8"))["next_branch"] == 2
+        resumed = minimize(SearchSpec(**kw), checkpoint=path)
+        assert resumed.optimal
+        assert (resumed.best_value, resumed.witness) == (direct.best_value, direct.witness)
+        assert direct.best_value == 8
 
     def test_checkpoint_spec_mismatch_rejected(self, tmp_path):
         path = tmp_path / "run.ckpt"
@@ -707,24 +735,28 @@ class TestCheckpoint:
             dict(witness=[0, 1, 2, 3]),
             dict(witness=[0, 1, 2, 3, "4"]),
             dict(witness="01234"),
-            dict(completed_roots=-3),
-            dict(completed_roots=2),  # the instance has 1 root branch, at the empty set
-            dict(completed_roots=True),
-            dict(completed_roots="1"),
+            dict(next_branch=-3),
+            dict(next_branch=9),  # the pool has 8 sets
+            dict(next_branch=True),
+            dict(next_branch="1"),
             dict(nodes=-1),
             dict(nodes="12"),
         ]
         texts = ["[]", "{}", '"x"', "\xff\xfe"]
         texts += [json.dumps({**json.loads(good), **fields}) for fields in forged]
-        # self-consistent but undigested: the genuine file, and one claiming its
-        # root branch is done with a real family of value 5
+        # self-consistent but undigested: the genuine file, and one claiming
+        # every branch is done with a real family of value 5
         undigested = {k: v for k, v in json.loads(good).items() if k != "digest"}
         texts.append(json.dumps(undigested))
-        texts.append(json.dumps({**undigested, "completed_roots": 1, "best_value": 5,
+        texts.append(json.dumps({**undigested, "next_branch": 8, "best_value": 5,
                                  "witness": [0, 1, 2, 3, 4]}))
         # digested, in the format that still named a symmetry setting, whose
         # root positions counted every first member
         legacy = {**undigested, "instance": {**undigested["instance"], "symmetry": False}}
+        texts.append(json.dumps({**legacy, "digest": search._digest(legacy)}))
+        # digested, in the format that counted completed root branches
+        legacy = {k: v for k, v in undigested.items() if k != "next_branch"}
+        legacy["completed_roots"] = 1
         texts.append(json.dumps({**legacy, "digest": search._digest(legacy)}))
         for text in texts:
             path.write_bytes(text.encode("latin-1"))
@@ -930,6 +962,9 @@ class TestVerifyTheorem:
             verify_theorem("prob-uniform", 5, 1, 4)
         with pytest.raises(ValueError):
             verify_theorem("nope", 4, 1)
+        for statement, s in (("thm-even", 1), ("thm-odd", 1), ("conj-even", 3), ("conj-odd", 1)):
+            with pytest.raises(ValueError, match="k only applies to prob-uniform"):
+                verify_theorem(statement, 8, s, 3)
 
     def test_inconclusive_under_tiny_budget(self):
         report = verify_theorem("conj-odd", 5, 2, budget_nodes=40)
