@@ -204,7 +204,9 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     if args.ckt is not None:
         payload["ckt"] = {"t": args.ckt, "count": sf.c_kt(family, args.ckt)}
     if args.density:
-        payload["density"] = _fraction_fields(sf.op_density(family))
+        if report.density is None:
+            raise ValueError(f"density needs at least 2 members, got {len(family)}")
+        payload["density"] = _fraction_fields(report.density)
     if args.links is not None:
         identity = sf.check_link_identity(family, args.links)
         payload["link_identity"] = {

@@ -43,10 +43,15 @@ devices on top of plain enumeration, all always on:
   reaches the floor is optimal, so the search stops there.
 
 There is one hill climber, _climb: first-improvement single-set swaps over
-the rows, bounded by budget_nodes and budget_secs.  local_search runs it once
-per restart.  Branch and bound runs it once, from the first m pool members,
-before the tree: this hint's value primes pruning, and its family is the
-incumbent if the tree is cut before it reaches a leaf.
+the rows, bounded by budget_nodes and budget_secs.  It keeps the counts
+packed as the tree does (_spreader builds the spread rows of both), so a
+scan for a swap tests every candidate with a few integer operations: it
+makes the swaps of an ascending candidate loop, in the same order, adds
+the evaluations that loop would count, and polls the budgets at the same
+4096-evaluation marks.  local_search runs it once per restart.  Branch and
+bound runs it once, from the first m pool members, before the tree: this
+hint's value primes pruning, and its family is the incumbent if the tree
+is cut before it reaches a leaf.
 
 The tree runs on the calling thread.  A checkpoint records first-level
 branches, the children of the top node: its next_branch is the pool index
@@ -77,7 +82,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .errors import CheckpointError, InfeasibleSpecError, OracleSoundnessError
-from .setfamily import SetFamily, _bit_indices, exact_t_rows, odd_rows
+from .setfamily import SetFamily, exact_t_rows, odd_rows
 
 DEFAULT_NODE_BUDGET = 10**9
 DEFAULT_TIME_BUDGET = 600.0
@@ -85,9 +90,10 @@ DEFAULT_TIME_BUDGET = 600.0
 # keeps the rows at 512 MiB.  A larger ground set is refused outright, since
 # every class on it but the lone uniform k = n set exceeds the cap.
 _POOL_CAP = 1 << 16
-# A tree spread row takes P or 2P bytes (a 1- or 2-byte count per pool set),
-# so keeping all P of them could take 8 GiB at the cap: the tree keeps at
-# most 2^29 bytes of them (512 MiB, as much as the rows) and rebuilds the rest.
+# A spread row takes P * width bytes (a count of 1 to 3 bytes per pool set),
+# so keeping all P of them could take 8 GiB or more at the cap: the tree and
+# the climber each keep at most 2^29 bytes of them (512 MiB, as much as the
+# rows) and rebuild the rest.
 _SPREAD_BYTES = 1 << 29
 _EXHAUSTIVE_CAP = 10**8  # most families exhaustive mode will enumerate
 _CHECK_INTERVAL = 1024  # budget polling granularity, in nodes
@@ -330,6 +336,34 @@ class _Outcome:
     aborted: bool
 
 
+def _spreader(rows: Sequence[int], width: int) -> Callable[[int], int]:
+    """spread(j): row j with each bit widened to a field of width bytes.
+
+    Field i of spread(j) is bit i of rows[j], so adding spread(j) to a packed
+    integer of counts adds row j to all of them at once.  A spread takes
+    P * width bytes: those of the first _SPREAD_BYTES // (P * width) pool
+    indices are kept, and later ones are rebuilt at each call.
+    """
+    P = len(rows)
+    nbytes = P * width
+    bit_bytes = bytes.maketrans(b"01", b"\x00\x01")
+    room = _SPREAD_BYTES // nbytes
+    memo: list[int | None] = [None] * P
+
+    def spread(j: int) -> int:
+        s = memo[j]
+        if s is None:
+            # format puts bit P-1 first, so read big-endian, field j holds bit j
+            field = bytearray(nbytes)
+            field[width - 1 :: width] = format(rows[j], f"0{P}b").encode().translate(bit_bytes)
+            s = int.from_bytes(field, "big")
+            if j < room:
+                memo[j] = s
+        return s
+
+    return spread
+
+
 def _climb(
     rows: Sequence[int],
     start: Iterable[int],
@@ -342,44 +376,66 @@ def _climb(
     For a in ascending order, swap in the first c outside the family whose
     swap strictly lowers the value; rescan after each swap, stop when none
     improves or once evals (candidate evaluations, continuing the count
-    given) passes budget_nodes or the deadline.  w[x] counts x's pairs with
-    the family.  Returns (value, chosen indices ascending, evals, stopped).
+    given) passes budget_nodes or the deadline.  Returns (value, chosen
+    indices ascending, evals, stopped).
+
+    Each scan tests every candidate at once.  W packs w[x], x's pairs with
+    the family, as field x of b bits, b the least multiple of 8 with
+    2^(b-1) > m, so a count plus 2^(b-1) never carries into the next field;
+    free holds the top bit of each field outside the family.  G = W -
+    spread(a) holds each count once a leaves, and c improves on a when
+    G[c] < w[a]: adding 2^(b-1) - w[a] to every field leaves exactly those
+    top bits clear.  The lowest such c under free is the first an ascending
+    scan would meet.  A scan adds one evaluation per candidate up to and
+    including c (all P - m if none improves), and polls the budget at each
+    multiple of 4096 evaluations in that range, before that candidate's
+    test, so the swaps, the count and a stop are those of a loop over the
+    candidates.
     """
     chosen = set(start)
-    bits = 0
+    P = len(rows)
+    width = (len(chosen).bit_length() + 8) // 8
+    b = 8 * width
+    field = (1 << b) - 1
+    lift = 1 << (b - 1)
+    ones = int.from_bytes((b"\x01" + bytes(width - 1)) * P, "little")
+    spread = _spreader(rows, width)
+    W = 0
+    free = ones << (b - 1)
     for c in chosen:
-        bits |= 1 << c
-    w = [(row & bits).bit_count() for row in rows]
-    value = sum(w[c] for c in chosen) // 2
+        W += spread(c)
+        free ^= lift << c * b
+    value = sum(W >> c * b & field for c in chosen) // 2
     stopped = False
     improved = True
     while improved and not stopped:
         improved = False
         for a in sorted(chosen):
-            lost = w[a]
-            row_a = rows[a]
-            for c in range(len(rows)):
-                if c in chosen:
-                    continue
-                evals += 1
-                if evals & 0xFFF == 0 and (evals > budget_nodes or time.monotonic() > deadline):
+            lost = W >> a * b & field
+            G = W - spread(a)
+            hits = ~(G + (lift - lost) * ones) & free
+            if hits:
+                c = (hits & -hits).bit_length() // b - 1
+                scanned = (free & ((1 << c * b) - 1)).bit_count() + 1
+            else:
+                scanned = P - len(chosen)
+            mark = (evals | 0xFFF) + 1
+            while mark <= evals + scanned:
+                if mark > budget_nodes or time.monotonic() > deadline:
+                    evals = mark
                     stopped = True
                     break
-                if w[c] > lost:
-                    continue  # gained >= w[c] - 1 >= lost
-                gained = w[c] - (row_a >> c & 1)
-                if gained < lost:
-                    row_c = rows[c]
-                    for x in _bit_indices(row_c & ~row_a):
-                        w[x] += 1
-                    for x in _bit_indices(row_a & ~row_c):
-                        w[x] -= 1
-                    chosen.remove(a)
-                    chosen.add(c)
-                    value += gained - lost
-                    improved = True
-                    break
-            if improved or stopped:
+                mark += 0x1000
+            if stopped:
+                break
+            evals += scanned
+            if hits:
+                W = G + spread(c)
+                free ^= (lift << a * b) | (lift << c * b)
+                value += (G >> c * b & field) - lost
+                chosen.remove(a)
+                chosen.add(c)
+                improved = True
                 break
     return value, tuple(sorted(chosen)), evals, stopped
 
@@ -470,22 +526,7 @@ def _tree(
     budget_nodes = spec.budget_nodes
     width = 1 if m <= 256 else 2
     bits = 8 * width
-    nbytes = P * width
-    bit_bytes = bytes.maketrans(b"01", b"\x00\x01")
-    # spreads of the first `room` pool indices are kept; later ones are rebuilt
-    room = _SPREAD_BYTES // nbytes
-    memo: list[int | None] = [None] * P
-
-    def spread(j: int) -> int:
-        s = memo[j]
-        if s is None:
-            # format puts bit P-1 first, so read big-endian, field j holds bit j
-            field = bytearray(nbytes)
-            field[width - 1 :: width] = format(rows[j], f"0{P}b").encode().translate(bit_bytes)
-            s = int.from_bytes(field, "big")
-            if j < room:
-                memo[j] = s
-        return s
+    spread = _spreader(rows, width)
 
     wit: tuple[int, ...] | None = None
     nodes = 0

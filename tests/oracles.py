@@ -8,6 +8,7 @@ evidence rather than tautology.
 
 from __future__ import annotations
 
+import time
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -140,3 +141,52 @@ def all_optima_brute(pool: Sequence[frozenset[int]], m: int, objective):
     return best, [
         fam for fam in combinations(pool, m) if objective(fam) == best
     ]
+
+
+def climb_reference(
+    rows: Sequence[int],
+    start: Iterable[int],
+    budget_nodes: int,
+    deadline: float,
+    evals: int = 0,
+) -> tuple[int, tuple[int, ...], int, bool]:
+    """First-improvement single-set swaps, one loop iteration per candidate.
+
+    rows[x] has bit y set when pool sets x and y form a counted pair.  For a
+    in ascending order, swap in the first c outside the family with
+    w[c] - [c pairs with a] < w[a], where w[x] counts x's pairs with the
+    family; rescan after each swap.  Each candidate tested adds one to
+    evals, and at each multiple of 4096 the run stops, before that test,
+    once evals passes budget_nodes or the clock passes deadline.  Returns
+    (value, chosen indices ascending, evals, stopped).
+    """
+    P = len(rows)
+    pairs = [[row >> y & 1 for y in range(P)] for row in rows]
+    chosen = set(start)
+    w = [sum(pairs[x][c] for c in chosen) for x in range(P)]
+    value = sum(w[c] for c in chosen) // 2
+    stopped = False
+    improved = True
+    while improved and not stopped:
+        improved = False
+        for a in sorted(chosen):
+            lost = w[a]
+            for c in range(P):
+                if c in chosen:
+                    continue
+                evals += 1
+                if evals % 4096 == 0 and (evals > budget_nodes or time.monotonic() > deadline):
+                    stopped = True
+                    break
+                gained = w[c] - pairs[a][c]
+                if gained < lost:
+                    for x in range(P):
+                        w[x] += pairs[c][x] - pairs[a][x]
+                    chosen.remove(a)
+                    chosen.add(c)
+                    value += gained - lost
+                    improved = True
+                    break
+            if improved or stopped:
+                break
+    return value, tuple(sorted(chosen)), evals, stopped

@@ -115,6 +115,15 @@ class TestAnalyze:
         assert doc["density"]["exact"] == "1/5"
         assert doc["ckt"] == {"t": 1, "count": 3}
 
+    def test_density_of_one_member_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "fam.txt"
+        path.write_text("n=4\n1 2\n")
+        code = main(["analyze", "--in", str(path), "--density"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "density needs at least 2 members, got 1" in captured.err
+
     def test_links_identity(self, capsys, tmp_path):
         path = tmp_path / "fam.txt"
         ot.save_family(ot.disjoint_k4_triples(8), path)

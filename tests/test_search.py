@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import threading
 from dataclasses import replace
 from math import comb
@@ -14,7 +15,14 @@ import oddtown as ot
 from oddtown import CheckpointError, InfeasibleSpecError, SearchSpec, search
 from oddtown.search import candidate_pool, local_search, minimize, verify_theorem
 
-from oracles import all_optima_brute, min_objective_brute, op_sets, pairs_exact_t, to_sets
+from oracles import (
+    all_optima_brute,
+    climb_reference,
+    min_objective_brute,
+    op_sets,
+    pairs_exact_t,
+    to_sets,
+)
 
 
 def pool_sets(n: int, family_class: str, k: int | None = None) -> list[frozenset[int]]:
@@ -860,6 +868,77 @@ def test_local_search_trajectory_is_pinned(kw, seed, initial, expected):
     start = None if initial is None else ot.eventown_plus(*initial)
     result = local_search(SearchSpec(mode="local", seed=seed, **kw), initial=start)
     assert (result.best_value, result.witness.masks(), result.nodes_explored) == expected
+
+
+# the wide workload's local item at seed 7: (value, witness masks, evaluations),
+# recorded from the per-candidate climber that the packed scan replaced
+WIDE_LOCAL_PIN = (
+    32,
+    (0, 43, 144, 187, 260, 303, 404, 447, 585, 610, 729, 754, 845, 870, 989, 1014, 1091,
+     1128, 1235, 1272, 1351, 1388, 1495, 1532, 1546, 1569, 1690, 1713, 1806, 1829, 1950,
+     1973, 2122, 2145, 2266, 2289, 2382, 2405, 2526, 2549, 2563, 2600, 2707, 2744, 2823,
+     2860, 2967, 3004, 3081, 3106, 3225, 3250, 3341, 3366, 3485, 3510, 3648, 3691, 3792,
+     3835, 3908, 3951, 4052, 4066, 4095),
+    4_241_717,
+)
+
+
+@pytest.mark.parametrize("cap", [None, 0], ids=["kept", "rebuilt"])
+def test_wide_local_item_is_pinned(monkeypatch, cap):
+    # a cap of 0 bytes stores no spread, so every scan rebuilds the ones it adds
+    if cap is not None:
+        monkeypatch.setattr(search, "_SPREAD_BYTES", cap)
+    spec = SearchSpec(ground_size=12, family_size=65, family_class="even", mode="local", seed=7)
+    result = local_search(spec)
+    assert (result.best_value, result.witness.masks(), result.nodes_explored) == WIDE_LOCAL_PIN
+
+
+def _climb_instances():
+    """Every class and objective at n <= 7, and two instances with 16-bit fields."""
+
+    def sizes(P: int) -> list[int]:
+        return sorted(m for m in {1, 2, P // 3, P // 2, P - 1} if 1 <= m <= P)
+
+    for n in range(2, 8):
+        for family_class in ("even", "odd"):
+            for m in sizes(1 << (n - 1)):
+                yield dict(ground_size=n, family_size=m, family_class=family_class)
+        for k in range(1, n + 1):
+            for m in sizes(comb(n, k)):
+                yield dict(ground_size=n, family_size=m, family_class="uniform", k=k)
+                for t in range(k):
+                    yield dict(
+                        ground_size=n, family_size=m, family_class="uniform", k=k,
+                        objective="ckt", t=t,
+                    )
+    # m >= 128 needs 2^(b-1) > m, so b = 16
+    yield dict(ground_size=9, family_size=130, family_class="odd")
+    yield dict(ground_size=9, family_size=200, family_class="even")
+
+
+# (budget_nodes, deadline): a stop falls on a multiple of 4096 evaluations,
+# before, at or after the budget; the last has its deadline already passed
+CLIMB_BUDGETS = [(b, float("inf")) for b in (1, 4095, 4096, 4097, 5000, 10**9)] + [(10**9, 0.0)]
+
+
+def test_packed_climb_matches_the_candidate_loop():
+    runs = stops = 0
+    for kw in _climb_instances():
+        spec = SearchSpec(**kw)
+        rows = search._pool_rows(spec, candidate_pool(spec))
+        m = spec.family_size
+        rng = random.Random(repr(sorted(kw.items())))
+        for start in (range(m), rng.sample(range(len(rows)), m)):
+            # a count carried in from earlier restarts moves the 4096 marks mid-scan
+            for evals in (0, 4000):
+                for budget, deadline in CLIMB_BUDGETS:
+                    got = search._climb(rows, start, budget, deadline, evals)
+                    assert got == climb_reference(rows, start, budget, deadline, evals), (
+                        kw, list(start), evals, budget, deadline
+                    )
+                    runs += 1
+                    stops += got[3]
+    assert stops > 100 and runs - stops > 100  # both endings are exercised
 
 
 class TestVerifyTheorem:
