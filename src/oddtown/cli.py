@@ -17,15 +17,17 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from math import comb
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from . import constructions as cons
 from . import search as se
 from . import setfamily as sf
 from .errors import OddtownError, SteinerValidationError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -47,14 +49,14 @@ _FAMILY_FLAGS = {
 }
 
 
-def _env_int(name: str, default: int) -> int:
+def _env_number(name: str, default: Any, parse: Callable[[str], Any], what: str) -> Any:
     raw = os.environ.get(name)
-    return int(raw) if raw else default
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name)
-    return float(raw) if raw else default
+    if not raw:
+        return default
+    try:
+        return parse(raw)
+    except ValueError:
+        raise ValueError(f"{name} must be {what}, got {raw!r}") from None
 
 
 def _emit(payload: dict[str, Any], as_json: bool) -> None:
@@ -138,13 +140,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _family_stats(family: sf.SetFamily) -> dict[str, Any]:
+def _family_stats(family: sf.SetFamily, report: sf.OpReport) -> dict[str, Any]:
+    """Size, op and the two rule checks, which need only op and the size parities."""
+    odd = sum(len(m) & 1 for m in family.members)
+    no_odd_pair = report.op_count == 0
     return {
         "n": family.ground_size,
         "size": len(family),
-        "op": sf.op(family).op_count,
-        "is_eventown": sf.is_eventown(family),
-        "is_oddtown": sf.is_oddtown(family),
+        "op": report.op_count,
+        "is_eventown": no_odd_pair and odd == 0,
+        "is_oddtown": no_odd_pair and odd == len(family),
     }
 
 
@@ -179,7 +184,7 @@ def _cmd_construct(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     else:  # steiner-partition
         system = cons.steiner_partition(args.n)
         family = system.blocks
-    payload: dict[str, Any] = {"family": name, **_family_stats(family)}
+    payload: dict[str, Any] = {"family": name, **_family_stats(family, sf.op(family))}
     if name == "steiner-partition":
         payload["steiner_valid"] = True
         payload["design"] = {"n": args.n, "k": 4, "t": 1}
@@ -192,13 +197,7 @@ def _cmd_construct(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
 def _cmd_analyze(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     family = sf.load_family(args.path)
     report = sf.op(family, materialize_pairs=args.pairs)
-    payload: dict[str, Any] = {
-        "n": family.ground_size,
-        "size": len(family),
-        "op": report.op_count,
-        "is_eventown": sf.is_eventown(family),
-        "is_oddtown": sf.is_oddtown(family),
-    }
+    payload = _family_stats(family, report)
     if args.pairs:
         payload["pairs"] = [list(p) for p in report.pairs or ()]
     if args.ckt is not None:
@@ -222,9 +221,9 @@ def _budget_args(args: argparse.Namespace) -> tuple[int, float]:
     nodes = args.budget_nodes
     secs = args.budget_secs
     if nodes is None:
-        nodes = _env_int("ODDTOWN_BUDGET_NODES", se.DEFAULT_NODE_BUDGET)
+        nodes = _env_number("ODDTOWN_BUDGET_NODES", se.DEFAULT_NODE_BUDGET, int, "an integer")
     if secs is None:
-        secs = _env_float("ODDTOWN_BUDGET_SECS", se.DEFAULT_TIME_BUDGET)
+        secs = _env_number("ODDTOWN_BUDGET_SECS", se.DEFAULT_TIME_BUDGET, float, "a number")
     return nodes, secs
 
 
@@ -292,16 +291,11 @@ def _cmd_steiner(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
         shade = sf.shadow(system.blocks, args.shadow)
         payload["shadow"] = {"k": args.shadow, "size": len(shade)}
         # the shadow of an (n, k+1, k-2) design has size 6/(k(k-1)) * C(n, k-2)
-        if system.k == args.shadow + 1 and system.t == args.shadow - 2:
-            expected = Fraction(6, args.shadow * (args.shadow - 1)) * comb(
-                system.n, args.shadow - 2
-            )
-            payload["shadow"]["formula_size"] = (
-                int(expected) if expected.denominator == 1 else None
-            )
-            payload["shadow"]["matches_formula"] = (
-                expected.denominator == 1 and int(expected) == len(shade)
-            )
+        K = args.shadow
+        if system.k == K + 1 and system.t == K - 2:
+            q, r = divmod(6 * comb(system.n, K - 2), K * (K - 1))
+            payload["shadow"]["formula_size"] = q if r == 0 else None
+            payload["shadow"]["matches_formula"] = r == 0 and q == len(shade)
         if args.out is not None:
             sf.save_family(shade, args.out)
             payload["shadow"]["out"] = str(args.out)

@@ -19,11 +19,11 @@ constructions are the trivial partition designs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 
 from .errors import FamilyFormatError, SteinerValidationError
+from .gf2 import _Value
 from .setfamily import SetFamily, _strip_comment
 
 
@@ -144,20 +144,21 @@ def example_f2(k: int) -> SetFamily:
     return SetFamily.from_sets(n, sets)
 
 
-@dataclass(frozen=True)
-class SteinerSystem:
+class SteinerSystem(_Value):
     """A block design where every t-subset of [n] lies in exactly one block.
 
     Validation is exhaustive over all C(n, t) t-subsets at construction
     time; k = n (a single full block) is permitted as the degenerate case.
     """
 
+    __slots__ = ("n", "k", "t", "blocks")
     n: int
     k: int
     t: int
     blocks: SetFamily
 
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, k: int, t: int, blocks: SetFamily) -> None:
+        self._set(n, k, t, blocks)
         if not 0 < self.t < self.k <= self.n:
             raise ValueError(
                 f"need 0 < t < k <= n, got n={self.n}, k={self.k}, t={self.t}"

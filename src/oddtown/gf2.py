@@ -15,7 +15,8 @@ makes subspace equality a plain tuple comparison.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
+from functools import total_ordering
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError, GroundSetMismatchError
@@ -28,25 +29,74 @@ def _lsb_index(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-@dataclass(frozen=True, order=True)
-class BitSubset:
+class _Value:
+    """Immutable value type over the fields named by a subclass's __slots__.
+
+    Equal field tuples give equal objects whose hash is the hash of that
+    tuple, repr is Name(field=value, ...), and assignment or deletion
+    after construction raises AttributeError.  A subclass __init__ stores
+    its fields through _setters and then validates them; copy and pickle
+    rebuild through __init__, so a copy is validated too.  All subclasses
+    share these methods, so unlike dataclasses nothing is compiled per
+    class when the package is imported.
+    """
+
+    __slots__ = ()
+    _astuple: attrgetter  # the field tuple of an instance; needs two or more fields
+    _setters: tuple  # each field's slot setter, which bypasses __setattr__
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._astuple = attrgetter(*cls.__slots__)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def _set(self, *values: object) -> None:
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._astuple(self) == self._astuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._astuple(self)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+@total_ordering
+class BitSubset(_Value):
     """A subset of {1,..,ground_size} stored as a bit mask.
 
     Doubles as the characteristic vector in F2^ground_size.  Instances
-    compare numerically by mask, which is the lexicographic-by-mask order
+    order by (mask, ground_size), which is the lexicographic-by-mask order
     used for canonical forms throughout the package.  Elements are 1-based
     at the API boundary; bit positions are 0-based internally.
     """
 
+    __slots__ = ("mask", "ground_size")
     mask: int
     ground_size: int
 
-    def __post_init__(self) -> None:
-        if self.ground_size < 1:
-            raise ValueError(f"ground size must be >= 1, got {self.ground_size}")
-        if self.mask < 0 or self.mask >> self.ground_size:
+    def __init__(self, mask: int, ground_size: int) -> None:
+        self._set(mask, ground_size)
+        if ground_size < 1:
+            raise ValueError(f"ground size must be >= 1, got {ground_size}")
+        if mask < 0 or mask >> ground_size:
             raise ValueError(
-                f"mask {self.mask:#x} has bits outside ground set of size {self.ground_size}"
+                f"mask {mask:#x} has bits outside ground set of size {ground_size}"
             )
 
     @classmethod
@@ -58,6 +108,11 @@ class BitSubset:
                 raise ValueError(f"element {e} outside ground set [1, {ground_size}]")
             mask |= 1 << (e - 1)
         return cls(mask, ground_size)
+
+    def __lt__(self, other: "BitSubset") -> bool:
+        if other.__class__ is self.__class__:
+            return (self.mask, self.ground_size) < (other.mask, other.ground_size)
+        return NotImplemented
 
     def elements(self) -> tuple[int, ...]:
         """The members as ascending 1-based indices."""
@@ -136,8 +191,7 @@ def _rref(vectors: Iterable[int]) -> tuple[int, ...]:
     return tuple(r for _, r in rows)
 
 
-@dataclass(frozen=True)
-class Gf2Subspace:
+class Gf2Subspace(_Value):
     """A subspace of F2^ground_size held as a reduced row-echelon basis.
 
     rows are nonzero masks with strictly increasing pivots (lowest set
@@ -145,10 +199,12 @@ class Gf2Subspace:
     subspaces always carry identical tuples.
     """
 
+    __slots__ = ("ground_size", "rows")
     ground_size: int
     rows: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, ground_size: int, rows: tuple[int, ...]) -> None:
+        self._set(ground_size, rows)
         if self.ground_size < 1:
             raise ValueError(f"ground size must be >= 1, got {self.ground_size}")
         prev = -1

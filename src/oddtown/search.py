@@ -75,13 +75,13 @@ import os
 import sys
 import time
 from array import array
-from dataclasses import asdict, dataclass
 from itertools import combinations
 from math import comb
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import CheckpointError, InfeasibleSpecError, OracleSoundnessError
+from .gf2 import _Value
 from .setfamily import SetFamily, exact_t_rows, odd_rows
 
 DEFAULT_NODE_BUDGET = 10**9
@@ -103,8 +103,7 @@ _OBJECTIVES = ("op", "ckt")
 _MODES = ("exhaustive", "bnb", "local")
 
 
-@dataclass(frozen=True)
-class SearchSpec:
+class SearchSpec(_Value):
     """Instance description: which families to range over and how to search.
 
     family_class "even" and "odd" range over all subsets of that size
@@ -121,20 +120,52 @@ class SearchSpec:
     search only.
     """
 
+    __slots__ = (
+        "ground_size",
+        "family_size",
+        "family_class",
+        "k",
+        "objective",
+        "t",
+        "mode",
+        "budget_nodes",
+        "budget_secs",
+        "threads",
+        "seed",
+        "restarts",
+    )
     ground_size: int
     family_size: int
     family_class: str
-    k: int | None = None
-    objective: str = "op"
-    t: int | None = None
-    mode: str = "bnb"
-    budget_nodes: int = DEFAULT_NODE_BUDGET
-    budget_secs: float = DEFAULT_TIME_BUDGET
-    threads: int = 1
-    seed: int = 0
-    restarts: int = 1
+    k: int | None
+    objective: str
+    t: int | None
+    mode: str
+    budget_nodes: int
+    budget_secs: float
+    threads: int
+    seed: int
+    restarts: int
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        ground_size: int,
+        family_size: int,
+        family_class: str,
+        k: int | None = None,
+        objective: str = "op",
+        t: int | None = None,
+        mode: str = "bnb",
+        budget_nodes: int = DEFAULT_NODE_BUDGET,
+        budget_secs: float = DEFAULT_TIME_BUDGET,
+        threads: int = 1,
+        seed: int = 0,
+        restarts: int = 1,
+    ) -> None:
+        self._set(
+            ground_size, family_size, family_class, k, objective, t, mode,
+            budget_nodes, budget_secs, threads, seed, restarts,
+        )
         if not 1 <= self.ground_size <= _POOL_CAP:
             raise InfeasibleSpecError(
                 f"ground size must be in [1, {_POOL_CAP}], got {self.ground_size}"
@@ -193,8 +224,7 @@ class SearchSpec:
         return 1 << (self.ground_size - 1)
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     """Outcome of one search run.
 
     optimal is True only when the instance space was fully covered or
@@ -226,7 +256,7 @@ class SearchResult:
             else {"family_size": entry[0], "minimum": entry[1]},
             "nodes_explored": self.nodes_explored,
             "elapsed_ms": int(self.elapsed * 1000),
-            "spec": asdict(self.spec),
+            "spec": {name: getattr(self.spec, name) for name in SearchSpec.__slots__},
         }
 
 
@@ -328,8 +358,7 @@ def _split(x: int, cells: Iterable[int]) -> tuple[int, ...]:
     return tuple(parts)
 
 
-@dataclass
-class _Outcome:
+class _Outcome(NamedTuple):
     best_value: int | None
     witness: tuple[int, ...] | None  # chosen pool indices
     nodes: int
@@ -872,8 +901,7 @@ _STATEMENTS = ("thm-even", "thm-odd", "conj-even", "conj-odd", "prob-uniform")
 _VERDICTS = ("HOLDS", "TIGHT", "COUNTEREXAMPLE", "INCONCLUSIVE")
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     """Oracle minimum versus a claimed lower bound for one statement instance."""
 
     statement: str

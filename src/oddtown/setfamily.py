@@ -13,12 +13,10 @@ the row builders odd_rows and exact_t_rows, which never visit a pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     CapExceededError,
@@ -28,19 +26,23 @@ from .errors import (
     ParityError,
     UniformityError,
 )
-from .gf2 import BitSubset
+from .gf2 import BitSubset, _Value
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 EXACT_SUBFAMILY_CAP = 30  # exact maximum eventown subfamily refuses larger inputs
 
 
-@dataclass(frozen=True)
-class SetFamily:
+class SetFamily(_Value):
     """An ordered, duplicate-free collection of subsets of {1,..,ground_size}."""
 
+    __slots__ = ("ground_size", "members")
     ground_size: int
     members: tuple[BitSubset, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, ground_size: int, members: tuple[BitSubset, ...]) -> None:
+        self._set(ground_size, members)
         if self.ground_size < 1:
             raise ValueError(f"ground size must be >= 1, got {self.ground_size}")
         seen = set()
@@ -92,8 +94,7 @@ class SetFamily:
         return item.ground_size == self.ground_size and item.mask in set(self.masks())
 
 
-@dataclass(frozen=True)
-class OpReport:
+class OpReport(NamedTuple):
     """Odd-intersection pair count with optional pair list and density.
 
     pairs, when materialised, lists (i, j) member indices with i < j in
@@ -173,6 +174,8 @@ def exact_t_rows(masks: Sequence[int], t: int) -> Iterator[int]:
 
 def op(family: SetFamily, materialize_pairs: bool = False) -> OpReport:
     """Count unordered pairs of distinct members with odd intersection."""
+    from fractions import Fraction  # imported here: commands without a density never load it
+
     m = len(family)
     count = 0
     pairs: list[tuple[int, int]] | None = [] if materialize_pairs else None
@@ -382,6 +385,8 @@ def bipartite_oddtown_check(xs: SetFamily, ys: SetFamily) -> bool:
 
 def op_density(family: SetFamily) -> Fraction:
     """op(family) / C(|family|, 2) as an exact rational."""
+    from fractions import Fraction
+
     if len(family) < 2:
         raise ValueError(f"density needs at least 2 members, got {len(family)}")
     return Fraction(op(family).op_count, comb(len(family), 2))

@@ -26,11 +26,11 @@ def run(capsys, *argv) -> tuple[int, dict]:
 
 
 def run_process(*argv, **kwargs) -> subprocess.CompletedProcess:
-    """`python -m oddtown.cli argv` in a child process that imports this oddtown."""
+    """`python argv` in a child process that imports this oddtown."""
     src = str(Path(ot.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "oddtown.cli", *argv],
+        [sys.executable, *argv],
         env={**os.environ, "PYTHONPATH": path},
         text=True,
         **kwargs,
@@ -114,6 +114,28 @@ class TestAnalyze:
         assert doc["pairs"] == [[0, 1], [2, 3], [4, 5]]
         assert doc["density"]["exact"] == "1/5"
         assert doc["ckt"] == {"t": 1, "count": 3}
+
+    @pytest.mark.parametrize(
+        "lines,flags",
+        [
+            (["1 2", "3 4", "1 2 3 4"], (True, False)),  # all even, op 0
+            (["1", "2", "3"], (False, True)),  # all odd, op 0
+            (["1", "2 3"], (False, False)),  # mixed parities, op 0
+            (["1 2", "2 3"], (False, False)),  # op > 0
+            (["1 2 3"], (False, True)),  # one member
+            (["empty", "1 2"], (True, False)),  # the empty member
+            ([], (True, True)),  # no members
+        ],
+        ids=["even", "odd", "mixed", "odd-pair", "one-member", "empty-member", "no-members"],
+    )
+    def test_rule_flags_match_the_validators(self, capsys, tmp_path, lines, flags):
+        path = tmp_path / "fam.txt"
+        path.write_text("\n".join(["n=4", *lines]) + "\n")
+        family = ot.load_family(path)
+        code, doc = run(capsys, "analyze", "--in", str(path))
+        assert code == 0
+        assert (doc["is_eventown"], doc["is_oddtown"]) == flags
+        assert flags == (ot.is_eventown(family), ot.is_oddtown(family))
 
     def test_density_of_one_member_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "fam.txt"
@@ -201,6 +223,16 @@ class TestSearch:
             "search", "--class", "odd", "--n", "5", "--m", "6", "--mode", "exhaustive",
         )
         assert code == 3 and doc["spec"]["budget_nodes"] == 50
+
+    @pytest.mark.parametrize(
+        "name,what", [("ODDTOWN_BUDGET_NODES", "an integer"), ("ODDTOWN_BUDGET_SECS", "a number")]
+    )
+    def test_malformed_env_budget_names_the_variable(self, capsys, monkeypatch, name, what):
+        monkeypatch.setenv(name, "abc")
+        assert main(["search", "--class", "even", "--n", "4", "--m", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {name} must be {what}, got 'abc'\n"
 
     def test_local_mode_completes_with_exit_zero(self, capsys):
         code, doc = run(
@@ -468,13 +500,30 @@ class TestHarness:
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            proc = run_process("--json", *argv, stdout=write_end, stderr=subprocess.PIPE)
+            proc = run_process(
+                "-m", "oddtown.cli", "--json", *argv, stdout=write_end, stderr=subprocess.PIPE
+            )
         finally:
             os.close(write_end)
         assert proc.stderr == ""
         assert proc.returncode == code
 
     def test_module_entry_point(self):
-        proc = run_process("construct", "--family", "x5", capture_output=True)
+        proc = run_process("-m", "oddtown.cli", "construct", "--family", "x5", capture_output=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["op"] == 3
+
+    def test_cold_start_leaves_out_heavy_modules(self):
+        # every command is a fresh process, so all it imports is paid on every
+        # run: dataclasses (with inspect, ast and dis) and fractions (with
+        # decimal) took ~25 ms of a ~100 ms process
+        heavy = ("dataclasses", "inspect", "fractions", "decimal")
+        code = (
+            "import sys; before = set(sys.modules); import oddtown.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))"
+        )
+        proc = run_process("-c", code, capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        loaded = proc.stdout.split()
+        assert "oddtown.cli" in loaded
+        assert [name for name in heavy if name in loaded] == []

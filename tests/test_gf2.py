@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -13,6 +15,9 @@ from oddtown import (
     CapExceededError,
     Gf2Subspace,
     GroundSetMismatchError,
+    SearchSpec,
+    SetFamily,
+    SteinerSystem,
     enumerate_subspace,
     eventown_pair,
     inner_parity,
@@ -21,7 +26,9 @@ from oddtown import (
     orthogonal_complement,
     rank,
     span,
+    steiner_partition,
 )
+from oddtown.search import DEFAULT_NODE_BUDGET, DEFAULT_TIME_BUDGET
 
 from oracles import mask_to_row, nullspace_enumerated, rank_dense, subspace_vectors
 
@@ -69,6 +76,79 @@ class TestBitSubset:
             bs([1, 2], 4),
             bs([3], 4),
         ]
+
+
+SPEC_FIELDS = (
+    "ground_size", "family_size", "family_class", "k", "objective", "t", "mode",
+    "budget_nodes", "budget_secs", "threads", "seed", "restarts",
+)
+# the validated value types: (class, field names, field values)
+VALUE_TYPES = [
+    (BitSubset, ("mask", "ground_size"), (0b1011, 5)),
+    (Gf2Subspace, ("ground_size", "rows"), (4, (0b0011, 0b0100))),
+    (SetFamily, ("ground_size", "members"), (4, (BitSubset(0b11, 4), BitSubset(0b100, 4)))),
+    (SteinerSystem, ("n", "k", "t", "blocks"), (8, 4, 1, steiner_partition(8).blocks)),
+    (
+        SearchSpec,
+        SPEC_FIELDS,
+        (6, 9, "odd", None, "op", None, "bnb", 500, 2.5, 1, 3, 2),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cls,names,values", VALUE_TYPES, ids=[t[0].__name__ for t in VALUE_TYPES]
+)
+class TestValueTypes:
+    def test_equal_fields_give_equal_objects_and_hashes(self, cls, names, values):
+        a, b = cls(*values), cls(*values)
+        assert a == b and a is not b
+        assert hash(a) == hash(b) == hash(values)
+        assert tuple(getattr(a, name) for name in names) == values
+        assert a != values  # a field tuple is not an instance
+
+    def test_fields_cannot_be_assigned_or_deleted(self, cls, names, values):
+        obj = cls(*values)
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(obj, name, getattr(obj, name))
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+        with pytest.raises(AttributeError):
+            obj.extra = 1
+        assert tuple(getattr(obj, name) for name in names) == values
+
+    def test_repr_names_each_field(self, cls, names, values):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
+        assert repr(cls(*values)) == f"{cls.__name__}({fields})"
+
+    def test_copy_and_pickle_round_trip(self, cls, names, values):
+        obj = cls(*values)
+        assert copy.copy(obj) == obj
+        assert copy.deepcopy(obj) == obj
+        assert pickle.loads(pickle.dumps(obj)) == obj
+
+
+class TestValueOrder:
+    def test_bit_subset_orders_by_mask_then_ground_size(self):
+        items = [BitSubset(2, 4), BitSubset(1, 5), BitSubset(1, 4), BitSubset(3, 4)]
+        key = sorted(items, key=lambda b: (b.mask, b.ground_size))
+        assert sorted(items) == key
+        assert [(b.mask, b.ground_size) for b in key] == [(1, 4), (1, 5), (2, 4), (3, 4)]
+        assert BitSubset(1, 4) < BitSubset(1, 5) <= BitSubset(1, 5) < BitSubset(2, 4)
+        assert BitSubset(2, 4) > BitSubset(1, 5) >= BitSubset(1, 5)
+        with pytest.raises(TypeError):
+            BitSubset(1, 4) < 2  # noqa: B015
+
+    def test_search_spec_positional_and_keyword_forms_agree(self):
+        keyword = SearchSpec(ground_size=6, family_size=9, family_class="odd")
+        assert SearchSpec(6, 9, "odd") == keyword
+        defaults = (None, "op", None, "bnb", DEFAULT_NODE_BUDGET, DEFAULT_TIME_BUDGET, 1, 0, 1)
+        assert tuple(getattr(keyword, name) for name in SPEC_FIELDS[3:]) == defaults
+        assert SearchSpec(6, 9, "odd", *defaults) == keyword
+        values = (5, 6, "uniform", 3, "ckt", 1, "exhaustive", 7, 0.5, 2, 4, 3)
+        full = dict(zip(SPEC_FIELDS, values))
+        assert SearchSpec(*full.values()) == SearchSpec(**full)
 
 
 class TestInnerParity:

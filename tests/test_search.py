@@ -6,7 +6,6 @@ import json
 import os
 import random
 import threading
-from dataclasses import replace
 from math import comb
 
 import pytest
@@ -254,7 +253,9 @@ class TestCertifiedMinima:
         # plain enumeration of C(32, 9) = 28,048,800 families at (6, 9) took
         # ~20 s; LEX_LEADER_PINS odd-6-9 pins the value and witness it gave
         if comb(spec.pool_size(), m) <= 2 * 10**7:
-            plain = minimize(replace(spec, mode="exhaustive"))
+            plain = minimize(
+                SearchSpec(ground_size=n, family_size=m, family_class="odd", mode="exhaustive")
+            )
             assert (plain.best_value, plain.witness) == (with_table.best_value, with_table.witness)
 
 
@@ -408,7 +409,9 @@ class TestDeterminismAndSoundness:
                         continue
                     spec = SearchSpec(ground_size=n, family_size=m, **cls)
                     bnb = minimize(spec)
-                    plain = minimize(replace(spec, mode="exhaustive"))
+                    plain = minimize(
+                        SearchSpec(ground_size=n, family_size=m, mode="exhaustive", **cls)
+                    )
                     assert bnb.optimal and plain.optimal
                     assert (bnb.best_value, bnb.witness) == (plain.best_value, plain.witness), spec
                     checked += 1
@@ -455,7 +458,9 @@ class TestDeterminismAndSoundness:
         for m in sizes:
             spec = SearchSpec(ground_size=n, family_size=m, family_class="even")
             bnb = minimize(spec)
-            plain = minimize(replace(spec, mode="exhaustive"))
+            plain = minimize(
+                SearchSpec(ground_size=n, family_size=m, family_class="even", mode="exhaustive")
+            )
             assert bnb.optimal and plain.optimal
             assert (bnb.best_value, bnb.witness) == (plain.best_value, plain.witness), spec
             assert op_sets(witness_sets(bnb)) == bnb.best_value
