@@ -34,18 +34,19 @@ EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_REFUTED = 4
 
-# the construct flags each family takes; all but --seed are required
-_FAMILY_FLAGS = {
-    "eventown-a": ("n",),
-    "eventown-b": ("n",),
-    "eventown-plus": ("n", "s", "seed"),
-    "singletons": ("n",),
-    "k4-triples": ("n",),
-    "oddtown-plus": ("n", "s", "seed"),
-    "x5": (),
-    "f1": (),
-    "f2": ("k",),
-    "steiner-partition": ("n",),
+# each construct family: the flags it takes, all but --seed required, and its
+# builder, called with those flags' values in that order
+_FAMILIES: dict[str, tuple[tuple[str, ...], Callable[..., sf.SetFamily]]] = {
+    "eventown-a": (("n",), lambda n: cons.eventown_pair(n)[0]),
+    "eventown-b": (("n",), lambda n: cons.eventown_pair(n)[1]),
+    "eventown-plus": (("n", "s", "seed"), cons.eventown_plus),
+    "singletons": (("n",), cons.singletons),
+    "k4-triples": (("n",), cons.disjoint_k4_triples),
+    "oddtown-plus": (("n", "s", "seed"), cons.oddtown_plus),
+    "x5": ((), cons.example_x5),
+    "f1": ((), cons.example_f1),
+    "f2": (("k",), cons.example_f2),
+    "steiner-partition": (("n",), lambda n: cons.steiner_partition(n).blocks),
 }
 
 
@@ -85,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="generate a named family")
-    p.add_argument("--family", required=True, choices=tuple(_FAMILY_FLAGS))
+    p.add_argument("--family", required=True, choices=tuple(_FAMILIES))
     p.add_argument("--n", type=int, help="ground set size")
     p.add_argument("--s", type=int, help="number of added sets (eventown-plus, oddtown-plus)")
     p.add_argument("--k", type=int, help="uniformity parameter for f2")
@@ -100,13 +101,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--links", type=int, metavar="K", help="check the link double count at uniformity K")
 
     p = sub.add_parser("search", help="minimise an objective over a family class")
-    p.add_argument("--class", dest="family_class", required=True, choices=("even", "odd", "uniform"))
+    p.add_argument("--class", dest="family_class", required=True, choices=se._CLASSES)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True, help="family size")
     p.add_argument("--k", type=int, help="uniform class member size")
-    p.add_argument("--objective", choices=("op", "ckt"), default="op")
+    p.add_argument("--objective", choices=se._OBJECTIVES, default="op")
     p.add_argument("--t", type=int, help="intersection size for objective ckt")
-    p.add_argument("--mode", choices=("exhaustive", "bnb", "local"), default="bnb")
+    p.add_argument("--mode", choices=se._MODES, default="bnb")
     p.add_argument("--threads", type=int, default=1, help="accepted, no effect: one search thread")
     p.add_argument("--seed", type=int, default=0, help="seed for local search")
     p.add_argument("--restarts", type=int, default=1, help="restarts for local search")
@@ -115,15 +116,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", type=Path, help="resume file, written after each first-level branch (exact modes only)")
 
     p = sub.add_parser("verify", help="check a statement instance against the oracle")
-    p.add_argument(
-        "--statement",
-        required=True,
-        choices=("thm-even", "thm-odd", "conj-even", "conj-odd", "prob-uniform"),
-    )
+    p.add_argument("--statement", required=True, choices=se._STATEMENTS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, default=1)
     p.add_argument("--k", type=int, help="uniformity for prob-uniform (odd, default 3)")
-    p.add_argument("--mode", choices=("exhaustive", "bnb"), default="bnb")
+    p.add_argument("--mode", choices=tuple(m for m in se._MODES if m != "local"), default="bnb")
     p.add_argument("--threads", type=int, default=1, help="accepted, no effect: one search thread")
     p.add_argument("--budget-nodes", type=int, default=None)
     p.add_argument("--budget-secs", type=float, default=None)
@@ -155,35 +152,14 @@ def _family_stats(family: sf.SetFamily, report: sf.OpReport) -> dict[str, Any]:
 
 def _cmd_construct(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     name = args.family
-    takes = _FAMILY_FLAGS[name]
+    takes, build = _FAMILIES[name]
     for flag in ("n", "s", "k", "seed"):
         given = getattr(args, flag) is not None
         if given and flag not in takes:
             raise ValueError(f"--family {name} does not take --{flag}")
         if not given and flag in takes and flag != "seed":
             raise ValueError(f"--family {name} requires --{flag}")
-
-    if name == "eventown-a":
-        family = cons.eventown_pair(args.n)[0]
-    elif name == "eventown-b":
-        family = cons.eventown_pair(args.n)[1]
-    elif name == "eventown-plus":
-        family = cons.eventown_plus(args.n, args.s, args.seed)
-    elif name == "singletons":
-        family = cons.singletons(args.n)
-    elif name == "k4-triples":
-        family = cons.disjoint_k4_triples(args.n)
-    elif name == "oddtown-plus":
-        family = cons.oddtown_plus(args.n, args.s, args.seed)
-    elif name == "x5":
-        family = cons.example_x5()
-    elif name == "f1":
-        family = cons.example_f1()
-    elif name == "f2":
-        family = cons.example_f2(args.k)
-    else:  # steiner-partition
-        system = cons.steiner_partition(args.n)
-        family = system.blocks
+    family = build(*(getattr(args, flag) for flag in takes))
     payload: dict[str, Any] = {"family": name, **_family_stats(family, sf.op(family))}
     if name == "steiner-partition":
         payload["steiner_valid"] = True
@@ -203,9 +179,10 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     if args.ckt is not None:
         payload["ckt"] = {"t": args.ckt, "count": sf.c_kt(family, args.ckt)}
     if args.density:
-        if report.density is None:
+        density = report.density  # a property: build the Fraction once
+        if density is None:
             raise ValueError(f"density needs at least 2 members, got {len(family)}")
-        payload["density"] = _fraction_fields(report.density)
+        payload["density"] = _fraction_fields(density)
     if args.links is not None:
         identity = sf.check_link_identity(family, args.links)
         payload["link_identity"] = {

@@ -23,8 +23,8 @@ from itertools import combinations
 from pathlib import Path
 
 from .errors import FamilyFormatError, SteinerValidationError
-from .gf2 import _Value
-from .setfamily import SetFamily, _strip_comment
+from .gf2 import BitSubset, _Value
+from .setfamily import SetFamily, _member, _records
 
 
 def _quad_blocks(n: int) -> tuple[list[int], list[int]]:
@@ -205,13 +205,9 @@ def load_steiner(
 
     Parameters given as arguments must agree with the file header.
     """
-    text = Path(path).read_text(encoding="utf-8")
     header: dict[str, int] | None = None
-    blocks: list[tuple[int, ...]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
-        if not line:
-            continue
+    blocks: list[BitSubset] = []
+    for line_no, line in _records(path):
         if header is None:
             header = {}
             for tok in line.split():
@@ -226,11 +222,8 @@ def load_steiner(
                     raise FamilyFormatError(f"bad header value {tok!r}", line_no) from None
             if set(header) != {"n", "k", "t"}:
                 raise FamilyFormatError("expected header 'n=<n> k=<k> t=<t>'", line_no)
-            continue
-        try:
-            blocks.append(tuple(int(tok) for tok in line.split()))
-        except ValueError:
-            raise FamilyFormatError(f"bad block line {line!r}", line_no) from None
+        else:
+            blocks.append(_member(line, line_no, "block", header["n"]))
     if header is None:
         raise FamilyFormatError("missing 'n=<n> k=<k> t=<t>' header", None)
     for name, given in (("n", n), ("k", k), ("t", t)):
@@ -238,7 +231,7 @@ def load_steiner(
             raise ValueError(
                 f"{name}={given} does not match file header {name}={header[name]}"
             )
-    family = SetFamily.from_sets(header["n"], blocks)
+    family = SetFamily(header["n"], tuple(blocks))
     return SteinerSystem(header["n"], header["k"], header["t"], family)
 
 

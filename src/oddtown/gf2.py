@@ -29,6 +29,12 @@ def _lsb_index(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
+def _same_ground(a: int, b: int) -> None:
+    """Raise GroundSetMismatchError unless ground sizes a and b agree."""
+    if a != b:
+        raise GroundSetMismatchError(f"ground sets differ: {a} vs {b}")
+
+
 class _Value:
     """Immutable value type over the fields named by a subclass's __slots__.
 
@@ -130,34 +136,28 @@ class BitSubset(_Value):
     def __contains__(self, element: int) -> bool:
         return 1 <= element <= self.ground_size and (self.mask >> (element - 1)) & 1 == 1
 
-    def _check_ground(self, other: "BitSubset") -> None:
-        if self.ground_size != other.ground_size:
-            raise GroundSetMismatchError(
-                f"ground sets differ: {self.ground_size} vs {other.ground_size}"
-            )
-
     def __and__(self, other: "BitSubset") -> "BitSubset":
-        self._check_ground(other)
+        _same_ground(self.ground_size, other.ground_size)
         return BitSubset(self.mask & other.mask, self.ground_size)
 
     def __or__(self, other: "BitSubset") -> "BitSubset":
-        self._check_ground(other)
+        _same_ground(self.ground_size, other.ground_size)
         return BitSubset(self.mask | other.mask, self.ground_size)
 
     def __xor__(self, other: "BitSubset") -> "BitSubset":
-        self._check_ground(other)
+        _same_ground(self.ground_size, other.ground_size)
         return BitSubset(self.mask ^ other.mask, self.ground_size)
 
     def difference(self, other: "BitSubset") -> "BitSubset":
-        self._check_ground(other)
+        _same_ground(self.ground_size, other.ground_size)
         return BitSubset(self.mask & ~other.mask, self.ground_size)
 
     def issubset(self, other: "BitSubset") -> bool:
-        self._check_ground(other)
+        _same_ground(self.ground_size, other.ground_size)
         return self.mask & ~other.mask == 0
 
     def isdisjoint(self, other: "BitSubset") -> bool:
-        self._check_ground(other)
+        _same_ground(self.ground_size, other.ground_size)
         return self.mask & other.mask == 0
 
     def __str__(self) -> str:
@@ -168,10 +168,7 @@ class BitSubset(_Value):
 
 def inner_parity(u: BitSubset, v: BitSubset) -> int:
     """The F2 inner product <u,v>, i.e. |u n v| mod 2."""
-    if u.ground_size != v.ground_size:
-        raise GroundSetMismatchError(
-            f"ground sets differ: {u.ground_size} vs {v.ground_size}"
-        )
+    _same_ground(u.ground_size, v.ground_size)
     return (u.mask & v.mask).bit_count() & 1
 
 
@@ -245,21 +242,16 @@ class Gf2Subspace(_Value):
         return mask
 
     def contains(self, v: "BitSubset | int") -> bool:
-        mask = v.mask if isinstance(v, BitSubset) else v
-        if isinstance(v, BitSubset) and v.ground_size != self.ground_size:
-            raise GroundSetMismatchError(
-                f"ground sets differ: {v.ground_size} vs {self.ground_size}"
-            )
-        return self.reduce(mask) == 0
+        if isinstance(v, BitSubset):
+            _same_ground(v.ground_size, self.ground_size)
+            v = v.mask
+        return self.reduce(v) == 0
 
     def __contains__(self, v: "BitSubset | int") -> bool:
         return self.contains(v)
 
     def is_subspace_of(self, other: "Gf2Subspace") -> bool:
-        if self.ground_size != other.ground_size:
-            raise GroundSetMismatchError(
-                f"ground sets differ: {self.ground_size} vs {other.ground_size}"
-            )
+        _same_ground(self.ground_size, other.ground_size)
         return all(other.contains(r) for r in self.rows)
 
 
@@ -267,14 +259,9 @@ def _common_ground(vectors: Sequence[BitSubset], ground_size: int | None) -> int
     if vectors:
         n = vectors[0].ground_size
         for v in vectors[1:]:
-            if v.ground_size != n:
-                raise GroundSetMismatchError(
-                    f"ground sets differ: {v.ground_size} vs {n}"
-                )
-        if ground_size is not None and ground_size != n:
-            raise GroundSetMismatchError(
-                f"ground sets differ: {ground_size} vs {n}"
-            )
+            _same_ground(v.ground_size, n)
+        if ground_size is not None:
+            _same_ground(ground_size, n)
         return n
     if ground_size is None:
         raise ValueError("ground_size is required for an empty vector list")
@@ -301,22 +288,11 @@ def nullspace(vectors: Sequence[BitSubset]) -> Gf2Subspace:
     if m == 0:
         raise ValueError("nullspace needs at least one vector")
     n = _common_ground(vectors, None)
-    # Track coefficients in bits n.. of an augmented row; a row whose low
-    # n bits eliminate to zero exposes one dependency in its high part.
-    low_mask = (1 << n) - 1
-    rows: list[tuple[int, int]] = []  # (pivot < n, augmented row)
-    dependencies: list[int] = []
-    for i, v in enumerate(vectors):
-        aug = v.mask | 1 << (n + i)
-        for p, r in rows:
-            if (aug >> p) & 1:
-                aug ^= r
-        low = aug & low_mask
-        if low == 0:
-            dependencies.append(aug >> n)
-        else:
-            insort(rows, (_lsb_index(low), aug))
-    return Gf2Subspace(m, _rref(dependencies))
+    # Row i carries e_i in bits n.. .  Pivots are lowest bits, so the reduced
+    # rows with no bit below n are exactly a reduced basis of the dependencies.
+    rows = _rref(v.mask | 1 << (n + i) for i, v in enumerate(vectors))
+    low = (1 << n) - 1
+    return Gf2Subspace(m, tuple(r >> n for r in rows if not r & low))
 
 
 def kernel_of_functional(W: Gf2Subspace, v: BitSubset) -> Gf2Subspace:
@@ -325,10 +301,7 @@ def kernel_of_functional(W: Gf2Subspace, v: BitSubset) -> Gf2Subspace:
     Equals W when the functional vanishes on W, otherwise a hyperplane of
     W (dimension dim W - 1).
     """
-    if v.ground_size != W.ground_size:
-        raise GroundSetMismatchError(
-            f"ground sets differ: {v.ground_size} vs {W.ground_size}"
-        )
+    _same_ground(v.ground_size, W.ground_size)
     values = [(r & v.mask).bit_count() & 1 for r in W.rows]
     if 1 not in values:
         return W

@@ -26,7 +26,7 @@ from .errors import (
     ParityError,
     UniformityError,
 )
-from .gf2 import BitSubset, _Value
+from .gf2 import BitSubset, _same_ground, _Value
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -76,10 +76,7 @@ class SetFamily(_Value):
 
     def union(self, other: "SetFamily") -> "SetFamily":
         """Members of self followed by members of other not already present."""
-        if other.ground_size != self.ground_size:
-            raise GroundSetMismatchError(
-                f"ground sets differ: {other.ground_size} vs {self.ground_size}"
-            )
+        _same_ground(other.ground_size, self.ground_size)
         have = set(self.masks())
         extra = tuple(m for m in other.members if m.mask not in have)
         return SetFamily(self.ground_size, self.members + extra)
@@ -95,16 +92,24 @@ class SetFamily(_Value):
 
 
 class OpReport(NamedTuple):
-    """Odd-intersection pair count with optional pair list and density.
+    """Odd-intersection pair count with optional pair list, over size members.
 
     pairs, when materialised, lists (i, j) member indices with i < j in
-    member order.  density is op_count / C(size, 2), exact, and None for
-    families with fewer than two members.
+    member order.
     """
 
     op_count: int
     pairs: tuple[tuple[int, int], ...] | None
-    density: Fraction | None
+    size: int
+
+    @property
+    def density(self) -> Fraction | None:
+        """op_count / C(size, 2), exact, and None below two members."""
+        if self.size < 2:
+            return None
+        from fractions import Fraction  # imported here: only a density read loads it
+
+        return Fraction(self.op_count, comb(self.size, 2))
 
 
 def _bit_indices(mask: int) -> Iterator[int]:
@@ -174,9 +179,6 @@ def exact_t_rows(masks: Sequence[int], t: int) -> Iterator[int]:
 
 def op(family: SetFamily, materialize_pairs: bool = False) -> OpReport:
     """Count unordered pairs of distinct members with odd intersection."""
-    from fractions import Fraction  # imported here: commands without a density never load it
-
-    m = len(family)
     count = 0
     pairs: list[tuple[int, int]] | None = [] if materialize_pairs else None
     for i, row in enumerate(odd_rows(family.masks())):
@@ -184,8 +186,7 @@ def op(family: SetFamily, materialize_pairs: bool = False) -> OpReport:
         count += later.bit_count()
         if pairs is not None:
             pairs.extend((i, i + 1 + j) for j in _bit_indices(later))
-    density = Fraction(count, comb(m, 2)) if m >= 2 else None
-    return OpReport(count, tuple(pairs) if pairs is not None else None, density)
+    return OpReport(count, tuple(pairs) if pairs is not None else None, len(family))
 
 
 def op_count(family: SetFamily) -> int:
@@ -231,13 +232,24 @@ def shadow(family: SetFamily, k: int) -> SetFamily:
 
 def link(family: SetFamily, a: BitSubset) -> SetFamily:
     """The link of a: { F \\ a : F in family, a subset of F }, member order kept."""
-    if a.ground_size != family.ground_size:
-        raise GroundSetMismatchError(
-            f"ground sets differ: {a.ground_size} vs {family.ground_size}"
-        )
+    _same_ground(a.ground_size, family.ground_size)
     am = a.mask
     out = [m.mask & ~am for m in family.members if am & ~m.mask == 0]
     return SetFamily.from_masks(family.ground_size, out)
+
+
+def _links(family: SetFamily, k: int) -> Iterator[SetFamily]:
+    """The links of all (k-3)-subsets of the ground set, in lex order.
+
+    The family must be k-uniform (or empty); that is checked before the
+    first link is made.
+    """
+    actual = _uniform_size(family)
+    if len(family) and actual != k:
+        raise UniformityError(f"family is {actual}-uniform, expected {k}")
+    n = family.ground_size
+    subsets = combinations(range(1, n + 1), k - 3)
+    return (link(family, BitSubset.from_elements(a, n)) for a in subsets)
 
 
 class LinkIdentity(NamedTuple):
@@ -256,15 +268,8 @@ def check_link_identity(family: SetFamily, k: int) -> LinkIdentity:
     """
     if k < 3:
         raise ValueError(f"need k >= 3, got {k}")
-    actual = _uniform_size(family)
-    if len(family) and actual != k:
-        raise UniformityError(f"family is {actual}-uniform, expected {k}")
     lhs = comb(k, k - 3) * len(family)
-    rhs = 0
-    n = family.ground_size
-    for combo in combinations(range(1, n + 1), k - 3):
-        a = BitSubset.from_elements(combo, n)
-        rhs += len(link(family, a))
+    rhs = sum(map(len, _links(family, k)))
     return LinkIdentity(lhs, rhs, lhs == rhs)
 
 
@@ -292,15 +297,9 @@ def check_application_bound(family: SetFamily, k: int, s: int) -> ApplicationBou
     """Evaluate the three quantities of the link-counting chain at k >= 4."""
     if k < 4:
         raise ValueError(f"need k >= 4, got {k}")
-    actual = _uniform_size(family)
-    if len(family) and actual != k:
-        raise UniformityError(f"family is {actual}-uniform, expected {k}")
+    links = _links(family, k)  # its uniformity check comes before c_kt's
     lhs = c_kt(family, k - 2) * (k - 2) if len(family) else 0
-    mid = 0
-    n = family.ground_size
-    for combo in combinations(range(1, n + 1), k - 3):
-        a = BitSubset.from_elements(combo, n)
-        mid += op(link(family, a)).op_count
+    mid = sum(op(fam).op_count for fam in links)
     rhs = 3 * s * comb(k, 3)
     return ApplicationBound(lhs, mid, rhs)
 
@@ -372,10 +371,7 @@ def maximal_eventown_subfamily(
 
 def bipartite_oddtown_check(xs: SetFamily, ys: SetFamily) -> bool:
     """True iff |X_i n Y_i| is odd for all i and |X_i n Y_j| is even for i != j."""
-    if xs.ground_size != ys.ground_size:
-        raise GroundSetMismatchError(
-            f"ground sets differ: {xs.ground_size} vs {ys.ground_size}"
-        )
+    _same_ground(xs.ground_size, ys.ground_size)
     if len(xs) != len(ys):
         raise ValueError(f"family sizes differ: {len(xs)} vs {len(ys)}")
     return all(
@@ -385,32 +381,43 @@ def bipartite_oddtown_check(xs: SetFamily, ys: SetFamily) -> bool:
 
 def op_density(family: SetFamily) -> Fraction:
     """op(family) / C(|family|, 2) as an exact rational."""
-    from fractions import Fraction
-
     if len(family) < 2:
         raise ValueError(f"density needs at least 2 members, got {len(family)}")
-    return Fraction(op(family).op_count, comb(len(family), 2))
+    return op(family).density
 
 
 # ---------------------------------------------------------------------------
 # Family file format: first line "n=<ground_size>", then one set per line as
 # space-separated 1-based indices, the token "empty" for the empty set, and
-# "#" comments.
+# "#" comments.  Block files (constructions.load_steiner) share the reader.
 
 
-def _strip_comment(line: str) -> str:
-    return line.split("#", 1)[0].strip()
+def _records(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(line number, text) of each line that is not blank once "#" comments are cut."""
+    text = Path(path).read_text(encoding="utf-8")
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield line_no, line
+
+
+def _member(line: str, line_no: int, what: str, ground_size: int) -> BitSubset:
+    """The subset a record lists as 1-based elements; errors name the line."""
+    try:
+        elements = [int(tok) for tok in line.split()]
+    except ValueError:
+        raise FamilyFormatError(f"bad {what} line {line!r}", line_no) from None
+    try:
+        return BitSubset.from_elements(elements, ground_size)
+    except ValueError as exc:
+        raise FamilyFormatError(str(exc), line_no) from None
 
 
 def load_family(path: str | Path) -> SetFamily:
     """Parse a family file; raises FamilyFormatError with a line number."""
-    text = Path(path).read_text(encoding="utf-8")
     ground_size: int | None = None
     members: list[BitSubset] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
-        if not line:
-            continue
+    for line_no, line in _records(path):
         if ground_size is None:
             if not line.startswith("n="):
                 raise FamilyFormatError("expected header 'n=<ground_size>'", line_no)
@@ -420,18 +427,10 @@ def load_family(path: str | Path) -> SetFamily:
                 raise FamilyFormatError(f"bad ground size {line[2:]!r}", line_no) from None
             if ground_size < 1:
                 raise FamilyFormatError(f"ground size must be >= 1, got {ground_size}", line_no)
-            continue
-        if line == "empty":
+        elif line == "empty":
             members.append(BitSubset(0, ground_size))
-            continue
-        try:
-            elements = [int(tok) for tok in line.split()]
-        except ValueError:
-            raise FamilyFormatError(f"bad set line {line!r}", line_no) from None
-        try:
-            members.append(BitSubset.from_elements(elements, ground_size))
-        except ValueError as exc:
-            raise FamilyFormatError(str(exc), line_no) from None
+        else:
+            members.append(_member(line, line_no, "set", ground_size))
     if ground_size is None:
         raise FamilyFormatError("missing 'n=<ground_size>' header", None)
     try:

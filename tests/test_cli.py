@@ -12,6 +12,7 @@ import jsonschema
 import pytest
 
 import oddtown as ot
+from oddtown import search as se
 from oddtown.cli import main
 
 SCHEMA = json.loads(
@@ -441,6 +442,15 @@ class TestSteiner:
         assert doc["valid"] is False
         assert doc["offending"] == [4]
 
+    def test_element_outside_ground_set_names_its_line(self, capsys, tmp_path):
+        path = tmp_path / "wide.blocks"
+        path.write_text("n=21 k=5 t=2\n1 2 3 4 5\n# a comment\n1 6 7 8 22\n")
+        code = main(["steiner", "--validate", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: line 4: element 22 outside ground set [1, 21]\n"
+        assert captured.out == ""
+
     def test_difference_set_design(self, capsys, steiner_21_5_2_file):
         code, doc = run(
             capsys, "steiner", "--validate", str(steiner_21_5_2_file), "--shadow", "4"
@@ -450,6 +460,13 @@ class TestSteiner:
         assert doc["shadow"]["size"] == 105
         assert doc["shadow"]["formula_size"] == 105
         assert doc["shadow"]["matches_formula"] is True
+
+
+def test_schema_enums_are_the_search_names():
+    spec = SCHEMA["properties"]["spec"]["properties"]
+    assert spec["family_class"]["enum"] == list(se._CLASSES)
+    assert spec["objective"]["enum"] == list(se._OBJECTIVES)
+    assert spec["mode"]["enum"] == list(se._MODES)
 
 
 class TestHarness:
@@ -511,6 +528,24 @@ class TestHarness:
     def test_module_entry_point(self):
         proc = run_process("-m", "oddtown.cli", "construct", "--family", "x5", capture_output=True)
         assert proc.returncode == 0
+        assert json.loads(proc.stdout)["op"] == 3
+
+    @pytest.mark.parametrize("command", ["construct", "analyze"])
+    def test_commands_without_density_leave_out_fractions(self, tmp_path, command):
+        # a density is an exact Fraction, built only where one is read
+        family = tmp_path / "x5.fam"
+        argv = {
+            "construct": ["construct", "--family", "x5", "--out", str(family)],
+            "analyze": ["analyze", "--in", str(family), "--pairs", "--links", "3"],
+        }
+        ot.save_family(ot.example_x5(), family)
+        code = (
+            "import sys; from oddtown.cli import main; "
+            f"code = main({argv[command]!r}); "
+            "print(code, 'fractions' in sys.modules, file=sys.stderr)"
+        )
+        proc = run_process("-c", code, capture_output=True)
+        assert proc.stderr.split() == ["0", "False"]
         assert json.loads(proc.stdout)["op"] == 3
 
     def test_cold_start_leaves_out_heavy_modules(self):

@@ -18,10 +18,12 @@ from oddtown import (
     SearchSpec,
     SetFamily,
     SteinerSystem,
+    bipartite_oddtown_check,
     enumerate_subspace,
     eventown_pair,
     inner_parity,
     kernel_of_functional,
+    link,
     nullspace,
     orthogonal_complement,
     rank,
@@ -94,6 +96,40 @@ VALUE_TYPES = [
         (6, 9, "odd", None, "op", None, "bnb", 500, 2.5, 1, 3, 2),
     ),
 ]
+
+
+# every public call that checks ground sets, with the exact message it gives
+# for operands over 3 and 4 points (its operands in the order it names them)
+_A3, _B4 = BitSubset(0b101, 3), BitSubset(0b0110, 4)
+_F3, _F4 = SetFamily(3, (_A3,)), SetFamily(4, (_B4,))
+GROUND_MISMATCHES = {
+    "and": (lambda: _A3 & _B4, "3 vs 4"),
+    "or": (lambda: _A3 | _B4, "3 vs 4"),
+    "xor": (lambda: _A3 ^ _B4, "3 vs 4"),
+    "difference": (lambda: _A3.difference(_B4), "3 vs 4"),
+    "issubset": (lambda: _A3.issubset(_B4), "3 vs 4"),
+    "isdisjoint": (lambda: _A3.isdisjoint(_B4), "3 vs 4"),
+    "inner_parity": (lambda: inner_parity(_A3, _B4), "3 vs 4"),
+    "contains": (lambda: Gf2Subspace.full(4).contains(_A3), "3 vs 4"),
+    "in": (lambda: _A3 in Gf2Subspace.full(4), "3 vs 4"),
+    "is_subspace_of": (lambda: span([_A3]).is_subspace_of(Gf2Subspace.full(4)), "3 vs 4"),
+    "span-mixed": (lambda: span([_A3, _B4]), "4 vs 3"),
+    "span-ground_size": (lambda: span([_A3], ground_size=4), "4 vs 3"),
+    "rank-mixed": (lambda: rank([_A3, _B4]), "4 vs 3"),
+    "nullspace-mixed": (lambda: nullspace([_A3, _B4]), "4 vs 3"),
+    "kernel_of_functional": (lambda: kernel_of_functional(Gf2Subspace.full(4), _A3), "3 vs 4"),
+    "union": (lambda: _F3.union(_F4), "4 vs 3"),
+    "link": (lambda: link(_F4, _A3), "3 vs 4"),
+    "bipartite_oddtown_check": (lambda: bipartite_oddtown_check(_F3, _F4), "3 vs 4"),
+}
+
+
+@pytest.mark.parametrize("call,sizes", GROUND_MISMATCHES.values(), ids=GROUND_MISMATCHES)
+def test_ground_mismatch_type_and_message(call, sizes):
+    with pytest.raises(GroundSetMismatchError) as err:
+        call()
+    assert type(err.value) is GroundSetMismatchError
+    assert str(err.value) == f"ground sets differ: {sizes}"
 
 
 @pytest.mark.parametrize(
