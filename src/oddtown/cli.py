@@ -50,14 +50,12 @@ _FAMILIES: dict[str, tuple[tuple[str, ...], Callable[..., sf.SetFamily]]] = {
 }
 
 
-def _env_number(name: str, default: Any, parse: Callable[[str], Any], what: str) -> Any:
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        return parse(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be {what}, got {raw!r}") from None
+def _thread_count(raw: str) -> int:
+    """--threads: accepted for existing command lines and dropped, but still >= 1."""
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _emit(payload: dict[str, Any], as_json: bool) -> None:
@@ -108,11 +106,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", choices=se._OBJECTIVES, default="op")
     p.add_argument("--t", type=int, help="intersection size for objective ckt")
     p.add_argument("--mode", choices=se._MODES, default="bnb")
-    p.add_argument("--threads", type=int, default=1, help="accepted, no effect: one search thread")
+    p.add_argument("--threads", type=_thread_count, default=1, help="accepted for existing command lines; no effect")
     p.add_argument("--seed", type=int, default=0, help="seed for local search")
     p.add_argument("--restarts", type=int, default=1, help="restarts for local search")
-    p.add_argument("--budget-nodes", type=int, default=None)
-    p.add_argument("--budget-secs", type=float, default=None)
+    p.add_argument("--budget-nodes", type=int, default=se.DEFAULT_NODE_BUDGET)
+    p.add_argument("--budget-secs", type=float, default=se.DEFAULT_TIME_BUDGET)
     p.add_argument("--checkpoint", type=Path, help="resume file, written after each first-level branch (exact modes only)")
 
     p = sub.add_parser("verify", help="check a statement instance against the oracle")
@@ -121,9 +119,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, default=1)
     p.add_argument("--k", type=int, help="uniformity for prob-uniform (odd, default 3)")
     p.add_argument("--mode", choices=tuple(m for m in se._MODES if m != "local"), default="bnb")
-    p.add_argument("--threads", type=int, default=1, help="accepted, no effect: one search thread")
-    p.add_argument("--budget-nodes", type=int, default=None)
-    p.add_argument("--budget-secs", type=float, default=None)
+    p.add_argument("--threads", type=_thread_count, default=1, help="accepted for existing command lines; no effect")
+    p.add_argument("--budget-nodes", type=int, default=se.DEFAULT_NODE_BUDGET)
+    p.add_argument("--budget-secs", type=float, default=se.DEFAULT_TIME_BUDGET)
 
     p = sub.add_parser("steiner", help="validate block designs, emit shadows")
     group = p.add_mutually_exclusive_group(required=True)
@@ -194,18 +192,7 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     return payload, EXIT_OK
 
 
-def _budget_args(args: argparse.Namespace) -> tuple[int, float]:
-    nodes = args.budget_nodes
-    secs = args.budget_secs
-    if nodes is None:
-        nodes = _env_number("ODDTOWN_BUDGET_NODES", se.DEFAULT_NODE_BUDGET, int, "an integer")
-    if secs is None:
-        secs = _env_number("ODDTOWN_BUDGET_SECS", se.DEFAULT_TIME_BUDGET, float, "a number")
-    return nodes, secs
-
-
 def _cmd_search(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
-    nodes, secs = _budget_args(args)
     spec = se.SearchSpec(
         ground_size=args.n,
         family_size=args.m,
@@ -214,9 +201,8 @@ def _cmd_search(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
         objective=args.objective,
         t=args.t,
         mode=args.mode,
-        budget_nodes=nodes,
-        budget_secs=secs,
-        threads=args.threads,
+        budget_nodes=args.budget_nodes,
+        budget_secs=args.budget_secs,
         seed=args.seed,
         restarts=args.restarts,
     )
@@ -228,16 +214,14 @@ def _cmd_search(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
-    nodes, secs = _budget_args(args)
     report = se.verify_theorem(
         args.statement,
         args.n,
         args.s,
         args.k,
         mode=args.mode,
-        threads=args.threads,
-        budget_nodes=nodes,
-        budget_secs=secs,
+        budget_nodes=args.budget_nodes,
+        budget_secs=args.budget_secs,
     )
     payload = report.to_json_dict()
     if report.verdict in ("HOLDS", "TIGHT"):
@@ -296,10 +280,7 @@ def main(argv: list[str] | None = None) -> int:
         if exc.offending is not None:
             payload["offending"] = list(exc.offending)
         code = EXIT_REFUTED
-    except (OddtownError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (OddtownError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:

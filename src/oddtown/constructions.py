@@ -216,6 +216,8 @@ def load_steiner(
                     raise FamilyFormatError(
                         "expected header 'n=<n> k=<k> t=<t>'", line_no
                     )
+                if key in header:
+                    raise FamilyFormatError(f"repeated header key {key!r}", line_no)
                 try:
                     header[key] = int(value)
                 except ValueError:

@@ -328,14 +328,14 @@ def orthogonal_complement(U: Gf2Subspace) -> Gf2Subspace:
     return Gf2Subspace(n, _rref(gens))
 
 
-def enumerate_subspace(W: Gf2Subspace, *, cap: int = ENUMERATION_CAP) -> list[BitSubset]:
+def enumerate_subspace(W: Gf2Subspace) -> list[BitSubset]:
     """All 2^dim vectors of W, each exactly once, in Gray-code order.
 
-    Refuses dimensions above the cap to bound memory.
+    Refuses dimensions above ENUMERATION_CAP to bound memory.
     """
-    if W.dim > cap:
+    if W.dim > ENUMERATION_CAP:
         raise CapExceededError(
-            f"subspace of dimension {W.dim} exceeds enumeration cap {cap}"
+            f"subspace of dimension {W.dim} exceeds enumeration cap {ENUMERATION_CAP}"
         )
     out = [BitSubset(0, W.ground_size)]
     v = 0

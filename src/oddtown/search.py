@@ -115,9 +115,7 @@ class SearchSpec(_Value):
     permutations at every depth, complement twins (even class, even n), the
     conflict bound and the class floor (deficiency and averaging, see
     _floor), "exhaustive" none of them; both return the lex-least optimum.
-    threads is accepted (it must be >= 1) and has no effect: the search
-    always runs on the calling thread.  seed and restarts (>= 1) drive local
-    search only.
+    seed and restarts (>= 1) drive local search only.
     """
 
     __slots__ = (
@@ -130,7 +128,6 @@ class SearchSpec(_Value):
         "mode",
         "budget_nodes",
         "budget_secs",
-        "threads",
         "seed",
         "restarts",
     )
@@ -143,7 +140,6 @@ class SearchSpec(_Value):
     mode: str
     budget_nodes: int
     budget_secs: float
-    threads: int
     seed: int
     restarts: int
 
@@ -158,13 +154,12 @@ class SearchSpec(_Value):
         mode: str = "bnb",
         budget_nodes: int = DEFAULT_NODE_BUDGET,
         budget_secs: float = DEFAULT_TIME_BUDGET,
-        threads: int = 1,
         seed: int = 0,
         restarts: int = 1,
     ) -> None:
         self._set(
             ground_size, family_size, family_class, k, objective, t, mode,
-            budget_nodes, budget_secs, threads, seed, restarts,
+            budget_nodes, budget_secs, seed, restarts,
         )
         if not 1 <= self.ground_size <= _POOL_CAP:
             raise InfeasibleSpecError(
@@ -198,8 +193,6 @@ class SearchSpec(_Value):
             raise InfeasibleSpecError("t only applies to objective 'ckt'")
         if self.mode not in _MODES:
             raise InfeasibleSpecError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.threads < 1:
-            raise InfeasibleSpecError(f"threads must be >= 1, got {self.threads}")
         if self.restarts < 1:
             raise InfeasibleSpecError(f"restarts must be >= 1, got {self.restarts}")
         if self.budget_nodes < 1 or not self.budget_secs > 0:  # NaN fails too
@@ -219,8 +212,6 @@ class SearchSpec(_Value):
     def pool_size(self) -> int:
         if self.family_class == "uniform":
             return comb(self.ground_size, self.k)  # type: ignore[arg-type]
-        if self.ground_size == 1:
-            return 1
         return 1 << (self.ground_size - 1)
 
 
@@ -937,7 +928,6 @@ def verify_theorem(
     k: int | None = None,
     *,
     mode: str = "bnb",
-    threads: int = 1,
     budget_nodes: int = DEFAULT_NODE_BUDGET,
     budget_secs: float = DEFAULT_TIME_BUDGET,
 ) -> TheoremReport:
@@ -953,8 +943,7 @@ def verify_theorem(
 
     A COUNTEREXAMPLE verdict against a proven statement raises
     OracleSoundnessError, because it can only mean the search is wrong.
-    k applies to prob-uniform only.  threads is passed to SearchSpec, where
-    it has no effect.
+    k applies to prob-uniform only.
     """
     if statement not in _STATEMENTS:
         raise ValueError(f"statement must be one of {_STATEMENTS}, got {statement!r}")
@@ -1007,7 +996,6 @@ def verify_theorem(
         family_class=family_class,
         k=spec_k,
         mode=mode,
-        threads=threads,
         budget_nodes=budget_nodes,
         budget_secs=budget_secs,
     )

@@ -276,7 +276,9 @@ def check_link_identity(family: SetFamily, k: int) -> LinkIdentity:
 class ApplicationBound(NamedTuple):
     """The chain c_{k,k-2} * (k-2) >= sum of link op counts >= 3 s C(k,3).
 
-    The first inequality is unconditional; the second is the conjectured
+    The first leg is an identity, lhs == mid: two members meeting in j
+    points share C(j, k-3) links and meet oddly in a shared link exactly
+    when j = k-2, where C(k-2, k-3) = k-2.  The second is the conjectured
     leg and is only reported, never asserted.
     """
 
@@ -294,7 +296,10 @@ class ApplicationBound(NamedTuple):
 
 
 def check_application_bound(family: SetFamily, k: int, s: int) -> ApplicationBound:
-    """Evaluate the three quantities of the link-counting chain at k >= 4."""
+    """Evaluate the three quantities of the link-counting chain at k >= 4.
+
+    lhs == mid for every k-uniform family (see ApplicationBound).
+    """
     if k < 4:
         raise ValueError(f"need k >= 4, got {k}")
     links = _links(family, k)  # its uniformity check comes before c_kt's
@@ -316,16 +321,14 @@ def is_oddtown(family: SetFamily) -> bool:
     return all(m.bit_count() & 1 for m in masks) and not any(odd_rows(masks))
 
 
-def maximal_eventown_subfamily(
-    family: SetFamily, strategy: str = "greedy", cap: int = EXACT_SUBFAMILY_CAP
-) -> SetFamily:
+def maximal_eventown_subfamily(family: SetFamily, strategy: str = "greedy") -> SetFamily:
     """A subfamily obeying even rules that cannot be extended within family.
 
     strategy "greedy" scans members in order and keeps what fits, giving a
     maximal (not necessarily maximum) subfamily.  strategy "exact" finds a
     maximum-size one by branch and bound over the odd-intersection graph,
     returning the lexicographically least (by member index) among optima;
-    it refuses families larger than cap.
+    it refuses families larger than EXACT_SUBFAMILY_CAP.
     """
     for m in family.members:
         if len(m) & 1:
@@ -344,8 +347,8 @@ def maximal_eventown_subfamily(
         return SetFamily(family.ground_size, tuple(family.members[i] for i in keep))
 
     m = len(masks)
-    if m > cap:
-        raise CapExceededError(f"exact mode limited to {cap} members, got {m}")
+    if m > EXACT_SUBFAMILY_CAP:
+        raise CapExceededError(f"exact mode limited to {EXACT_SUBFAMILY_CAP} members, got {m}")
     best_size = -1
     best: tuple[int, ...] = ()
 

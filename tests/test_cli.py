@@ -217,24 +217,6 @@ class TestSearch:
         assert code == 3
         assert doc["optimal"] is False
 
-    def test_env_budget_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("ODDTOWN_BUDGET_NODES", "50")
-        code, doc = run(
-            capsys,
-            "search", "--class", "odd", "--n", "5", "--m", "6", "--mode", "exhaustive",
-        )
-        assert code == 3 and doc["spec"]["budget_nodes"] == 50
-
-    @pytest.mark.parametrize(
-        "name,what", [("ODDTOWN_BUDGET_NODES", "an integer"), ("ODDTOWN_BUDGET_SECS", "a number")]
-    )
-    def test_malformed_env_budget_names_the_variable(self, capsys, monkeypatch, name, what):
-        monkeypatch.setenv(name, "abc")
-        assert main(["search", "--class", "even", "--n", "4", "--m", "5"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {name} must be {what}, got 'abc'\n"
-
     def test_local_mode_completes_with_exit_zero(self, capsys):
         code, doc = run(
             capsys,
@@ -324,14 +306,9 @@ class TestSearch:
         assert "restarts" in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("where", ["flag", "env"])
-    def test_nan_time_budget_is_usage_error(self, capsys, monkeypatch, where):
-        argv = ["search", "--class", "even", "--n", "4", "--m", "5"]
-        if where == "flag":
-            argv += ["--budget-secs", "nan"]
-        else:
-            monkeypatch.setenv("ODDTOWN_BUDGET_SECS", "nan")
-        assert main(argv) == 2
+    @pytest.mark.parametrize("budget", [["--budget-secs", "nan"]], ids=["flag"])
+    def test_nan_time_budget_is_usage_error(self, capsys, budget):
+        assert main(["search", "--class", "even", "--n", "4", "--m", "5", *budget]) == 2
         assert "budgets must be positive" in capsys.readouterr().err
 
     def test_threads_flag_deterministic(self, capsys):
@@ -344,6 +321,22 @@ class TestSearch:
             )
             outs.append((doc["best_value"], json.dumps(doc["witness"])))
         assert len(set(outs)) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "--class", "even", "--n", "4", "--m", "5", "--threads", "0"],
+            ["verify", "--statement", "thm-even", "--n", "4", "--threads", "-1"],
+        ],
+        ids=["search", "verify"],
+    )
+    def test_thread_count_below_one_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        captured = capsys.readouterr()
+        assert err.value.code == 2
+        assert captured.out == ""
+        assert "argument --threads: must be >= 1" in captured.err
 
 
 class TestVerify:
@@ -451,6 +444,15 @@ class TestSteiner:
         assert captured.err == "error: line 4: element 22 outside ground set [1, 21]\n"
         assert captured.out == ""
 
+    def test_repeated_header_key_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "twice.blocks"
+        path.write_text("n=4 n=8 k=4 t=1\n1 2 3 4\n5 6 7 8\n")
+        code = main(["steiner", "--validate", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: line 1: repeated header key 'n'\n"
+        assert captured.out == ""
+
     def test_difference_set_design(self, capsys, steiner_21_5_2_file):
         code, doc = run(
             capsys, "steiner", "--validate", str(steiner_21_5_2_file), "--shadow", "4"
@@ -467,6 +469,7 @@ def test_schema_enums_are_the_search_names():
     assert spec["family_class"]["enum"] == list(se._CLASSES)
     assert spec["objective"]["enum"] == list(se._OBJECTIVES)
     assert spec["mode"]["enum"] == list(se._MODES)
+    assert list(spec) == list(se.SearchSpec.__slots__)
 
 
 class TestHarness:

@@ -21,6 +21,7 @@ from oddtown import (
     bipartite_oddtown_check,
     enumerate_subspace,
     eventown_pair,
+    gf2,
     inner_parity,
     kernel_of_functional,
     link,
@@ -82,7 +83,7 @@ class TestBitSubset:
 
 SPEC_FIELDS = (
     "ground_size", "family_size", "family_class", "k", "objective", "t", "mode",
-    "budget_nodes", "budget_secs", "threads", "seed", "restarts",
+    "budget_nodes", "budget_secs", "seed", "restarts",
 )
 # the validated value types: (class, field names, field values)
 VALUE_TYPES = [
@@ -93,7 +94,7 @@ VALUE_TYPES = [
     (
         SearchSpec,
         SPEC_FIELDS,
-        (6, 9, "odd", None, "op", None, "bnb", 500, 2.5, 1, 3, 2),
+        (6, 9, "odd", None, "op", None, "bnb", 500, 2.5, 3, 2),
     ),
 ]
 
@@ -179,10 +180,10 @@ class TestValueOrder:
     def test_search_spec_positional_and_keyword_forms_agree(self):
         keyword = SearchSpec(ground_size=6, family_size=9, family_class="odd")
         assert SearchSpec(6, 9, "odd") == keyword
-        defaults = (None, "op", None, "bnb", DEFAULT_NODE_BUDGET, DEFAULT_TIME_BUDGET, 1, 0, 1)
+        defaults = (None, "op", None, "bnb", DEFAULT_NODE_BUDGET, DEFAULT_TIME_BUDGET, 0, 1)
         assert tuple(getattr(keyword, name) for name in SPEC_FIELDS[3:]) == defaults
         assert SearchSpec(6, 9, "odd", *defaults) == keyword
-        values = (5, 6, "uniform", 3, "ckt", 1, "exhaustive", 7, 0.5, 2, 4, 3)
+        values = (5, 6, "uniform", 3, "ckt", 1, "exhaustive", 7, 0.5, 4, 3)
         full = dict(zip(SPEC_FIELDS, values))
         assert SearchSpec(*full.values()) == SearchSpec(**full)
 
@@ -359,9 +360,10 @@ class TestEnumerateSubspace:
         assert len(out) == 16
         assert all(len(v) % 2 == 0 for v in out)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(gf2, "ENUMERATION_CAP", 8)
         with pytest.raises(CapExceededError):
-            enumerate_subspace(Gf2Subspace.full(10), cap=8)
+            enumerate_subspace(Gf2Subspace.full(10))
 
 
 class TestEventownSelfDuality:

@@ -381,15 +381,6 @@ class TestLexLeader:
 
 
 class TestDeterminismAndSoundness:
-    @pytest.mark.parametrize("threads", [1, 2, 8])
-    def test_thread_count_does_not_change_answer(self, threads):
-        for kw, expected in EXACT_INSTANCES[:6]:
-            for mode in ("exhaustive", "bnb"):
-                result = minimize(SearchSpec(mode=mode, threads=threads, **kw))
-                baseline = minimize(SearchSpec(mode=mode, threads=1, **kw))
-                assert result.best_value == baseline.best_value == expected
-                assert result.witness == baseline.witness
-
     def test_prefix_roots_keep_value_and_witness(self):
         # every class, objective, t and m at n <= 5 small enough to enumerate:
         # bnb, which starts only from its roots (the empty set in the even
@@ -478,6 +469,7 @@ class TestDeterminismAndSoundness:
         assert (result.best_value, result.witness.masks()) == (value, masks)
         assert op_sets(witness_sets(result)) == value
 
+    # the name is kept from when the test also varied a thread count
     def test_randomized_mode_and_thread_equivalence(self):
         import random
 
@@ -492,9 +484,8 @@ class TestDeterminismAndSoundness:
             baseline = minimize(SearchSpec(mode="exhaustive", **kw))
             seen = {(baseline.best_value, baseline.witness.masks())}
             for mode in ("exhaustive", "bnb"):
-                for threads in (1, 3):
-                    r = minimize(SearchSpec(mode=mode, threads=threads, **kw))
-                    seen.add((r.best_value, r.witness.masks()))
+                r = minimize(SearchSpec(mode=mode, **kw))
+                seen.add((r.best_value, r.witness.masks()))
             assert len(seen) == 1, f"divergence on {kw}: {seen}"
 
     def test_minimum_is_monotone_in_family_size(self):
@@ -552,6 +543,10 @@ class TestBudgetsAndValidation:
         assert masks == sorted(masks)
         assert all(m.bit_count() % 2 == 0 for m in masks)
         assert len(masks) == 8
+        # at n = 1 each parity class has one set: {∅} and {{1}}
+        for family_class in ("even", "odd"):
+            spec = SearchSpec(ground_size=1, family_size=1, family_class=family_class)
+            assert spec.pool_size() == len(candidate_pool(spec)) == 1
 
     def test_single_member_families(self):
         result = minimize(SearchSpec(ground_size=1, family_size=1, family_class="even", mode="bnb"))
@@ -568,16 +563,6 @@ class TestBudgetsAndValidation:
         assert result.optimal and result.best_value == 3
         assert len(result.witness) == 4
 
-    def test_more_threads_than_roots(self):
-        spec = SearchSpec(
-            ground_size=3, family_size=3, family_class="odd", mode="bnb", threads=8
-        )
-        result = minimize(spec)
-        baseline = minimize(
-            SearchSpec(ground_size=3, family_size=3, family_class="odd", mode="bnb")
-        )
-        assert (result.best_value, result.witness) == (baseline.best_value, baseline.witness)
-
     def test_budget_out_keeps_the_hint_family(self):
         # the tree is cut long before a leaf; the hint climb's family is the incumbent
         kw = dict(ground_size=8, family_size=17, family_class="even")
@@ -591,8 +576,8 @@ class TestBudgetsAndValidation:
         assert cut.best_value is not None and cut.best_value >= 8
         assert op_sets(to_sets(cut.witness)) == cut.best_value
 
-    # The worker count is clamped to none: whatever the CPU count and `threads`,
-    # the tree runs on the calling thread.  The ids keep the (CPU count, workers
+    # The worker count is clamped to none: whatever the CPU count, the tree
+    # runs on the calling thread.  The ids keep the (CPU count, workers
     # started) pairs of the thread pool this replaces; at 2 CPUs it started 2.
     @pytest.mark.parametrize("cpus", [1, 2, None], ids=["1-0", "2-2", "None-0"])
     def test_worker_count_is_clamped(self, monkeypatch, cpus):
@@ -607,11 +592,10 @@ class TestBudgetsAndValidation:
 
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(threading, "Thread", CountingThread)
-        for threads in (1, 2, 8):
-            result = minimize(SearchSpec(threads=threads, **kw))
-            assert (result.best_value, result.witness, result.nodes_explored) == (
-                baseline.best_value, baseline.witness, baseline.nodes_explored
-            )
+        result = minimize(SearchSpec(**kw))
+        assert (result.best_value, result.witness, result.nodes_explored) == (
+            baseline.best_value, baseline.witness, baseline.nodes_explored
+        )
         assert constructed == []
 
     @pytest.mark.parametrize(
@@ -674,22 +658,8 @@ class TestCheckpoint:
             SearchSpec(mode="exhaustive", budget_nodes=6000, **kw), checkpoint=path
         )
         assert not partial.optimal
-        assert path.exists()
-        resumed = minimize(SearchSpec(mode="exhaustive", **kw), checkpoint=path)
-        assert resumed.optimal
-        assert resumed.best_value == direct.best_value
-        assert resumed.witness == direct.witness
-
-    def test_resume_after_abort_at_two_threads(self, tmp_path):
-        kw = dict(ground_size=5, family_size=6, family_class="odd")
-        direct = minimize(SearchSpec(mode="exhaustive", threads=1, **kw))
-        path = tmp_path / "run.ckpt"
-        partial = minimize(
-            SearchSpec(mode="exhaustive", budget_nodes=6000, threads=2, **kw), checkpoint=path
-        )
-        assert not partial.optimal
         assert json.loads(path.read_text(encoding="utf-8"))["next_branch"] >= 1
-        resumed = minimize(SearchSpec(mode="exhaustive", threads=2, **kw), checkpoint=path)
+        resumed = minimize(SearchSpec(mode="exhaustive", **kw), checkpoint=path)
         assert resumed.optimal
         assert (resumed.best_value, resumed.witness) == (direct.best_value, direct.witness)
 

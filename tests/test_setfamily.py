@@ -323,6 +323,18 @@ class TestApplicationBound:
             result = ot.check_application_bound(fam, k, s=1)
             assert result.lhs >= result.mid
 
+    def test_first_leg_is_an_identity(self):
+        # members meeting in j points share C(j, k-3) links and meet oddly
+        # there only when j = k-2, so both sides count (k-2) * c_{k,k-2}
+        rng = random.Random(31)
+        for k in (4, 5, 6):
+            for n in range(k + 1, k + 4):
+                for _ in range(20):
+                    m = rng.randrange(1, min(12, comb(n, k)) + 1)
+                    fam = random_uniform_family(rng, n, k, m)
+                    result = ot.check_application_bound(fam, k, s=1)
+                    assert result.lhs == result.mid, f"identity broke on {fam}"
+
     def test_k_range(self):
         with pytest.raises(ValueError):
             ot.check_application_bound(all_k_subsets(5, 3), 3, s=1)
@@ -376,12 +388,13 @@ class TestMaximalEventownSubfamily:
                 extended = SetFamily(n, sub.members + (m,))
                 assert not ot.is_eventown(extended)
 
-    def test_parity_and_cap_errors(self):
+    def test_parity_and_cap_errors(self, monkeypatch):
         with pytest.raises(ParityError):
             ot.maximal_eventown_subfamily(family_of([(1,)], 3))
         a, _ = ot.eventown_pair(8)
+        monkeypatch.setattr(ot.setfamily, "EXACT_SUBFAMILY_CAP", 8)
         with pytest.raises(CapExceededError):
-            ot.maximal_eventown_subfamily(a, "exact", cap=8)
+            ot.maximal_eventown_subfamily(a, "exact")
 
 
 class TestBipartiteOddtown:
