@@ -12,6 +12,7 @@ import pytest
 
 import oddtown as ot
 from oddtown import CheckpointError, InfeasibleSpecError, SearchSpec, search
+from oddtown.cli import main as cli_main
 from oddtown.search import candidate_pool, local_search, minimize, verify_theorem
 
 from oracles import (
@@ -658,10 +659,28 @@ class TestCheckpoint:
             SearchSpec(mode="exhaustive", budget_nodes=6000, **kw), checkpoint=path
         )
         assert not partial.optimal
-        assert json.loads(path.read_text(encoding="utf-8"))["next_branch"] >= 1
+        assert path.exists()
         resumed = minimize(SearchSpec(mode="exhaustive", **kw), checkpoint=path)
         assert resumed.optimal
-        assert (resumed.best_value, resumed.witness) == (direct.best_value, direct.witness)
+        assert resumed.best_value == direct.best_value
+        assert resumed.witness == direct.witness
+
+    def test_resume_after_abort_at_two_threads(self, tmp_path, capsys):
+        # the CLI still accepts --threads 2 on a resumed run; it selects nothing
+        direct = minimize(
+            SearchSpec(mode="exhaustive", ground_size=5, family_size=6, family_class="odd")
+        )
+        path = tmp_path / "run.ckpt"
+        argv = ["--json", "search", "--class", "odd", "--n", "5", "--m", "6",
+                "--mode", "exhaustive", "--threads", "2", "--checkpoint", str(path)]
+        assert cli_main([*argv, "--budget-nodes", "6000"]) == 3
+        assert json.loads(path.read_text(encoding="utf-8"))["next_branch"] >= 1
+        capsys.readouterr()
+        assert cli_main(argv) == 0
+        resumed = json.loads(capsys.readouterr().out)
+        assert resumed["optimal"] is True
+        assert resumed["best_value"] == direct.best_value
+        assert resumed["witness"] == direct.to_json_dict()["witness"]
 
     def test_even_class_resume_after_abort_matches_direct_run(self, tmp_path):
         # thm-even n=8 s=1: a budget cut inside the top node {∅} still leaves
