@@ -51,7 +51,9 @@ the evaluations that loop would count, and polls the budgets at the same
 4096-evaluation marks.  local_search runs it once per restart.  Branch and
 bound runs it once, from the first m pool members, before the tree: this
 hint's value primes pruning, and its family is the incumbent if the tree
-is cut before it reaches a leaf.
+is cut before it reaches a leaf.  The hint's evaluations open the run's
+count, which the tree continues, so budget_nodes and nodes_explored cover
+both.
 
 The tree runs on the calling thread.  A checkpoint records first-level
 branches, the children of the top node: its next_branch is the pool index
@@ -115,7 +117,8 @@ class SearchSpec(_Value):
     permutations at every depth, complement twins (even class, even n), the
     conflict bound and the class floor (deficiency and averaging, see
     _floor), "exhaustive" none of them; both return the lex-least optimum.
-    seed and restarts (>= 1) drive local search only.
+    seed and restarts (>= 1) drive local search only, so the other modes
+    refuse any but their defaults 0 and 1.
     """
 
     __slots__ = (
@@ -195,6 +198,8 @@ class SearchSpec(_Value):
             raise InfeasibleSpecError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if self.restarts < 1:
             raise InfeasibleSpecError(f"restarts must be >= 1, got {self.restarts}")
+        if self.mode != "local" and (self.seed, self.restarts) != (0, 1):
+            raise InfeasibleSpecError("seed and restarts only apply to mode 'local'")
         if self.budget_nodes < 1 or not self.budget_secs > 0:  # NaN fails too
             raise InfeasibleSpecError("budgets must be positive")
         pool = self.pool_size()
@@ -356,6 +361,9 @@ class _Outcome(NamedTuple):
     aborted: bool
 
 
+_NOTHING = _Outcome(None, None, 0, False)  # no family found, no evaluations
+
+
 def _spreader(rows: Sequence[int], width: int) -> Callable[[int], int]:
     """spread(j): row j with each bit widened to a field of width bytes.
 
@@ -476,6 +484,7 @@ def _tree(
     bound: float,
     deadline: float,
     floor: int,
+    nodes: int,
     branch_done: Callable[[int, _Outcome], None] | None = None,
 ) -> _Outcome:
     """Depth-first search of the combinations from one top node, keeping leaves below bound.
@@ -529,7 +538,10 @@ def _tree(
 
     A node adds its candidates, the lower ones and the pending twins,
     counted before the lex-leader test, to the evaluation count
-    (nodes_explored, the unit of budget_nodes).  The search stops at the
+    (nodes_explored, the unit of budget_nodes).  The count starts at nodes,
+    the evaluations made before the tree (the bnb hint's), so budget_nodes
+    bounds the two together; a hint of _CHECK_INTERVAL evaluations or more
+    has the top node poll the budgets at once.  The search stops at the
     first kept leaf whose value is at most floor, a lower bound on every
     family (_floor's, or -1 to search every family).  branch_done(next
     branch, best so far) is called after each first-level branch that ran
@@ -549,7 +561,6 @@ def _tree(
     spread = _spreader(rows, width)
 
     wit: tuple[int, ...] | None = None
-    nodes = 0
     next_check = _CHECK_INTERVAL
     aborted = False
     done = False  # floor reached: later branches are lex-greater ties at best
@@ -646,27 +657,21 @@ def _tree(
     return outcome()
 
 
-def _instance_identity(spec: SearchSpec) -> dict:
-    """The fields that determine the enumeration space and its order.
+# The SearchSpec fields that bound or seed a run without changing its
+# enumeration space or order: an aborted run may resume under other values.
+# Every other field is part of a checkpoint's identity.
+_RUN_SETTINGS = ("budget_nodes", "budget_secs", "seed", "restarts")
 
-    Budgets may differ between an aborted run and its resume without
-    affecting soundness; these may not.
-    """
+
+def _instance_identity(spec: SearchSpec) -> dict:
+    """The fields that determine the enumeration space and its order."""
     return {
-        "ground_size": spec.ground_size,
-        "family_size": spec.family_size,
-        "family_class": spec.family_class,
-        "k": spec.k,
-        "objective": spec.objective,
-        "t": spec.t,
-        "mode": spec.mode,
+        name: getattr(spec, name) for name in SearchSpec.__slots__ if name not in _RUN_SETTINGS
     }
 
 
-def _load_checkpoint(
-    path: Path, spec: SearchSpec, rows: Sequence[int]
-) -> tuple[int, _Outcome] | None:
-    """(next first-level branch, best so far) from a checkpoint, or None if absent.
+def _load_checkpoint(path: Path, spec: SearchSpec, rows: Sequence[int]) -> tuple[int, _Outcome]:
+    """(next first-level branch, best so far) from a checkpoint, or (0, _NOTHING) if absent.
 
     Nothing in the file is trusted: next_branch must be a pool index in
     [0, P] and nodes a count, a witness must be m increasing pool indices
@@ -678,7 +683,7 @@ def _load_checkpoint(
     the older format that counted root branches, is corrupt.
     """
     if not path.exists():
-        return None
+        return 0, _NOTHING
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
         instance = data["instance"]
@@ -749,39 +754,58 @@ def _write_checkpoint(path: Path, data: dict) -> None:
         raise
 
 
-def _minimize_exact(spec: SearchSpec, checkpoint: str | Path | None = None) -> SearchResult:
+def _setup(spec: SearchSpec) -> tuple[float, float, list[int], list[int]]:
+    """(start time, deadline, pool, rows) of a run; budget_secs counts from before the pool."""
     start_time = time.monotonic()
-    deadline = start_time + spec.budget_secs
     pool = candidate_pool(spec)
-    P = len(pool)
-    m = spec.family_size
+    return start_time, start_time + spec.budget_secs, pool, _pool_rows(spec, pool)
+
+
+def _result(
+    spec: SearchSpec,
+    pool: Sequence[int],
+    start_time: float,
+    value: int | None,
+    chosen: Iterable[int] | None,
+    nodes: int,
+    optimal: bool = False,
+) -> SearchResult:
+    """The SearchResult of a run whose best family is the pool indices chosen, if any."""
+    return SearchResult(
+        best_value=value,
+        witness=None
+        if chosen is None
+        else SetFamily.from_masks(spec.ground_size, [pool[i] for i in chosen]),
+        optimal=optimal,
+        nodes_explored=nodes,
+        elapsed=time.monotonic() - start_time,
+        spec=spec,
+    )
+
+
+def _minimize_exact(spec: SearchSpec, checkpoint: str | Path | None = None) -> SearchResult:
+    P, m = spec.pool_size(), spec.family_size
     if spec.mode == "exhaustive" and comb(P, m) > _EXHAUSTIVE_CAP:
         raise InfeasibleSpecError(
             f"exhaustive enumeration of C({P},{m}) = {comb(P, m)} families exceeds "
             f"the feasibility cap {_EXHAUSTIVE_CAP}; use branch and bound"
         )
-    rows = _pool_rows(spec, pool)
+    start_time, deadline, pool, rows = _setup(spec)
     # exhaustive mode enumerates every family: no value is <= -1
     floor = _floor(spec)[0] if spec.mode == "bnb" else -1
-    # the hint primes pruning, and is the incumbent if the tree is cut early
-    known: list[_Outcome] = []
+    ck_path = None if checkpoint is None else Path(checkpoint)
+    start, preload = (0, _NOTHING) if ck_path is None else _load_checkpoint(ck_path, spec, rows)
+    # the hint primes pruning, and is the incumbent if the tree is cut early;
+    # the tree's count continues from the hint's evaluations
+    hint, evals = _NOTHING, 0
     if spec.mode == "bnb":
-        value, chosen, _, _ = _climb(rows, range(m), spec.budget_nodes, deadline)
-        known.append(_Outcome(value, chosen, 0, False))
-
-    ck_path = Path(checkpoint) if checkpoint is not None else None
-    preload: _Outcome | None = None
-    start = 0
-    if ck_path is not None:
-        loaded = _load_checkpoint(ck_path, spec, rows)
-        if loaded is not None:
-            start, preload = loaded
-            known.append(preload)
-    known_best, _ = _merge_best(known)
+        value, chosen, evals, _ = _climb(rows, range(m), spec.budget_nodes, deadline)
+        hint = _Outcome(value, chosen, 0, False)
+    known_best, _ = _merge_best([hint, preload])
     bound = float("inf") if known_best is None else known_best + 1
 
     def on_branch_done(next_branch: int, so_far: _Outcome) -> None:
-        best_val, best_wit = _merge_best([so_far] if preload is None else [so_far, preload])
+        best_val, best_wit = _merge_best([so_far, preload])
         _write_checkpoint(
             ck_path,  # type: ignore[arg-type]
             {
@@ -789,28 +813,17 @@ def _minimize_exact(spec: SearchSpec, checkpoint: str | Path | None = None) -> S
                 "next_branch": next_branch,
                 "best_value": best_val,
                 "witness": None if best_wit is None else list(best_wit),
-                "nodes": (preload.nodes if preload is not None else 0) + so_far.nodes,
+                "nodes": preload.nodes + so_far.nodes,
             },
         )
 
     tree = _tree(
-        pool, rows, spec, start, bound, deadline, floor,
+        pool, rows, spec, start, bound, deadline, floor, evals,
         branch_done=on_branch_done if ck_path is not None else None,
     )
-    best_val, best_wit = _merge_best([tree, *known])
-    witness_family = (
-        None
-        if best_wit is None
-        else SetFamily.from_masks(spec.ground_size, [pool[i] for i in best_wit])
-    )
-    return SearchResult(
-        best_value=best_val,
-        witness=witness_family,
-        optimal=not tree.aborted,
-        nodes_explored=tree.nodes + sum(o.nodes for o in known),
-        elapsed=time.monotonic() - start_time,
-        spec=spec,
-    )
+    best_val, best_wit = _merge_best([tree, hint, preload])
+    nodes = preload.nodes + tree.nodes
+    return _result(spec, pool, start_time, best_val, best_wit, nodes, not tree.aborted)
 
 
 def _merge_best(
@@ -843,23 +856,16 @@ def local_search(spec: SearchSpec, initial: SetFamily | None = None) -> SearchRe
     """
     import random
 
-    start_time = time.monotonic()
-    deadline = start_time + spec.budget_secs
-    pool = candidate_pool(spec)
-    index_of = {mask: i for i, mask in enumerate(pool)}
+    start_time, deadline, pool, rows = _setup(spec)
     m = spec.family_size
-    rows = _pool_rows(spec, pool)
     rng = random.Random(spec.seed)
-
-    best: tuple[int, tuple[int, ...]] | None = None
+    found: list[tuple[int, tuple[int, ...]]] = []
     evals = 0
-    stopped = False
     for r in range(spec.restarts):
-        if stopped:
-            break
         if r == 0 and initial is not None:
             if len(initial) != m:
                 raise ValueError(f"initial family has {len(initial)} members, spec wants {m}")
+            index_of = {mask: i for i, mask in enumerate(pool)}
             try:
                 start = [index_of[mask] for mask in initial.masks()]
             except KeyError as exc:
@@ -869,19 +875,10 @@ def local_search(spec: SearchSpec, initial: SetFamily | None = None) -> SearchRe
         value, chosen, evals, stopped = _climb(
             rows, start, spec.budget_nodes, deadline, evals
         )
-        if best is None or (value, chosen) < best:
-            best = (value, chosen)
-
-    return SearchResult(
-        best_value=None if best is None else best[0],
-        witness=None
-        if best is None
-        else SetFamily.from_masks(spec.ground_size, [pool[i] for i in best[1]]),
-        optimal=False,
-        nodes_explored=evals,
-        elapsed=time.monotonic() - start_time,
-        spec=spec,
-    )
+        found.append((value, chosen))
+        if stopped:
+            break
+    return _result(spec, pool, start_time, *min(found), evals)
 
 
 # ---------------------------------------------------------------------------

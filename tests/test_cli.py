@@ -243,8 +243,11 @@ class TestSearch:
         [
             (["--class", "even", "--k", "3"], "k only"),
             (["--class", "odd", "--t", "1"], "t only"),
+            (["--class", "even", "--seed", "9"], "seed and restarts only apply to mode 'local'"),
+            (["--class", "even", "--restarts", "3", "--mode", "exhaustive"],
+             "seed and restarts only apply to mode 'local'"),
         ],
-        ids=["even-k", "odd-t"],
+        ids=["even-k", "odd-t", "bnb-seed", "exhaustive-restarts"],
     )
     def test_flag_the_class_ignores_is_usage_error(self, capsys, argv, word):
         code = main(["search", *argv, "--n", "4", "--m", "5"])

@@ -94,7 +94,7 @@ VALUE_TYPES = [
     (
         SearchSpec,
         SPEC_FIELDS,
-        (6, 9, "odd", None, "op", None, "bnb", 500, 2.5, 3, 2),
+        (6, 9, "odd", None, "op", None, "local", 500, 2.5, 3, 2),
     ),
 ]
 
@@ -183,7 +183,7 @@ class TestValueOrder:
         defaults = (None, "op", None, "bnb", DEFAULT_NODE_BUDGET, DEFAULT_TIME_BUDGET, 0, 1)
         assert tuple(getattr(keyword, name) for name in SPEC_FIELDS[3:]) == defaults
         assert SearchSpec(6, 9, "odd", *defaults) == keyword
-        values = (5, 6, "uniform", 3, "ckt", 1, "exhaustive", 7, 0.5, 4, 3)
+        values = (5, 6, "uniform", 3, "ckt", 1, "local", 7, 0.5, 4, 3)
         full = dict(zip(SPEC_FIELDS, values))
         assert SearchSpec(*full.values()) == SearchSpec(**full)
 

@@ -122,34 +122,35 @@ class TestExactMinima:
         assert odd.best_value <= ot.op_count(ot.oddtown_plus(4, 1))
 
 
-# (mode, spec kwargs) -> (best_value, nodes_explored): the tree's work, which
-# any change to its pruning or expansion order moves.  Each node adds its
+# (mode, spec kwargs) -> (best_value, nodes_explored): the run's work, which
+# any change to the tree's pruning or expansion order moves.  Under bnb it is
+# the hint climb's evaluations plus the tree's.  Each tree node adds its
 # candidates, the top node too: the empty family adds all P pool sets
 NODE_COUNT_PINS = [
-    ("bnb", dict(ground_size=6, family_size=9, family_class="even"), (4, 438)),
-    ("bnb", dict(ground_size=5, family_size=7, family_class="odd"), (6, 1_339)),
+    ("bnb", dict(ground_size=6, family_size=9, family_class="even"), (4, 957)),
+    ("bnb", dict(ground_size=5, family_size=7, family_class="odd"), (6, 1_404)),
     # the (6, 7) table entry gives the averaging floor ceil(3*56/42) = 4, the
     # optimum, so the search stops at its first optimal leaf
-    ("bnb", dict(ground_size=6, family_size=8, family_class="odd"), (4, 2_972)),
+    ("bnb", dict(ground_size=6, family_size=8, family_class="odd"), (4, 3_174)),
     ("bnb", dict(ground_size=6, family_size=9, family_class="uniform", k=4, objective="ckt", t=2),
-     (12, 485)),
+     (12, 539)),
     # the first leaf reaches the floor 0 and stops the search; in the last two,
     # later first-level branches would add nodes had it not stopped
     ("bnb", dict(ground_size=5, family_size=5, family_class="uniform", k=4, objective="ckt", t=2),
      (0, 15)),
     ("bnb", dict(ground_size=6, family_size=5, family_class="uniform", k=4, objective="ckt", t=2),
-     (0, 65)),
-    ("bnb", dict(ground_size=5, family_size=5, family_class="odd"), (0, 69)),
+     (0, 115)),
+    ("bnb", dict(ground_size=5, family_size=5, family_class="odd"), (0, 151)),
     ("exhaustive", dict(ground_size=5, family_size=7, family_class="odd"), (6, 23_815)),
     ("exhaustive",
      dict(ground_size=6, family_size=9, family_class="uniform", k=4, objective="ckt", t=2),
      (12, 17_874)),
-    # complement twins cut 57 evaluations (below the top node {∅}) to 29,
-    # and the lex-leader test to 23
-    ("bnb", dict(ground_size=4, family_size=7, family_class="even"), (8, 23)),
+    # complement twins cut the tree's 57 evaluations (below the top node {∅})
+    # to 29, and the lex-leader test to 23; the hint adds 9
+    ("bnb", dict(ground_size=4, family_size=7, family_class="even"), (8, 32)),
     # odd n, so no twin rule: below the top node {∅} the lex-leader test
-    # does all the cutting (4,733,203 evaluations without it)
-    ("bnb", dict(ground_size=7, family_size=9, family_class="even"), (4, 36_376)),
+    # does all the cutting (4,733,203 tree evaluations without it)
+    ("bnb", dict(ground_size=7, family_size=9, family_class="even"), (4, 37_503)),
 ]
 
 
@@ -166,7 +167,7 @@ def test_node_count_without_the_table(monkeypatch):
     monkeypatch.setattr(search, "_CERTIFIED_MINIMA", {})
     result = minimize(SearchSpec(ground_size=6, family_size=8, family_class="odd"))
     assert result.optimal
-    assert (result.best_value, result.nodes_explored) == (4, 10_040)
+    assert (result.best_value, result.nodes_explored) == (4, 10_242)
 
 
 @pytest.mark.parametrize("mode,kw,expected", NODE_COUNT_PINS)
@@ -182,7 +183,7 @@ def test_spreads_rebuilt_past_the_memo_cap(monkeypatch, mode, kw, expected):
 
 
 @pytest.mark.parametrize(
-    "mode,nodes", [("bnb", 33_669), ("exhaustive", 2_895_878)], ids=["bnb", "exhaustive"]
+    "mode,nodes", [("bnb", 33_927), ("exhaustive", 2_895_878)], ids=["bnb", "exhaustive"]
 )
 def test_counts_past_one_byte(mode, nodes):
     # 258 of the 259 sets of size 258 over [259]: every pair meets in 257
@@ -198,6 +199,48 @@ def test_counts_past_one_byte(mode, nodes):
         33153, nodes, True
     )
     assert result.best_value == comb(258, 2)
+
+
+def test_the_hint_counts_in_the_run(monkeypatch, tmp_path):
+    # nodes_explored and a checkpoint's nodes are the hint climb's evaluations
+    # plus the tree's.  A climb whose count is dropped leaves the tree's alone:
+    # with no budget binding, the tree runs the same either way
+    climb = search._climb
+    hints = []
+
+    def counted(*args):
+        out = climb(*args)
+        hints.append(out[2])
+        return out
+
+    def uncounted(*args):
+        value, chosen, _, stopped = climb(*args)
+        return value, chosen, 0, stopped
+
+    def run(spec, checkpoint=None, climber=counted):
+        monkeypatch.setattr(search, "_climb", climber)
+        hints.clear()
+        return minimize(spec, checkpoint=checkpoint)
+
+    spec = SearchSpec(ground_size=7, family_size=9, family_class="even")
+    tree = run(spec, climber=uncounted).nodes_explored
+    assert run(spec).nodes_explored == hints[0] + tree == 1_127 + 36_376
+
+    kw = dict(ground_size=8, family_size=17, family_class="even")
+    path = tmp_path / "run.ckpt"
+    assert not run(SearchSpec(budget_nodes=137_892, **kw), path).optimal
+    saved = path.read_text(encoding="utf-8")
+    before = json.loads(saved)["nodes"]
+    tree = run(SearchSpec(**kw), path, uncounted).nodes_explored - before
+    path.write_text(saved, encoding="utf-8")
+    resumed = run(SearchSpec(**kw), path)
+    assert resumed.optimal
+    assert resumed.nodes_explored == before + hints[0] + tree
+
+    # the hint spends the whole budget, so the tree stops at its first poll
+    cut = run(SearchSpec(budget_nodes=2_000, **kw))
+    assert not cut.optimal
+    assert cut.nodes_explored == hints[0] == 4_096
 
 
 def _entry_spec(key: tuple) -> SearchSpec:
@@ -608,6 +651,23 @@ class TestBudgetsAndValidation:
         with pytest.raises(InfeasibleSpecError, match="budgets"):
             SearchSpec(ground_size=4, family_size=5, family_class="even", **budgets)
 
+    @pytest.mark.parametrize(
+        "kw,message",
+        [
+            (dict(family_size=0), "family size must be >= 1, got 0"),
+            (dict(family_class="all"), "family class must be one of .*, got 'all'"),
+            (dict(objective="cut"), "objective must be one of .*, got 'cut'"),
+            (dict(mode="dfs"), "mode must be one of .*, got 'dfs'"),
+            (dict(seed=9), "seed and restarts only apply to mode 'local'"),
+            (dict(mode="exhaustive", restarts=3), "seed and restarts only apply to mode 'local'"),
+        ],
+        ids=["family_size", "family_class", "objective", "mode", "bnb-seed", "exhaustive-restarts"],
+    )
+    def test_spec_values_are_checked(self, kw, message):
+        # the CLI's choices keep the first four from the command line
+        with pytest.raises(InfeasibleSpecError, match=message):
+            SearchSpec(**{**dict(ground_size=4, family_size=5, family_class="even"), **kw})
+
     @pytest.mark.parametrize("restarts", [0, -3])
     def test_restarts_must_be_positive(self, restarts):
         # no restart would climb from no family and return a null result
@@ -684,17 +744,37 @@ class TestCheckpoint:
 
     def test_even_class_resume_after_abort_matches_direct_run(self, tmp_path):
         # thm-even n=8 s=1: a budget cut inside the top node {∅} still leaves
-        # a checkpoint, since its first child ends before the budget does
+        # a checkpoint, since its first child ends before the budget does.  The
+        # budget is the hint's 7,892 evaluations plus 130,000 for the tree
         kw = dict(ground_size=8, family_size=17, family_class="even")
         direct = minimize(SearchSpec(**kw))
         path = tmp_path / "run.ckpt"
-        partial = minimize(SearchSpec(budget_nodes=130_000, **kw), checkpoint=path)
+        partial = minimize(SearchSpec(budget_nodes=137_892, **kw), checkpoint=path)
         assert not partial.optimal
         assert json.loads(path.read_text(encoding="utf-8"))["next_branch"] == 2
         resumed = minimize(SearchSpec(**kw), checkpoint=path)
         assert resumed.optimal
         assert (resumed.best_value, resumed.witness) == (direct.best_value, direct.witness)
         assert direct.best_value == 8
+
+    # odd n=5 m=6 exhaustive, cut at budget_nodes=6000 after its first
+    # first-level branch, as written before the checkpoint's instance was
+    # taken from SearchSpec's slots: files already on disk must still resume
+    SAVED = (
+        '{"instance": {"ground_size": 5, "family_size": 6, "family_class": "odd", '
+        '"k": null, "objective": "op", "t": null, "mode": "exhaustive"}, '
+        '"next_branch": 1, "best_value": 3, "witness": [0, 1, 2, 3, 4, 8], "nodes": 4838, '
+        '"digest": "b50d349fe6cbf91781f4797be8b0832beb9cd6fc9a04cab4deb3eabc9209d167"}'
+    )
+
+    def test_saved_checkpoint_still_resumes(self, tmp_path):
+        spec = SearchSpec(ground_size=5, family_size=6, family_class="odd", mode="exhaustive")
+        path = tmp_path / "run.ckpt"
+        path.write_text(self.SAVED, encoding="utf-8")
+        direct = minimize(spec)
+        resumed = minimize(spec, checkpoint=path)
+        assert resumed.optimal
+        assert (resumed.best_value, resumed.witness) == (direct.best_value, direct.witness)
 
     def test_checkpoint_spec_mismatch_rejected(self, tmp_path):
         path = tmp_path / "run.ckpt"
@@ -1033,6 +1113,12 @@ class TestVerifyTheorem:
             verify_theorem("conj-odd", 4, 5)
         with pytest.raises(ValueError):
             verify_theorem("prob-uniform", 5, 1, 4)
+        with pytest.raises(ValueError, match="conj-even claims 3 <= s <= 6 at n=6, got s=7"):
+            verify_theorem("conj-even", 6, 7)
+        with pytest.raises(ValueError, match="conj-even claims 3 <= s <= 6 at n=6, got s=2"):
+            verify_theorem("conj-even", 6, 2)
+        with pytest.raises(ValueError, match="need s >= 1, got s=0"):
+            verify_theorem("prob-uniform", 5, 0)
         with pytest.raises(ValueError):
             verify_theorem("nope", 4, 1)
         for statement, s in (("thm-even", 1), ("thm-odd", 1), ("conj-even", 3), ("conj-odd", 1)):

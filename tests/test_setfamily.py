@@ -58,6 +58,7 @@ class TestSetFamily:
     def test_insertion_order_and_canonical(self):
         fam = family_of([(2, 3), (1,)], 3)
         assert [m.elements() for m in fam.members] == [(2, 3), (1,)]
+        assert list(fam) == list(fam.members)
         assert [m.elements() for m in fam.canonical().members] == [(1,), (2, 3)]
 
     def test_union_deduplicates(self):
@@ -335,6 +336,13 @@ class TestApplicationBound:
                     result = ot.check_application_bound(fam, k, s=1)
                     assert result.lhs == result.mid, f"identity broke on {fam}"
 
+    @pytest.mark.parametrize("n,holds", [(5, False), (6, True)])
+    def test_conjectured_leg_is_reported(self, n, holds):
+        # all 4-subsets: of [5] no two meet in 2 points, so mid = 0 < 12 = rhs;
+        # of [6] mid = 90
+        result = ot.check_application_bound(all_k_subsets(n, 4), 4, s=1)
+        assert result.conjectured_leg_holds is holds
+
     def test_k_range(self):
         with pytest.raises(ValueError):
             ot.check_application_bound(all_k_subsets(5, 3), 3, s=1)
@@ -481,6 +489,22 @@ class TestFamilyFile:
         with pytest.raises(FamilyFormatError) as err:
             ot.load_family(path)
         assert err.value.line_no == 1
+
+    @pytest.mark.parametrize(
+        "text,line_no,message",
+        [
+            ("n=x\n1\n", 1, "bad ground size 'x'"),
+            ("# n=4\n\nn=0\n", 3, "ground size must be >= 1, got 0"),
+            ("# only\n\n# comments\n", None, "missing 'n=<ground_size>' header"),
+        ],
+        ids=["not-a-number", "zero", "no-header-line"],
+    )
+    def test_bad_header(self, tmp_path, text, line_no, message):
+        path = tmp_path / "fam.txt"
+        path.write_text(text)
+        with pytest.raises(FamilyFormatError, match=message) as err:
+            ot.load_family(path)
+        assert err.value.line_no == line_no
 
     def test_bad_token_reports_line(self, tmp_path):
         path = tmp_path / "fam.txt"
