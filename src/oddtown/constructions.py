@@ -23,12 +23,14 @@ from itertools import combinations
 from pathlib import Path
 
 from .errors import FamilyFormatError, SteinerValidationError
-from .gf2 import BitSubset, _Value
-from .setfamily import SetFamily, _member, _records
+from .gf2 import _Value
+from .setfamily import SetFamily, _members, _records, _write_records
 
 
 def _quad_blocks(n: int) -> tuple[list[int], list[int]]:
     """Pair-block masks (a_blocks, b_blocks) over quadruples of [n], n = 4l."""
+    if n % 4:
+        raise ValueError(f"need n divisible by 4, got {n}")
     a_blocks: list[int] = []
     b_blocks: list[int] = []
     for i in range(n // 4):
@@ -38,17 +40,16 @@ def _quad_blocks(n: int) -> tuple[list[int], list[int]]:
     return a_blocks, b_blocks
 
 
-def _union_closure(blocks: list[int], n: int) -> SetFamily:
-    """All unions of subsets of the given pairwise disjoint blocks."""
-    k = len(blocks)
-    masks = []
-    for j in range(1 << k):
-        mask = 0
-        for idx in range(k):
-            if (j >> idx) & 1:
-                mask |= blocks[idx]
-        masks.append(mask)
-    return SetFamily.from_masks(n, masks)
+def _union_closure(blocks: list[int]) -> list[int]:
+    """All unions of subsets of the given pairwise disjoint blocks.
+
+    Union j holds blocks[i] for the bits i of j: doubling the list for
+    each block in turn appends the unions that hold it.
+    """
+    masks = [0]
+    for block in blocks:
+        masks += [m | block for m in masks]
+    return masks
 
 
 def eventown_pair(n: int) -> tuple[SetFamily, SetFamily]:
@@ -56,10 +57,9 @@ def eventown_pair(n: int) -> tuple[SetFamily, SetFamily]:
 
     Requires n divisible by 4.  Quadruple i occupies elements 4i-3,..,4i.
     """
-    if n % 4:
-        raise ValueError(f"need n divisible by 4, got {n}")
     a_blocks, b_blocks = _quad_blocks(n)
-    return _union_closure(a_blocks, n), _union_closure(b_blocks, n)
+    a = SetFamily.from_masks(n, _union_closure(a_blocks))
+    return a, SetFamily.from_masks(n, _union_closure(b_blocks))
 
 
 def _pick(candidates: list[int], s: int, seed: int | None) -> list[int]:
@@ -80,10 +80,10 @@ def eventown_plus(n: int, s: int, seed: int | None = None) -> SetFamily:
     1 <= s <= 2^(n/2) - 2^(n/4).  With seed None the s lexicographically
     smallest twin-only sets are added, otherwise a sample seeded by seed.
     """
-    a, b = eventown_pair(n)
-    twin_only = sorted(set(b.masks()) - set(a.masks()))
-    added = _pick(twin_only, s, seed)
-    return SetFamily.from_masks(n, a.masks() + tuple(added))
+    a_blocks, b_blocks = _quad_blocks(n)
+    a = _union_closure(a_blocks)
+    twin_only = sorted(set(_union_closure(b_blocks)).difference(a))
+    return SetFamily.from_masks(n, a + _pick(twin_only, s, seed))
 
 
 def singletons(n: int) -> SetFamily:
@@ -206,7 +206,7 @@ def load_steiner(
     Parameters given as arguments must agree with the file header.
     """
     header: dict[str, int] | None = None
-    blocks: list[BitSubset] = []
+    records: list[tuple[int, str]] = []
     for line_no, line in _records(path):
         if header is None:
             header = {}
@@ -225,9 +225,10 @@ def load_steiner(
             if set(header) != {"n", "k", "t"}:
                 raise FamilyFormatError("expected header 'n=<n> k=<k> t=<t>'", line_no)
         else:
-            blocks.append(_member(line, line_no, "block", header["n"]))
+            records.append((line_no, line))
     if header is None:
         raise FamilyFormatError("missing 'n=<n> k=<k> t=<t>' header", None)
+    blocks = _members(records, "block", header["n"])
     for name, given in (("n", n), ("k", k), ("t", t)):
         if given is not None and given != header[name]:
             raise ValueError(
@@ -238,7 +239,5 @@ def load_steiner(
 
 
 def save_steiner(system: SteinerSystem, path: str | Path) -> None:
-    lines = [f"n={system.n} k={system.k} t={system.t}"]
-    for b in system.blocks.members:
-        lines.append(" ".join(map(str, b.elements())))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header = f"n={system.n} k={system.k} t={system.t}"
+    _write_records(path, header, system.blocks.masks())

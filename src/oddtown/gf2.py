@@ -17,7 +17,7 @@ from __future__ import annotations
 from bisect import insort
 from functools import total_ordering
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceededError, GroundSetMismatchError
 
@@ -27,6 +27,14 @@ ENUMERATION_CAP = 24  # enumerate_subspace refuses dim above this (2^24 vectors)
 def _lsb_index(x: int) -> int:
     """Position of the lowest set bit; x must be nonzero."""
     return (x & -x).bit_length() - 1
+
+
+def _bit_indices(mask: int) -> Iterator[int]:
+    """0-based positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _same_ground(a: int, b: int) -> None:
@@ -122,13 +130,7 @@ class BitSubset(_Value):
 
     def elements(self) -> tuple[int, ...]:
         """The members as ascending 1-based indices."""
-        m, out, pos = self.mask, [], 1
-        while m:
-            if m & 1:
-                out.append(pos)
-            m >>= 1
-            pos += 1
-        return tuple(out)
+        return tuple(i + 1 for i in _bit_indices(self.mask))
 
     def __len__(self) -> int:
         return self.mask.bit_count()

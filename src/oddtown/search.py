@@ -3,6 +3,11 @@
 Each pool member carries a bitmask row marking the members it forms a
 counted pair with, built by F2 linearity (setfamily.odd_rows for op) or by
 bit-sliced counting (setfamily.exact_t_rows for c_kt), never pair by pair.
+For a pool of P sets with at least 1,024 sets per byte of their span (the
+bytes up to the highest element used), and more set bits per set than
+bytes in that span, odd_rows reads each row off per-byte tables of 256
+rows of P bits, one lookup per byte of a set: at most P/4 rows, dropped
+once the rows are built.  Other pools take one XOR per element.
 
 The exact engine enumerates families as increasing-index combinations over a
 mask-sorted candidate pool, so the first optimum found in depth-first order

@@ -9,14 +9,26 @@ pattern check.  Densities are exact rationals, never floats.
 Families keep insertion order and refuse duplicate members; a canonical
 mask-sorted form is available for comparisons.  Pair statistics come from
 the row builders odd_rows and exact_t_rows, which never visit a pair.
+Both start from the element basis (the transposed bit matrix of the
+members, built with string operations when it is dense).  For many dense
+members odd_rows reads each row off per-byte tables: for every byte of
+the ground set that a member uses, a 256-entry table of XORs of basis
+rows, so a row costs one lookup per byte rather than one XOR per element.
+Family files are written from per-byte tables of pre-joined element
+strings on the same terms, and read through a dict from each distinct
+token to its element.  Sparse or few members take the element-by-element
+paths, so every cost follows the set bits, not the width of the ground
+set.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from functools import reduce
+from itertools import chain, combinations, repeat
 from math import comb
+from operator import getitem, lshift, or_, xor
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .errors import (
     CapExceededError,
@@ -26,10 +38,12 @@ from .errors import (
     ParityError,
     UniformityError,
 )
-from .gf2 import BitSubset, _same_ground, _Value
+from .gf2 import BitSubset, _bit_indices, _same_ground, _Value
 
 if TYPE_CHECKING:
     from fractions import Fraction
+
+_T = TypeVar("_T")
 
 EXACT_SUBFAMILY_CAP = 30  # exact maximum eventown subfamily refuses larger inputs
 
@@ -112,24 +126,75 @@ class OpReport(NamedTuple):
         return Fraction(self.op_count, comb(self.size, 2))
 
 
-def _bit_indices(mask: int) -> Iterator[int]:
-    """0-based positions of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _sparse(rows: Sequence[int], n: int) -> bool:
+    """Whether at most one bit in 8 of the len(rows) x n bit matrix is set."""
+    return len(rows) * n >= 8 * sum(map(int.bit_count, rows))
 
 
 def _element_basis(targets: Sequence[int]) -> list[int]:
-    """basis[e] has bit j set iff targets[j] contains element e (0-based)."""
-    union = 0
-    for t in targets:
-        union |= t
-    basis = [0] * union.bit_length()
-    for j, t in enumerate(targets):
-        for e in _bit_indices(t):
-            basis[e] |= 1 << j
+    """basis[e] has bit j set iff targets[j] contains element e (0-based).
+
+    When more than one bit in 8 of the m x n bit matrix is set, it is
+    transposed with string operations: each target becomes an n-digit
+    binary string (the last target first), zip reads off the columns, and
+    int(column, 2) turns column e into basis[e].  The strings take m * n
+    bytes, at most 8 per set bit.  Sparser matrices are transposed one set
+    bit at a time.  The bits are counted in full only when about 64 evenly
+    spaced targets already hold more than one bit in 8; otherwise the
+    matrix is transposed bit by bit without a full count.
+    """
+    n = reduce(or_, targets, 0).bit_length()
+    if _sparse(targets[:: len(targets) // 64 + 1], n) or _sparse(targets, n):
+        basis = [0] * n
+        for j, t in enumerate(targets):
+            for e in _bit_indices(t):
+                basis[e] |= 1 << j
+        return basis
+    digits = f"0{n}b"
+    columns = zip(*[format(t, digits) for t in reversed(targets)])
+    basis = [int("".join(column), 2) for column in columns]
+    basis.reverse()  # the strings list the highest element first
     return basis
+
+
+def _tables_pay(masks: Sequence[int], size: int) -> bool:
+    """Whether _byte_tables builds tables for masks that span size bytes.
+
+    A table costs 255 folds and 256 entries, and then turns a mask's folds,
+    one per set bit, into one lookup per byte.  So the tables are built
+    only when the masks hold more set bits than bytes, and when there are
+    at least 1,024 masks per byte: the tables then hold at most a quarter
+    as many entries as there are masks, and their build costs at most a
+    quarter of a fold per mask.
+    """
+    return len(masks) >= 1024 * size and sum(map(int.bit_count, masks)) > len(masks) * size
+
+
+def _byte_tables(
+    item: Callable[[int], _T], masks: Sequence[int], top: int, fold: Callable[[Iterable[_T]], _T]
+) -> list[list[_T]] | None:
+    """Per-byte tables of folds over item(e) for e < top, or None when they would not pay.
+
+    The "Four Russians" tables: tables[c][b] is fold over item(8c + i) for
+    the bits i of byte value b, ascending, so the fold of a mask x < 2^top
+    is fold over tables[c][byte c of x].  fold must split anywhere,
+    fold(a + b) == fold((fold(a), fold(b))), as XOR of ints and joining
+    strings do.  Each table is built by doubling in 255 folds of two.
+    """
+    if not _tables_pay(masks, -(-top // 8)):
+        return None
+    tables = []
+    for c in range(0, top, 8):
+        table = [fold(())]
+        for e in range(c, min(c + 8, top)):
+            value = item(e)
+            table += [fold((v, value)) for v in table]
+        tables.append(table)
+    return tables
+
+
+def _xor_all(rows: Iterable[int]) -> int:
+    return reduce(xor, rows, 0)
 
 
 def odd_rows(masks: Sequence[int], targets: Sequence[int] | None = None) -> Iterator[int]:
@@ -138,16 +203,26 @@ def odd_rows(masks: Sequence[int], targets: Sequence[int] | None = None) -> Iter
     |x n y| mod 2 is the F2 inner product <x, y>, and <x, .> is linear in x:
     <x ^ z, y> = <x, y> ^ <z, y>.  So the row of x is the XOR of basis[e]
     over the elements e of x, where basis[e] marks the targets containing e,
-    and no pair of sets is ever visited.  Without targets the masks are
-    compared with themselves and bit i of row i, which is <x, x> = |x| mod 2,
-    is cleared.  Rows are yielded one at a time.
+    and no pair of sets is ever visited.  For many dense masks the XORs are
+    read off _byte_tables, one lookup per byte of x; otherwise they are
+    taken one element at a time.  Elements outside every target have zero
+    basis rows and are cut first.  Without targets the masks are compared
+    with themselves and bit i of row i, which is <x, x> = |x| mod 2, is
+    cleared.  Rows are yielded one at a time.
     """
     basis = _element_basis(masks if targets is None else targets)
     width = (1 << len(basis)) - 1
+    if targets is not None:
+        masks = [x & width for x in masks]
+    tables = _byte_tables(basis.__getitem__, masks, len(basis), _xor_all)
+    size = len(tables or ())
     for i, x in enumerate(masks):
-        row = 0
-        for e in _bit_indices(x & width):
-            row ^= basis[e]
+        if tables is None:
+            row = 0
+            for e in _bit_indices(x):
+                row ^= basis[e]
+        else:
+            row = reduce(xor, map(getitem, tables, x.to_bytes(size, "little")), 0)
         if targets is None and x.bit_count() & 1:
             row ^= 1 << i
         yield row
@@ -416,10 +491,37 @@ def _member(line: str, line_no: int, what: str, ground_size: int) -> BitSubset:
         raise FamilyFormatError(str(exc), line_no) from None
 
 
+def _members(records: list[tuple[int, str]], what: str, ground_size: int) -> list[BitSubset]:
+    """The subsets that records list as 1-based elements, in order; errors name the line.
+
+    Each distinct token is read once, into a dict from tokens to 0-based
+    elements, so a record is one reduce over C-level maps and the dict
+    grows with the tokens the file uses, not with [ground_size].  If some
+    token is not an element of [ground_size], _member reads the records
+    one by one instead and raises the error of the first bad one.
+    """
+    index: dict[str, int] = {}
+    for tok in set(chain.from_iterable(line.split() for _, line in records)):
+        try:
+            e = int(tok)
+        except ValueError:
+            break
+        if not 1 <= e <= ground_size:
+            break
+        index[tok] = e - 1
+    else:  # every token is an element
+        return [
+            BitSubset(reduce(or_, map(lshift, repeat(1), map(index.__getitem__, line.split()))),
+                      ground_size)
+            for _, line in records
+        ]
+    return [_member(line, line_no, what, ground_size) for line_no, line in records]
+
+
 def load_family(path: str | Path) -> SetFamily:
     """Parse a family file; raises FamilyFormatError with a line number."""
     ground_size: int | None = None
-    members: list[BitSubset] = []
+    records: list[tuple[int, str]] = []
     for line_no, line in _records(path):
         if ground_size is None:
             if not line.startswith("n="):
@@ -430,20 +532,39 @@ def load_family(path: str | Path) -> SetFamily:
                 raise FamilyFormatError(f"bad ground size {line[2:]!r}", line_no) from None
             if ground_size < 1:
                 raise FamilyFormatError(f"ground size must be >= 1, got {ground_size}", line_no)
-        elif line == "empty":
-            members.append(BitSubset(0, ground_size))
         else:
-            members.append(_member(line, line_no, "set", ground_size))
+            records.append((line_no, line))
     if ground_size is None:
         raise FamilyFormatError("missing 'n=<ground_size>' header", None)
+    listed = iter(_members([r for r in records if r[1] != "empty"], "set", ground_size))
+    members = [
+        BitSubset(0, ground_size) if line == "empty" else next(listed) for _, line in records
+    ]
     try:
         return SetFamily(ground_size, tuple(members))
     except DuplicateMemberError as exc:
         raise FamilyFormatError(str(exc), None) from None
 
 
-def save_family(family: SetFamily, path: str | Path) -> None:
-    lines = [f"n={family.ground_size}"]
-    for m in family.members:
-        lines.append(" ".join(map(str, m.elements())) if m.mask else "empty")
+def _element_token(e: int) -> str:
+    return f" {e + 1}"
+
+
+def _write_records(path: str | Path, header: str, masks: Sequence[int]) -> None:
+    """Write header, then one line per mask: its 1-based elements ascending, or "empty".
+
+    Each line joins " e" tokens, for many dense masks off _byte_tables of
+    pre-joined tokens, one lookup per byte of the mask.
+    """
+    tables = _byte_tables(_element_token, masks, reduce(or_, masks, 0).bit_length(), "".join)
+    if tables is None:
+        spelled = ("".join(map(_element_token, _bit_indices(m))) for m in masks)
+    else:
+        size = len(tables)
+        spelled = ("".join(map(getitem, tables, m.to_bytes(size, "little"))) for m in masks)
+    lines = [header, *(line[1:] or "empty" for line in spelled)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def save_family(family: SetFamily, path: str | Path) -> None:
+    _write_records(path, f"n={family.ground_size}", family.masks())

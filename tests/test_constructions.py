@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -36,6 +37,15 @@ class TestEventownPair:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             ot.eventown_pair(6)
+
+    def test_member_order_n8(self):
+        a, b = ot.eventown_pair(8)
+        assert a.masks() == (
+            0, 3, 12, 15, 48, 51, 60, 63, 192, 195, 204, 207, 240, 243, 252, 255
+        )
+        assert b.masks() == (
+            0, 9, 6, 15, 144, 153, 150, 159, 96, 105, 102, 111, 240, 249, 246, 255
+        )
 
 
 class TestEventownPlus:
@@ -72,6 +82,19 @@ class TestEventownPlus:
             ot.eventown_plus(4, 0)
         with pytest.raises(ValueError):
             ot.eventown_plus(4, 3)  # |twin \ base| = 2 at n=4
+
+    def test_rejects_n_not_divisible_by_4(self):
+        with pytest.raises(ValueError, match="need n divisible by 4, got 6"):
+            ot.eventown_plus(6, 1)
+
+    def test_saved_file_bytes_n24(self, tmp_path):
+        # the 4,100-member family of the wide benchmark, as its file has always read
+        path = tmp_path / "plus.txt"
+        family = ot.eventown_plus(24, 4, seed=3)
+        ot.save_family(family, path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "d20263281f17ca40e85c076176f85b517ffb51340910981a344c379e68949a2f"
+        assert ot.load_family(path) == family
 
 
 class TestOddtownSide:
@@ -198,6 +221,27 @@ class TestSteinerSystems:
         again = ot.load_steiner(path)
         assert again.blocks == system.blocks
         assert (again.n, again.k, again.t) == (8, 4, 1)
+
+    def test_block_tokens_read_as_integers(self, tmp_path):
+        path = tmp_path / "partition.blocks"
+        path.write_text("n=8 k=4 t=1\n1 2 3 4\n05 +6 7\t8\n")
+        assert ot.load_steiner(path).blocks == ot.steiner_partition(8).blocks
+
+    @pytest.mark.parametrize(
+        "block,message",
+        [
+            ("5 6 x 8", "bad block line '5 6 x 8'"),
+            ("empty", "bad block line 'empty'"),
+            ("5 6 7 9", r"element 9 outside ground set \[1, 8\]"),
+        ],
+        ids=["bad-token", "empty", "out-of-range"],
+    )
+    def test_bad_block_reports_line(self, tmp_path, block, message):
+        path = tmp_path / "bad.blocks"
+        path.write_text(f"n=8 k=4 t=1\n1 2 3 4\n{block}\n")
+        with pytest.raises(FamilyFormatError, match=message) as err:
+            ot.load_steiner(path)
+        assert err.value.line_no == 3
 
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.blocks"

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
@@ -21,6 +23,8 @@ from oddtown import (
     SetFamily,
     UniformityError,
 )
+from oddtown import setfamily
+from oddtown.setfamily import _element_basis
 
 from oracles import (
     follows_rules,
@@ -184,6 +188,184 @@ class TestRowKernel:
         sub = ot.maximal_eventown_subfamily(fam, "exact")
         expected = max_even_subfamily(to_sets(fam))
         assert sub.masks() == tuple(masks[i] for i in expected)
+
+
+def mask_over(n: int, sparse: bool):
+    """A mask over [n]: any at all, or one of at most two points (a sparse bit matrix)."""
+    if sparse:
+        return st.frozensets(st.integers(0, n - 1), max_size=2).map(
+            lambda points: sum(1 << e for e in points)
+        )
+    return st.integers(0, (1 << n) - 1)
+
+
+def masks_holding_top(n: int, max_size: int, sparse: bool = False):
+    """Distinct masks over [n], the first holding point n, so the top table byte is read."""
+    top = mask_over(n - 1, sparse).map(lambda m: m | 1 << (n - 1))
+    rest = st.lists(mask_over(n, sparse), max_size=max_size - 1, unique=True)
+    return st.tuples(top, rest).map(lambda tr: [tr[0]] + [m for m in tr[1] if m != tr[0]])
+
+
+def element_basis_reference(targets):
+    """basis[e] marks the targets holding element e, one bit at a time."""
+    width = max((t.bit_length() for t in targets), default=0)
+    return [
+        sum(1 << j for j, t in enumerate(targets) if t >> e & 1) for e in range(width)
+    ]
+
+
+@contextmanager
+def row_kernel(tables: bool):
+    """Make setfamily._byte_tables build its tables, or none, whatever the input."""
+    with mock.patch.object(setfamily, "_tables_pay", lambda *_: tables):
+        yield
+
+
+BOTH_KERNELS = pytest.mark.parametrize("tables", [False, True], ids=["bit-by-bit", "tables"])
+
+
+class TestRowKernelAcrossBytes:
+    """Both row kernels at n = 9..20, where bits 8 and 16 cross table bytes."""
+
+    @BOTH_KERNELS
+    @given(st.integers(9, 20), st.booleans(), st.data())
+    def test_op_with_pairs_and_rule_validators(self, tables, n, sparse, data):
+        fam = SetFamily.from_masks(n, data.draw(masks_holding_top(n, 14, sparse)))
+        sets = to_sets(fam)
+        with row_kernel(tables):
+            report = ot.op(fam, materialize_pairs=True)
+            assert report.pairs == tuple(odd_pairs(sets))
+            assert report.op_count == op_sets(sets)
+            assert ot.is_eventown(fam) == follows_rules(sets, 0)
+            assert ot.is_oddtown(fam) == follows_rules(sets, 1)
+
+    @BOTH_KERNELS
+    @pytest.mark.parametrize(
+        "family",
+        [
+            ot.eventown_pair(16)[1],
+            ot.eventown_plus(16, 5, seed=1),
+            ot.singletons(20),
+            ot.oddtown_plus(20, 4, seed=2),
+            ot.disjoint_k4_triples(20),
+        ],
+        ids=["eventown-b-16", "eventown-plus-16", "singletons-20", "oddtown-plus-20",
+             "triples-20"],
+    )
+    def test_constructions_against_oracle(self, tables, family):
+        sets = to_sets(family)
+        with row_kernel(tables):
+            report = ot.op(family, materialize_pairs=True)
+            assert report.pairs == tuple(odd_pairs(sets))
+            assert ot.is_eventown(family) == follows_rules(sets, 0)
+            assert ot.is_oddtown(family) == follows_rules(sets, 1)
+
+    @BOTH_KERNELS
+    @given(st.integers(9, 20), st.booleans(), st.data())
+    def test_bipartite_check_with_bits_outside_the_targets(self, tables, n, sparse, data):
+        xs = data.draw(masks_holding_top(n, 8, sparse))
+        keep = data.draw(st.integers(0, (1 << n) - 1))  # ys live inside keep
+        ys = data.draw(
+            st.lists(mask_over(n, sparse).map(lambda m: m & keep),
+                     min_size=len(xs), max_size=len(xs), unique=True)
+        )
+        fx, fy = SetFamily.from_masks(n, xs), SetFamily.from_masks(n, ys)
+        with row_kernel(tables):
+            assert ot.bipartite_oddtown_check(fx, fy) == odd_diagonal(to_sets(fx), to_sets(fy))
+
+    @BOTH_KERNELS
+    def test_bipartite_pattern_with_a_point_outside_the_targets(self, tables):
+        # X_i = {i, 20}, Y_i = {i}: point 20 lies in no Y, so only the diagonal is odd
+        xs = SetFamily.from_masks(20, [1 << i | 1 << 19 for i in range(19)])
+        ys = SetFamily.from_masks(20, [1 << i for i in range(19)])
+        # Y_19 = {19, 20} meets every X_j in point 20 as well
+        ys_with_top = SetFamily.from_masks(20, ys.masks()[:-1] + (1 << 18 | 1 << 19,))
+        with row_kernel(tables):
+            assert ot.bipartite_oddtown_check(xs, ys)
+            assert not ot.bipartite_oddtown_check(xs, ys_with_top)
+
+    @BOTH_KERNELS
+    @given(st.integers(2, 20), st.booleans(), st.data())
+    def test_saved_lines(self, tables, tmp_path_factory, n, sparse, data):
+        fam = SetFamily.from_masks(n, data.draw(masks_holding_top(n, 14, sparse)))
+        path = tmp_path_factory.mktemp("saved") / "fam.txt"
+        with row_kernel(tables):
+            ot.save_family(fam, path)
+        lines = [" ".join(map(str, sorted(s))) or "empty" for s in to_sets(fam)]
+        assert path.read_text() == "\n".join([f"n={n}", *lines]) + "\n"
+
+    @given(st.integers(9, 20), st.integers(2, 6), st.data())
+    def test_ckt(self, n, k, data):
+        t = data.draw(st.integers(0, k - 1))
+        first = data.draw(st.frozensets(st.integers(1, n - 1), min_size=k - 1, max_size=k - 1))
+        rest = data.draw(
+            st.lists(st.frozensets(st.integers(1, n), min_size=k, max_size=k), max_size=11)
+        )
+        sets = list(dict.fromkeys([first | {n}, *rest]))  # point n is in the first set
+        assert ot.c_kt(family_of(sets, n), t) == pairs_exact_t(sets, t)
+
+    @given(st.booleans().flatmap(lambda sparse: st.lists(mask_over(20, sparse), max_size=14)))
+    @example([])
+    @example([0, 0])
+    def test_element_basis(self, targets):
+        # at most two points of 20 in each target is the sparse, bit-by-bit transpose
+        assert _element_basis(targets) == element_basis_reference(targets)
+
+
+class TestKernelSelection:
+    """_byte_tables builds tables only for many dense masks, and not on a wide sparse ground set."""
+
+    @pytest.fixture
+    def decisions(self, monkeypatch):
+        made = []
+
+        def spy(masks, size):
+            made.append(real(masks, size))
+            return made[-1]
+
+        real = setfamily._tables_pay
+        monkeypatch.setattr(setfamily, "_tables_pay", spy)
+        return made
+
+    def test_wide_benchmark_family_takes_the_tables(self, decisions, tmp_path):
+        family = ot.eventown_plus(24, 4, seed=3)  # 4,100 members, about 12 points each
+        assert ot.op(family).op_count == 8192
+        ot.save_family(family, tmp_path / "plus.txt")
+        assert decisions == [True, True]
+
+    def test_singletons_over_ten_thousand_points_go_bit_by_bit(self, decisions, tmp_path):
+        n = 10_000
+        family = ot.singletons(n)
+        assert ot.op(family).op_count == 0
+        path = tmp_path / "singletons.txt"
+        ot.save_family(family, path)
+        assert path.read_text() == "\n".join([f"n={n}", *map(str, range(1, n + 1))]) + "\n"
+        assert decisions == [False, False]
+
+    def test_pairs_over_120_points_go_bit_by_bit(self, decisions):
+        # 7,140 members over 15 bytes: fewer than 1,024 per byte, and 2 points each
+        family = all_k_subsets(120, 2)
+        assert ot.op(family).op_count == 120 * comb(119, 2)  # pairs sharing one point
+        assert decisions == [False]
+
+    def test_fewer_than_1024_masks_per_byte_go_bit_by_bit(self, decisions):
+        # the 1,820 4-subsets of [16] span 2 bytes: tables would outgrow a quarter of the rows
+        family = all_k_subsets(16, 4)
+        even_pairs = ot.c_kt(family, 0) + ot.c_kt(family, 2)  # 4-sets meet in 0..3 points
+        assert ot.op(family).op_count == comb(1820, 2) - even_pairs
+        assert decisions == [False]
+
+    def test_2048_masks_over_two_full_bytes_take_the_tables(self, decisions):
+        # every subset of [11] plus point 16: elements reach the top bit of byte 2
+        family = SetFamily.from_masks(16, [m | 1 << 15 for m in range(2048)])
+        with row_kernel(False):
+            expected = ot.op(family).op_count
+        assert ot.op(family).op_count == expected
+        assert decisions == [True]
+
+    def test_few_masks_go_bit_by_bit(self, decisions):
+        assert ot.op(ot.eventown_pair(8)[0]).op_count == 0
+        assert decisions == [False]
 
 
 class TestCkt:
@@ -519,3 +701,38 @@ class TestFamilyFile:
         with pytest.raises(FamilyFormatError) as err:
             ot.load_family(path)
         assert err.value.line_no == 2
+
+    @pytest.mark.parametrize(
+        "body,expected",
+        [
+            ("01 +2\n", [(1, 2)]),
+            ("1 1 2\n", [(1, 2)]),
+            ("1\t2\n", [(1, 2)]),
+            ("1 2\n01 +2 3\n+2 3\n", [(1, 2), (1, 2, 3), (2, 3)]),
+            ("4\nempty\n1 3\n", [(4,), (), (1, 3)]),
+        ],
+        ids=["leading-zero-and-plus", "repeated-element", "tab", "after-known-tokens",
+             "empty-between"],
+    )
+    def test_tokens_read_as_integers(self, tmp_path, body, expected):
+        path = tmp_path / "fam.txt"
+        path.write_text("n=4\n" + body)
+        assert [m.elements() for m in ot.load_family(path).members] == expected
+
+    @pytest.mark.parametrize(
+        "body,message",
+        [
+            ("1 2\n1 x\n", "bad set line '1 x'"),
+            ("1 2\n2 5\n", r"element 5 outside ground set \[1, 4\]"),
+            ("1 2\n0 1\n", r"element 0 outside ground set \[1, 4\]"),
+            ("1 2\n1 empty\n", "bad set line '1 empty'"),
+            ("1 2\n1 x\n2 5\n", "bad set line '1 x'"),
+        ],
+        ids=["bad-token", "above-range", "zero", "empty-with-element", "first-of-two-bad"],
+    )
+    def test_errors_after_known_tokens(self, tmp_path, body, message):
+        path = tmp_path / "fam.txt"
+        path.write_text("n=4\n" + body)
+        with pytest.raises(FamilyFormatError, match=message) as err:
+            ot.load_family(path)
+        assert err.value.line_no == 3
