@@ -23,18 +23,23 @@ from itertools import combinations
 from pathlib import Path
 
 from .errors import FamilyFormatError, SteinerValidationError
-from .gf2 import _Value
+from .gf2 import _bit_indices, _subsets, _Value
 from .setfamily import SetFamily, _members, _records, _write_records
 
 
-def _quad_blocks(n: int) -> tuple[list[int], list[int]]:
-    """Pair-block masks (a_blocks, b_blocks) over quadruples of [n], n = 4l."""
+def _quadruples(n: int) -> list[int]:
+    """Masks of the quadruples {4i+1,..,4i+4} that partition [n], n = 4l, ascending."""
     if n % 4:
         raise ValueError(f"need n divisible by 4, got {n}")
+    return [0b1111 << i for i in range(0, n, 4)]
+
+
+def _quad_blocks(n: int) -> tuple[list[int], list[int]]:
+    """Pair-block masks (a_blocks, b_blocks) over the quadruples of [n]."""
     a_blocks: list[int] = []
     b_blocks: list[int] = []
-    for i in range(n // 4):
-        x1, x2, x3, x4 = (1 << (4 * i + r) for r in range(4))
+    for quad in _quadruples(n):
+        x1, x2, x3, x4 = _subsets(quad, 1)
         a_blocks += [x1 | x2, x3 | x4]
         b_blocks += [x1 | x4, x2 | x3]
     return a_blocks, b_blocks
@@ -55,7 +60,7 @@ def _union_closure(blocks: list[int]) -> list[int]:
 def eventown_pair(n: int) -> tuple[SetFamily, SetFamily]:
     """Two extremal even-rule families of size 2^(n/2) sharing only block unions.
 
-    Requires n divisible by 4.  Quadruple i occupies elements 4i-3,..,4i.
+    Requires n to be a multiple of 4.  Quadruple i occupies elements 4i-3,..,4i.
     """
     a_blocks, b_blocks = _quad_blocks(n)
     a = SetFamily.from_masks(n, _union_closure(a_blocks))
@@ -86,23 +91,29 @@ def eventown_plus(n: int, s: int, seed: int | None = None) -> SetFamily:
     return SetFamily.from_masks(n, a + _pick(twin_only, s, seed))
 
 
-def singletons(n: int) -> SetFamily:
-    """The n singletons, an extremal odd-rule family."""
+def _singleton_masks(n: int) -> list[int]:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return SetFamily.from_masks(n, (1 << i for i in range(n)))
+    return [1 << i for i in range(n)]
+
+
+def _k4_triples(n: int) -> list[int]:
+    """Masks of the triples inside each quadruple, ascending.
+
+    A quadruple's triples come in lex order of their elements, that is by
+    the missing point from the top down, which is ascending mask order.
+    """
+    return [triple for quad in _quadruples(n) for triple in _subsets(quad, 3)]
+
+
+def singletons(n: int) -> SetFamily:
+    """The n singletons, an extremal odd-rule family."""
+    return SetFamily.from_masks(n, _singleton_masks(n))
 
 
 def disjoint_k4_triples(n: int) -> SetFamily:
     """All triples inside each quadruple block; n triples, odd rules hold."""
-    if n % 4:
-        raise ValueError(f"need n divisible by 4, got {n}")
-    masks = []
-    for i in range(n // 4):
-        block = tuple(4 * i + 1 + r for r in range(4))
-        for triple in combinations(block, 3):
-            masks.append(sum(1 << (e - 1) for e in triple))
-    return SetFamily.from_masks(n, sorted(masks))
+    return SetFamily.from_masks(n, _k4_triples(n))
 
 
 def oddtown_plus(n: int, s: int, seed: int | None = None) -> SetFamily:
@@ -111,10 +122,8 @@ def oddtown_plus(n: int, s: int, seed: int | None = None) -> SetFamily:
     The triples are the s lexicographically smallest with seed None,
     otherwise a sample seeded by seed.
     """
-    base = singletons(n)
-    triples = list(disjoint_k4_triples(n).masks())
-    added = _pick(triples, s, seed)
-    return SetFamily.from_masks(n, base.masks() + tuple(added))
+    base = _singleton_masks(n)
+    return SetFamily.from_masks(n, base + _pick(_k4_triples(n), s, seed))
 
 
 def example_x5() -> SetFamily:
@@ -170,10 +179,11 @@ class SteinerSystem(_Value):
         for b in self.blocks.members:
             if len(b) != self.k:
                 raise SteinerValidationError(f"block {b} does not have size {self.k}")
-        for combo in combinations(range(1, self.n + 1), self.t):
-            tmask = sum(1 << (e - 1) for e in combo)
-            cover = sum(1 for b in self.blocks.masks() if tmask & ~b == 0)
+        masks = self.blocks.masks()
+        for tmask in _subsets((1 << self.n) - 1, self.t):
+            cover = sum(1 for b in masks if tmask & ~b == 0)
             if cover != 1:
+                combo = tuple(e + 1 for e in _bit_indices(tmask))
                 raise SteinerValidationError(
                     f"{self.t}-set {set(combo)} lies in {cover} blocks, expected 1",
                     offending=combo,
@@ -182,12 +192,7 @@ class SteinerSystem(_Value):
 
 def steiner_partition(n: int) -> SteinerSystem:
     """The partition of [n] into consecutive quadruples, as a (n, 4, 1) design."""
-    if n % 4:
-        raise ValueError(f"need n divisible by 4, got {n}")
-    blocks = SetFamily.from_sets(
-        n, (tuple(4 * i + 1 + r for r in range(4)) for i in range(n // 4))
-    )
-    return SteinerSystem(n, 4, 1, blocks)
+    return SteinerSystem(n, 4, 1, SetFamily.from_masks(n, _quadruples(n)))
 
 
 # ---------------------------------------------------------------------------

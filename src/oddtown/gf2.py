@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from bisect import insort
 from functools import total_ordering
+from itertools import combinations
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -35,6 +36,16 @@ def _bit_indices(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _subsets(mask: int, k: int) -> Iterator[int]:
+    """Masks of the k-subsets of mask, in lex order of their elements.
+
+    Each mask is summed from its own elements' bits, so nothing is held per
+    point of the ground set but the positions of mask's bits.
+    """
+    bit = (1).__lshift__
+    return (sum(map(bit, combo)) for combo in combinations(_bit_indices(mask), k))
 
 
 def _same_ground(a: int, b: int) -> None:

@@ -82,13 +82,12 @@ import os
 import sys
 import time
 from array import array
-from itertools import combinations
 from math import comb
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import CheckpointError, InfeasibleSpecError, OracleSoundnessError
-from .gf2 import _Value
+from .gf2 import _subsets, _Value
 from .setfamily import SetFamily, exact_t_rows, odd_rows
 
 DEFAULT_NODE_BUDGET = 10**9
@@ -265,11 +264,7 @@ def candidate_pool(spec: SearchSpec) -> list[int]:
     """All masks of the instance class, ascending (the lexicographic order)."""
     n = spec.ground_size
     if spec.family_class == "uniform":
-        masks = [
-            sum(1 << (b - 1) for b in combo)
-            for combo in combinations(range(1, n + 1), spec.k)  # type: ignore[arg-type]
-        ]
-        return sorted(masks)
+        return sorted(_subsets((1 << n) - 1, spec.k))  # type: ignore[arg-type]
     want = 0 if spec.family_class == "even" else 1
     return [m for m in range(1 << n) if m.bit_count() & 1 == want]
 
@@ -294,6 +289,18 @@ _CERTIFIED_MINIMA: dict[tuple[str, str, int | None, int | None, int, int], int] 
 }
 
 
+def _rule_bound(family_class: str, n: int, k: int | None) -> int:
+    """Most members of a family in the class with no odd pair, B in "m = B + s".
+
+    Odd sets (the odd class, odd k in the uniform class) obey the oddtown
+    bound n; even sets the eventown bound 2^floor(n/2) (Berlekamp 1969,
+    Graver 1975).
+    """
+    if family_class == "odd" or (family_class == "uniform" and (k or 0) & 1):
+        return n
+    return 1 << (n // 2)
+
+
 def _floor(spec: SearchSpec) -> tuple[int, tuple[int, int] | None]:
     """A lower bound on the objective of every family in the class, and its source.
 
@@ -314,13 +321,7 @@ def _floor(spec: SearchSpec) -> tuple[int, tuple[int, int] | None]:
     n, m = spec.ground_size, spec.family_size
     floor = 0
     if spec.objective == "op":
-        if spec.family_class == "even":
-            rule_bound = 1 << (n // 2)
-        elif spec.family_class == "odd":
-            rule_bound = n
-        else:
-            rule_bound = n if (spec.k or 0) & 1 else 1 << (n // 2)
-        floor = max(0, m - rule_bound)
+        floor = max(0, m - _rule_bound(spec.family_class, n, spec.k))
     entry = None
     cls = (spec.family_class, spec.objective, spec.k, spec.t, n)
     for key, v in _CERTIFIED_MINIMA.items():
@@ -951,46 +952,33 @@ def verify_theorem(
         raise ValueError(f"statement must be one of {_STATEMENTS}, got {statement!r}")
     if k is not None and statement != "prob-uniform":
         raise ValueError(f"k only applies to prob-uniform, not {statement}")
-    half = n // 2
-    family_class = "even"
+    family_class = statement.partition("-")[2]  # each statement names its class
     spec_k: int | None = None
-    if statement == "thm-even":
-        if s not in (1, 2):
-            raise ValueError(f"thm-even is proven for s in {{1, 2}}, got s={s}")
-        m = (1 << half) + s
-        bound = s * (1 << (half - 1)) if half >= 1 else s
-        proven = True
-    elif statement == "conj-even":
-        hi = (1 << half) - (1 << (n // 4))
-        if not 3 <= s <= hi:
-            raise ValueError(f"conj-even claims 3 <= s <= {hi} at n={n}, got s={s}")
-        m = (1 << half) + s
-        bound = s * (1 << (half - 1))
-        proven = False
-    elif statement == "thm-odd":
-        if s != 1:
-            raise ValueError(f"thm-odd is the s=1 statement, got s={s}")
-        family_class = "odd"
-        m = n + 1
-        bound = 3
-        proven = True
-    elif statement == "conj-odd":
-        if not 1 <= s <= n:
-            raise ValueError(f"conj-odd claims 1 <= s <= {n}, got s={s}")
-        family_class = "odd"
-        m = n + s
-        bound = 3 * s
-        proven = False
-    else:  # prob-uniform
+    if statement == "thm-even" and s not in (1, 2):
+        raise ValueError(f"thm-even is proven for s in {{1, 2}}, got s={s}")
+    if statement == "thm-odd" and s != 1:
+        raise ValueError(f"thm-odd is the s=1 statement, got s={s}")
+    if statement == "conj-odd" and not 1 <= s <= n:
+        raise ValueError(f"conj-odd claims 1 <= s <= {n}, got s={s}")
+    if statement == "prob-uniform":
         spec_k = 3 if k is None else k
         if spec_k < 3 or spec_k % 2 == 0:
             raise ValueError(f"prob-uniform needs odd k >= 3, got k={spec_k}")
         if s < 1:
             raise ValueError(f"need s >= 1, got s={s}")
-        family_class = "uniform"
-        m = n + s
+    rule = _rule_bound(family_class, n, spec_k)
+    if statement == "conj-even":
+        hi = rule - (1 << (n // 4))
+        if not 3 <= s <= hi:
+            raise ValueError(f"conj-even claims 3 <= s <= {hi} at n={n}, got s={s}")
+    m = rule + s
+    if family_class == "even":
+        bound = s * rule // 2
+    elif family_class == "odd":
+        bound = 3 * s
+    else:
         bound = 4 if spec_k == 3 else 5
-        proven = False
+    proven = statement.startswith("thm-")
 
     spec = SearchSpec(
         ground_size=n,

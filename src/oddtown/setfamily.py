@@ -24,7 +24,7 @@ set.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import chain, combinations, repeat
+from itertools import chain, repeat
 from math import comb
 from operator import getitem, lshift, or_, xor
 from pathlib import Path
@@ -38,7 +38,7 @@ from .errors import (
     ParityError,
     UniformityError,
 )
-from .gf2 import BitSubset, _bit_indices, _same_ground, _Value
+from .gf2 import BitSubset, _bit_indices, _same_ground, _subsets, _Value
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -296,12 +296,8 @@ def shadow(family: SetFamily, k: int) -> SetFamily:
                 f"shadow size {k} must be smaller than every member; {m} has size {len(m)}"
             )
     seen: set[int] = set()
-    for m in family.members:
-        for combo in combinations(m.elements(), k):
-            mask = 0
-            for e in combo:
-                mask |= 1 << (e - 1)
-            seen.add(mask)
+    for m in family.masks():
+        seen.update(_subsets(m, k))
     return SetFamily.from_masks(family.ground_size, sorted(seen))
 
 
@@ -323,8 +319,7 @@ def _links(family: SetFamily, k: int) -> Iterator[SetFamily]:
     if len(family) and actual != k:
         raise UniformityError(f"family is {actual}-uniform, expected {k}")
     n = family.ground_size
-    subsets = combinations(range(1, n + 1), k - 3)
-    return (link(family, BitSubset.from_elements(a, n)) for a in subsets)
+    return (link(family, BitSubset(a, n)) for a in _subsets((1 << n) - 1, k - 3))
 
 
 class LinkIdentity(NamedTuple):

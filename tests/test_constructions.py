@@ -199,6 +199,16 @@ class TestSteinerSystems:
             ot.SteinerSystem(8, 4, 1, blocks)
         assert err.value.offending == (4,)
 
+    def test_first_bad_pair_is_reported_with_its_message(self):
+        # the Fano plane with {3,5,6} moved to {3,5,7}: pairs before (3, 6) in
+        # lex order are still covered once, (3, 6) by no block, (3, 7) by two
+        fano = [(1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 5, 7)]
+        with pytest.raises(
+            SteinerValidationError, match=r"^2-set \{3, 6\} lies in 0 blocks, expected 1$"
+        ) as err:
+            ot.SteinerSystem(7, 3, 2, SetFamily.from_sets(7, fano))
+        assert err.value.offending == (3, 6)
+
     def test_wrong_block_size_rejected(self):
         blocks = SetFamily.from_sets(8, [(1, 2, 3), (4, 5, 6, 7)])
         with pytest.raises(SteinerValidationError):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import pickle
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -364,6 +365,21 @@ class TestEnumerateSubspace:
         monkeypatch.setattr(gf2, "ENUMERATION_CAP", 8)
         with pytest.raises(CapExceededError):
             enumerate_subspace(Gf2Subspace.full(10))
+
+
+class TestSubsets:
+    def test_matches_combinations_in_order(self):
+        # ground sizes on both sides of the byte boundaries at bits 8 and 16
+        rng = random.Random(20)
+        for n in (1, 7, 8, 9, 15, 16, 17, 20):
+            masks = [0, *(rng.getrandbits(n) for _ in range(6))]
+            if n <= 9:
+                masks.append((1 << n) - 1)  # 2^n subsets over all k
+            for mask in masks:
+                elements = [i for i in range(n) if mask >> i & 1]
+                for k in range(len(elements) + 2):
+                    expected = [sum(1 << e for e in c) for c in combinations(elements, k)]
+                    assert list(gf2._subsets(mask, k)) == expected, (mask, k)
 
 
 class TestEventownSelfDuality:

@@ -1125,6 +1125,41 @@ class TestVerifyTheorem:
             with pytest.raises(ValueError, match="k only applies to prob-uniform"):
                 verify_theorem(statement, 8, s, 3)
 
+    @pytest.mark.parametrize(
+        "statement,k,s_range,size,claim",
+        [
+            ("thm-even", None, lambda n: (1, 2),
+             lambda n, s: 2 ** (n // 2) + s, lambda n, s: s * 2 ** (n // 2 - 1)),
+            ("conj-even", None, lambda n: range(3, 2 ** (n // 2) - 2 ** (n // 4) + 1),
+             lambda n, s: 2 ** (n // 2) + s, lambda n, s: s * 2 ** (n // 2 - 1)),
+            ("thm-odd", None, lambda n: (1,), lambda n, s: n + 1, lambda n, s: 3),
+            ("conj-odd", None, lambda n: range(1, n + 1), lambda n, s: n + s, lambda n, s: 3 * s),
+            ("prob-uniform", 3, lambda n: range(1, comb(n, 3) + 1),
+             lambda n, s: n + s, lambda n, s: 4),
+            ("prob-uniform", 5, lambda n: range(1, comb(n, 5) + 1),
+             lambda n, s: n + s, lambda n, s: 5),
+        ],
+        ids=["thm-even", "conj-even", "thm-odd", "conj-odd", "prob-uniform-k3", "prob-uniform-k5"],
+    )
+    def test_family_size_and_claim_follow_the_paper(self, statement, k, s_range, size, claim):
+        # every s in the statement's range, n = 2..8: the spec refuses just
+        # the families larger than the class, and the rest report the paper's
+        # m and claimed bound; budget_nodes=1 stops each at its first poll
+        checked = 0
+        for n in range(2, 9):
+            if k is not None and k > n:
+                continue
+            pool = comb(n, k) if k else 2 ** (n - 1)
+            for s in s_range(n):
+                if size(n, s) > pool:
+                    with pytest.raises(InfeasibleSpecError):
+                        verify_theorem(statement, n, s, k, budget_nodes=1)
+                    continue
+                report = verify_theorem(statement, n, s, k, budget_nodes=1)
+                assert (report.family_size, report.claimed_bound) == (size(n, s), claim(n, s))
+                checked += 1
+        assert checked
+
     def test_inconclusive_under_tiny_budget(self):
         report = verify_theorem("conj-odd", 5, 2, budget_nodes=40)
         assert report.verdict == "INCONCLUSIVE"
