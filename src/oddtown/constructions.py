@@ -22,9 +22,9 @@ import random
 from itertools import combinations
 from pathlib import Path
 
-from .errors import FamilyFormatError, SteinerValidationError
+from .errors import SteinerValidationError
 from .gf2 import _bit_indices, _subsets, _Value
-from .setfamily import SetFamily, _members, _records, _write_records
+from .setfamily import SetFamily, _family, _read, _write_records
 
 
 def _quadruples(n: int) -> list[int]:
@@ -196,8 +196,8 @@ def steiner_partition(n: int) -> SteinerSystem:
 
 
 # ---------------------------------------------------------------------------
-# Steiner block file format: first line "n=<n> k=<k> t=<t>", one block per
-# line as space-separated 1-based indices, "#" comments.
+# Steiner block file format: the family-file grammar of setfamily, with the
+# header "n=<n> k=<k> t=<t>", one block per line and no "empty" token.
 
 
 def load_steiner(
@@ -208,39 +208,17 @@ def load_steiner(
 ) -> SteinerSystem:
     """Load and exhaustively validate a block file.
 
-    Parameters given as arguments must agree with the file header.
+    Parameters given as arguments must agree with the file header; that is
+    checked before any block is read.
     """
-    header: dict[str, int] | None = None
-    records: list[tuple[int, str]] = []
-    for line_no, line in _records(path):
-        if header is None:
-            header = {}
-            for tok in line.split():
-                key, _, value = tok.partition("=")
-                if key not in ("n", "k", "t") or not value:
-                    raise FamilyFormatError(
-                        "expected header 'n=<n> k=<k> t=<t>'", line_no
-                    )
-                if key in header:
-                    raise FamilyFormatError(f"repeated header key {key!r}", line_no)
-                try:
-                    header[key] = int(value)
-                except ValueError:
-                    raise FamilyFormatError(f"bad header value {tok!r}", line_no) from None
-            if set(header) != {"n", "k", "t"}:
-                raise FamilyFormatError("expected header 'n=<n> k=<k> t=<t>'", line_no)
-        else:
-            records.append((line_no, line))
-    if header is None:
-        raise FamilyFormatError("missing 'n=<n> k=<k> t=<t>' header", None)
-    blocks = _members(records, "block", header["n"])
+    header, records = _read(path, "n=<n> k=<k> t=<t>")
     for name, given in (("n", n), ("k", k), ("t", t)):
         if given is not None and given != header[name]:
             raise ValueError(
                 f"{name}={given} does not match file header {name}={header[name]}"
             )
-    family = SetFamily(header["n"], tuple(blocks))
-    return SteinerSystem(header["n"], header["k"], header["t"], family)
+    blocks = _family(records, "block", header["n"])
+    return SteinerSystem(header["n"], header["k"], header["t"], blocks)
 
 
 def save_steiner(system: SteinerSystem, path: str | Path) -> None:

@@ -87,7 +87,7 @@ from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import CheckpointError, InfeasibleSpecError, OracleSoundnessError
-from .gf2 import _subsets, _Value
+from .gf2 import _same_ground, _subsets, _Value
 from .setfamily import SetFamily, exact_t_rows, odd_rows
 
 DEFAULT_NODE_BUDGET = 10**9
@@ -869,6 +869,7 @@ def local_search(spec: SearchSpec, initial: SetFamily | None = None) -> SearchRe
     evals = 0
     for r in range(spec.restarts):
         if r == 0 and initial is not None:
+            _same_ground(initial.ground_size, spec.ground_size)
             if len(initial) != m:
                 raise ValueError(f"initial family has {len(initial)} members, spec wants {m}")
             index_of = {mask: i for i, mask in enumerate(pool)}
@@ -892,7 +893,6 @@ def local_search(spec: SearchSpec, initial: SetFamily | None = None) -> SearchRe
 
 
 _STATEMENTS = ("thm-even", "thm-odd", "conj-even", "conj-odd", "prob-uniform")
-_VERDICTS = ("HOLDS", "TIGHT", "COUNTEREXAMPLE", "INCONCLUSIVE")
 
 
 class TheoremReport(NamedTuple):

@@ -126,32 +126,25 @@ class OpReport(NamedTuple):
         return Fraction(self.op_count, comb(self.size, 2))
 
 
-def _sparse(rows: Sequence[int], n: int) -> bool:
-    """Whether at most one bit in 8 of the len(rows) x n bit matrix is set."""
-    return len(rows) * n >= 8 * sum(map(int.bit_count, rows))
-
-
-def _element_basis(targets: Sequence[int]) -> list[int]:
-    """basis[e] has bit j set iff targets[j] contains element e (0-based).
+def _element_basis(masks: Sequence[int]) -> list[int]:
+    """basis[e] has bit j set iff masks[j] contains element e (0-based).
 
     When more than one bit in 8 of the m x n bit matrix is set, it is
-    transposed with string operations: each target becomes an n-digit
-    binary string (the last target first), zip reads off the columns, and
+    transposed with string operations: each mask becomes an n-digit
+    binary string (the last mask first), zip reads off the columns, and
     int(column, 2) turns column e into basis[e].  The strings take m * n
     bytes, at most 8 per set bit.  Sparser matrices are transposed one set
-    bit at a time.  The bits are counted in full only when about 64 evenly
-    spaced targets already hold more than one bit in 8; otherwise the
-    matrix is transposed bit by bit without a full count.
+    bit at a time.
     """
-    n = reduce(or_, targets, 0).bit_length()
-    if _sparse(targets[:: len(targets) // 64 + 1], n) or _sparse(targets, n):
+    n = reduce(or_, masks, 0).bit_length()
+    if len(masks) * n >= 8 * sum(map(int.bit_count, masks)):
         basis = [0] * n
-        for j, t in enumerate(targets):
-            for e in _bit_indices(t):
+        for j, x in enumerate(masks):
+            for e in _bit_indices(x):
                 basis[e] |= 1 << j
         return basis
     digits = f"0{n}b"
-    columns = zip(*[format(t, digits) for t in reversed(targets)])
+    columns = zip(*[format(x, digits) for x in reversed(masks)])
     basis = [int("".join(column), 2) for column in columns]
     basis.reverse()  # the strings list the highest element first
     return basis
@@ -197,23 +190,18 @@ def _xor_all(rows: Iterable[int]) -> int:
     return reduce(xor, rows, 0)
 
 
-def odd_rows(masks: Sequence[int], targets: Sequence[int] | None = None) -> Iterator[int]:
-    """For each mask x, the row whose bit j is |x n targets[j]| mod 2.
+def odd_rows(masks: Sequence[int]) -> Iterator[int]:
+    """For each mask x = masks[i], the row whose bit j (j != i) is |x n masks[j]| mod 2.
 
     |x n y| mod 2 is the F2 inner product <x, y>, and <x, .> is linear in x:
     <x ^ z, y> = <x, y> ^ <z, y>.  So the row of x is the XOR of basis[e]
-    over the elements e of x, where basis[e] marks the targets containing e,
+    over the elements e of x, where basis[e] marks the masks containing e,
     and no pair of sets is ever visited.  For many dense masks the XORs are
     read off _byte_tables, one lookup per byte of x; otherwise they are
-    taken one element at a time.  Elements outside every target have zero
-    basis rows and are cut first.  Without targets the masks are compared
-    with themselves and bit i of row i, which is <x, x> = |x| mod 2, is
-    cleared.  Rows are yielded one at a time.
+    taken one element at a time.  Bit i of row i, which is <x, x> = |x| mod 2,
+    is cleared.  Rows are yielded one at a time.
     """
-    basis = _element_basis(masks if targets is None else targets)
-    width = (1 << len(basis)) - 1
-    if targets is not None:
-        masks = [x & width for x in masks]
+    basis = _element_basis(masks)
     tables = _byte_tables(basis.__getitem__, masks, len(basis), _xor_all)
     size = len(tables or ())
     for i, x in enumerate(masks):
@@ -223,7 +211,7 @@ def odd_rows(masks: Sequence[int], targets: Sequence[int] | None = None) -> Iter
                 row ^= basis[e]
         else:
             row = reduce(xor, map(getitem, tables, x.to_bytes(size, "little")), 0)
-        if targets is None and x.bit_count() & 1:
+        if x.bit_count() & 1:
             row ^= 1 << i
         yield row
 
@@ -447,9 +435,9 @@ def bipartite_oddtown_check(xs: SetFamily, ys: SetFamily) -> bool:
     _same_ground(xs.ground_size, ys.ground_size)
     if len(xs) != len(ys):
         raise ValueError(f"family sizes differ: {len(xs)} vs {len(ys)}")
-    return all(
-        row == 1 << i for i, row in enumerate(odd_rows(xs.masks(), ys.masks()))
-    )
+    # bit len(xs) + j of the row of X_i is |X_i n Y_j| mod 2
+    rows = odd_rows(xs.masks() + ys.masks())
+    return all(row >> len(xs) == 1 << i for i, row in zip(range(len(xs)), rows))
 
 
 def op_density(family: SetFamily) -> Fraction:
@@ -462,16 +450,45 @@ def op_density(family: SetFamily) -> Fraction:
 # ---------------------------------------------------------------------------
 # Family file format: first line "n=<ground_size>", then one set per line as
 # space-separated 1-based indices, the token "empty" for the empty set, and
-# "#" comments.  Block files (constructions.load_steiner) share the reader.
+# "#" comments.  Block files (constructions.load_steiner) share the grammar,
+# with the header "n=<n> k=<k> t=<t>" and no "empty" token.
 
 
-def _records(path: str | Path) -> Iterator[tuple[int, str]]:
-    """(line number, text) of each line that is not blank once "#" comments are cut."""
+def _read(path: str | Path, usage: str) -> tuple[dict[str, int], list[tuple[int, str]]]:
+    """The header values and the (line number, text) records of a family or block file.
+
+    Lines are read once "#" comments are cut, and blank ones are skipped.
+    The first is the header: a space-separated key=value token for each
+    key=<...> token of usage, in any order, each key once, with an integer
+    value >= 1 (key n is the ground size).  Errors name the header's line.
+    """
     text = Path(path).read_text(encoding="utf-8")
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield line_no, line
+    records = [
+        (line_no, line)
+        for line_no, raw in enumerate(text.splitlines(), start=1)
+        if (line := raw.split("#", 1)[0].strip())
+    ]
+    if not records:
+        raise FamilyFormatError(f"missing {usage!r} header", None)
+    line_no, line = records.pop(0)
+    keys = [tok.partition("=")[0] for tok in usage.split()]
+    header: dict[str, int] = {}
+    for tok in line.split():
+        key, sep, value = tok.partition("=")
+        if key not in keys or not sep:
+            raise FamilyFormatError(f"expected header {usage!r}", line_no)
+        if key in header:
+            raise FamilyFormatError(f"repeated header key {key!r}", line_no)
+        name = "ground size" if key == "n" else key
+        try:
+            header[key] = int(value)
+        except ValueError:
+            raise FamilyFormatError(f"bad {name} {value!r}", line_no) from None
+        if header[key] < 1:
+            raise FamilyFormatError(f"{name} must be >= 1, got {header[key]}", line_no)
+    if len(header) < len(keys):
+        raise FamilyFormatError(f"expected header {usage!r}", line_no)
+    return header, records
 
 
 def _member(line: str, line_no: int, what: str, ground_size: int) -> BitSubset:
@@ -513,32 +530,28 @@ def _members(records: list[tuple[int, str]], what: str, ground_size: int) -> lis
     return [_member(line, line_no, what, ground_size) for line_no, line in records]
 
 
-def load_family(path: str | Path) -> SetFamily:
-    """Parse a family file; raises FamilyFormatError with a line number."""
-    ground_size: int | None = None
-    records: list[tuple[int, str]] = []
-    for line_no, line in _records(path):
-        if ground_size is None:
-            if not line.startswith("n="):
-                raise FamilyFormatError("expected header 'n=<ground_size>'", line_no)
-            try:
-                ground_size = int(line[2:])
-            except ValueError:
-                raise FamilyFormatError(f"bad ground size {line[2:]!r}", line_no) from None
-            if ground_size < 1:
-                raise FamilyFormatError(f"ground size must be >= 1, got {ground_size}", line_no)
-        else:
-            records.append((line_no, line))
-    if ground_size is None:
-        raise FamilyFormatError("missing 'n=<ground_size>' header", None)
-    listed = iter(_members([r for r in records if r[1] != "empty"], "set", ground_size))
+def _family(
+    records: list[tuple[int, str]], what: str, ground_size: int, empty: str | None = None
+) -> SetFamily:
+    """The family of the subsets records list, in order; errors name the line.
+
+    A record equal to empty, when given, is the empty set.  A repeated
+    member is a FamilyFormatError.
+    """
+    listed = iter(_members([r for r in records if r[1] != empty], what, ground_size))
     members = [
-        BitSubset(0, ground_size) if line == "empty" else next(listed) for _, line in records
+        BitSubset(0, ground_size) if line == empty else next(listed) for _, line in records
     ]
     try:
         return SetFamily(ground_size, tuple(members))
     except DuplicateMemberError as exc:
         raise FamilyFormatError(str(exc), None) from None
+
+
+def load_family(path: str | Path) -> SetFamily:
+    """Parse a family file; raises FamilyFormatError with a line number."""
+    header, records = _read(path, "n=<ground_size>")
+    return _family(records, "set", header["n"], empty="empty")
 
 
 def _element_token(e: int) -> str:

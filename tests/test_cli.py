@@ -59,6 +59,13 @@ class TestConstruct:
         assert code == 0
         assert doc["is_oddtown"] is True and doc["is_eventown"] is False
 
+    def test_steiner_partition_reports_its_design(self, capsys):
+        code, doc = run(capsys, "construct", "--family", "steiner-partition", "--n", "8")
+        assert code == 0
+        assert doc["size"] == 2 and doc["op"] == 0
+        assert doc["steiner_valid"] is True
+        assert doc["design"] == {"n": 8, "k": 4, "t": 1}
+
     def test_round_trip_through_analyze(self, capsys, tmp_path):
         out = tmp_path / "fam.txt"
         code, doc = run(

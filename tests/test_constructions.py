@@ -259,6 +259,37 @@ class TestSteinerSystems:
         with pytest.raises(FamilyFormatError):
             ot.load_steiner(path)
 
+    @pytest.mark.parametrize(
+        "text,line_no,message",
+        [
+            ("n=x k=4 t=1\n", 1, "bad ground size 'x'"),
+            ("n=8 k=four t=1\n", 1, "bad k 'four'"),
+            ("# blocks only\n1 2 3 4\n", 2, "expected header 'n=<n> k=<k> t=<t>'"),
+            ("# no lines\n\n", None, "missing 'n=<n> k=<k> t=<t>' header"),
+            ("# design\n\nn=0 k=4 t=1\n", 3, "ground size must be >= 1, got 0"),
+            ("n=8 k=4 t=0\n1 2 3 4\n", 1, "t must be >= 1, got 0"),
+        ],
+        ids=["bad-n", "bad-k", "no-header-line", "no-lines", "n-zero", "t-zero"],
+    )
+    def test_bad_header_reports_line(self, tmp_path, text, line_no, message):
+        path = tmp_path / "bad.blocks"
+        path.write_text(text)
+        with pytest.raises(FamilyFormatError, match=message) as err:
+            ot.load_steiner(path)
+        assert err.value.line_no == line_no
+
+    def test_repeated_block(self, tmp_path):
+        path = tmp_path / "twice.blocks"
+        path.write_text("n=8 k=4 t=1\n1 2 3 4\n4 3 2 1\n5 6 7 8\n")
+        with pytest.raises(FamilyFormatError, match=r"^duplicate member \{1 2 3 4\}$"):
+            ot.load_steiner(path)
+
+    def test_header_mismatch_comes_before_the_blocks(self, tmp_path):
+        path = tmp_path / "bad.blocks"
+        path.write_text("n=8 k=4 t=1\n1 2 3 4\n5 6 x 8\n")
+        with pytest.raises(ValueError, match="^n=9 does not match file header n=8$"):
+            ot.load_steiner(path, n=9)
+
     def test_invalid_cover_via_file(self, tmp_path):
         path = tmp_path / "bad.blocks"
         path.write_text("n=8 k=4 t=1\n1 2 3 4\n4 5 6 7\n")

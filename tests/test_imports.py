@@ -1,4 +1,5 @@
-"""Source hygiene: every module of the package uses each name it imports."""
+"""Source hygiene: every module of the package uses each name it imports, and
+some module reads each private name a module defines."""
 
 from __future__ import annotations
 
@@ -53,3 +54,46 @@ def test_unused_import_is_caught():
         "    'comb'\n"
     )
     assert unused_imports(source) == ["os", "comb"]
+
+
+def unread_private_names(sources: list[str]) -> list[str]:
+    """Module-level _names (dunders aside) that no module of sources reads.
+
+    A name is defined by a def, class or assignment at the top level of
+    its module, and read when it appears anywhere as a loaded Name, an
+    attribute or an imported name.
+    """
+    defined: list[str] = []
+    read: set[str] = set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [t.id for t in targets if isinstance(t, ast.Name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return [
+        name for name in defined
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
+
+
+def test_every_private_name_is_read():
+    package = Path(oddtown.__file__).parent.glob("*.py")
+    assert unread_private_names([p.read_text(encoding="utf-8") for p in package]) == []
+
+
+def test_unread_private_name_is_caught():
+    sources = [
+        "__all__ = ['f']\n_CAP = 3\n_LEFT = 1\ndef _used(): return _CAP\n",
+        "from m import _used\nclass _Box: pass\ndef f(x): return _used() + x._Box\n",
+    ]
+    assert unread_private_names(sources) == ["_LEFT"]

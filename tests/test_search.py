@@ -908,6 +908,13 @@ class TestLocalSearch:
         with pytest.raises(ValueError):
             local_search(spec, initial=bad)
 
+    def test_initial_must_share_the_ground_set(self):
+        # {}, {1, 2}, {1, 3} over [10] are masks of even sets of [8] too
+        spec = SearchSpec(ground_size=8, family_size=3, family_class="even", mode="local")
+        other = ot.SetFamily.from_masks(10, [0, 3, 5])
+        with pytest.raises(ot.GroundSetMismatchError, match="ground sets differ: 10 vs 8"):
+            local_search(spec, initial=other)
+
 
 # (spec kwargs, seed, initial family) -> (best_value, witness masks, nodes_explored),
 # recorded from the swap-by-swap local search this climber replaced

@@ -678,8 +678,12 @@ class TestFamilyFile:
             ("n=x\n1\n", 1, "bad ground size 'x'"),
             ("# n=4\n\nn=0\n", 3, "ground size must be >= 1, got 0"),
             ("# only\n\n# comments\n", None, "missing 'n=<ground_size>' header"),
+            ("n= 4\n1\n", 1, "bad ground size ''"),
+            ("n=4 n=4\n1\n", 1, "repeated header key 'n'"),
+            ("n=4 k=3\n1\n", 1, "expected header 'n=<ground_size>'"),
         ],
-        ids=["not-a-number", "zero", "no-header-line"],
+        ids=["not-a-number", "zero", "no-header-line", "space-after-equals", "repeated-key",
+             "extra-key"],
     )
     def test_bad_header(self, tmp_path, text, line_no, message):
         path = tmp_path / "fam.txt"
@@ -687,6 +691,13 @@ class TestFamilyFile:
         with pytest.raises(FamilyFormatError, match=message) as err:
             ot.load_family(path)
         assert err.value.line_no == line_no
+
+    def test_repeated_member(self, tmp_path):
+        path = tmp_path / "fam.txt"
+        path.write_text("n=4\n1 2\nempty\n2 1\n")
+        with pytest.raises(FamilyFormatError, match=r"^duplicate member \{1 2\}$") as err:
+            ot.load_family(path)
+        assert err.value.line_no is None
 
     def test_bad_token_reports_line(self, tmp_path):
         path = tmp_path / "fam.txt"
