@@ -137,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _family_stats(family: sf.SetFamily, report: sf.OpReport) -> dict[str, Any]:
     """Size, op and the two rule checks, which need only op and the size parities."""
-    odd = sum(len(m) & 1 for m in family.members)
+    odd = sum(x.bit_count() & 1 for x in family.masks)
     no_odd_pair = report.op_count == 0
     return {
         "n": family.ground_size,

@@ -23,7 +23,7 @@ from itertools import combinations
 from pathlib import Path
 
 from .errors import SteinerValidationError
-from .gf2 import _bit_indices, _subsets, _Value
+from .gf2 import BitSubset, _bit_indices, _subsets, _Value
 from .setfamily import SetFamily, _family, _read, _write_records
 
 
@@ -63,8 +63,8 @@ def eventown_pair(n: int) -> tuple[SetFamily, SetFamily]:
     Requires n to be a multiple of 4.  Quadruple i occupies elements 4i-3,..,4i.
     """
     a_blocks, b_blocks = _quad_blocks(n)
-    a = SetFamily.from_masks(n, _union_closure(a_blocks))
-    return a, SetFamily.from_masks(n, _union_closure(b_blocks))
+    a = SetFamily(n, _union_closure(a_blocks))
+    return a, SetFamily(n, _union_closure(b_blocks))
 
 
 def _pick(candidates: list[int], s: int, seed: int | None) -> list[int]:
@@ -88,7 +88,7 @@ def eventown_plus(n: int, s: int, seed: int | None = None) -> SetFamily:
     a_blocks, b_blocks = _quad_blocks(n)
     a = _union_closure(a_blocks)
     twin_only = sorted(set(_union_closure(b_blocks)).difference(a))
-    return SetFamily.from_masks(n, a + _pick(twin_only, s, seed))
+    return SetFamily(n, a + _pick(twin_only, s, seed))
 
 
 def _singleton_masks(n: int) -> list[int]:
@@ -108,12 +108,12 @@ def _k4_triples(n: int) -> list[int]:
 
 def singletons(n: int) -> SetFamily:
     """The n singletons, an extremal odd-rule family."""
-    return SetFamily.from_masks(n, _singleton_masks(n))
+    return SetFamily(n, _singleton_masks(n))
 
 
 def disjoint_k4_triples(n: int) -> SetFamily:
     """All triples inside each quadruple block; n triples, odd rules hold."""
-    return SetFamily.from_masks(n, _k4_triples(n))
+    return SetFamily(n, _k4_triples(n))
 
 
 def oddtown_plus(n: int, s: int, seed: int | None = None) -> SetFamily:
@@ -123,7 +123,7 @@ def oddtown_plus(n: int, s: int, seed: int | None = None) -> SetFamily:
     otherwise a sample seeded by seed.
     """
     base = _singleton_masks(n)
-    return SetFamily.from_masks(n, base + _pick(_k4_triples(n), s, seed))
+    return SetFamily(n, base + _pick(_k4_triples(n), s, seed))
 
 
 def example_x5() -> SetFamily:
@@ -176,10 +176,11 @@ class SteinerSystem(_Value):
             raise ValueError(
                 f"blocks over ground size {self.blocks.ground_size}, expected {self.n}"
             )
-        for b in self.blocks.members:
-            if len(b) != self.k:
-                raise SteinerValidationError(f"block {b} does not have size {self.k}")
-        masks = self.blocks.masks()
+        masks = self.blocks.masks
+        for b in masks:
+            if b.bit_count() != self.k:
+                block = BitSubset(b, self.n)
+                raise SteinerValidationError(f"block {block} does not have size {self.k}")
         for tmask in _subsets((1 << self.n) - 1, self.t):
             cover = sum(1 for b in masks if tmask & ~b == 0)
             if cover != 1:
@@ -192,7 +193,7 @@ class SteinerSystem(_Value):
 
 def steiner_partition(n: int) -> SteinerSystem:
     """The partition of [n] into consecutive quadruples, as a (n, 4, 1) design."""
-    return SteinerSystem(n, 4, 1, SetFamily.from_masks(n, _quadruples(n)))
+    return SteinerSystem(n, 4, 1, SetFamily(n, _quadruples(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -223,4 +224,4 @@ def load_steiner(
 
 def save_steiner(system: SteinerSystem, path: str | Path) -> None:
     header = f"n={system.n} k={system.k} t={system.t}"
-    _write_records(path, header, system.blocks.masks())
+    _write_records(path, header, system.blocks.masks)

@@ -48,6 +48,22 @@ def _subsets(mask: int, k: int) -> Iterator[int]:
     return (sum(map(bit, combo)) for combo in combinations(_bit_indices(mask), k))
 
 
+def _mask_of(elements: Iterable[int], ground_size: int) -> int:
+    """The mask of 1-based elements, each of which must lie in [1, ground_size]."""
+    mask = 0
+    for e in elements:
+        if not 1 <= e <= ground_size:
+            raise ValueError(f"element {e} outside ground set [1, {ground_size}]")
+        mask |= 1 << (e - 1)
+    return mask
+
+
+def _check_mask(mask: int, ground_size: int) -> None:
+    """Raise ValueError unless mask has bits only inside [ground_size]."""
+    if mask < 0 or mask >> ground_size:
+        raise ValueError(f"mask {mask:#x} has bits outside ground set of size {ground_size}")
+
+
 def _same_ground(a: int, b: int) -> None:
     """Raise GroundSetMismatchError unless ground sizes a and b agree."""
     if a != b:
@@ -119,20 +135,12 @@ class BitSubset(_Value):
         self._set(mask, ground_size)
         if ground_size < 1:
             raise ValueError(f"ground size must be >= 1, got {ground_size}")
-        if mask < 0 or mask >> ground_size:
-            raise ValueError(
-                f"mask {mask:#x} has bits outside ground set of size {ground_size}"
-            )
+        _check_mask(mask, ground_size)
 
     @classmethod
     def from_elements(cls, elements: Iterable[int], ground_size: int) -> "BitSubset":
         """Build from 1-based element indices."""
-        mask = 0
-        for e in elements:
-            if not 1 <= e <= ground_size:
-                raise ValueError(f"element {e} outside ground set [1, {ground_size}]")
-            mask |= 1 << (e - 1)
-        return cls(mask, ground_size)
+        return cls(_mask_of(elements, ground_size), ground_size)
 
     def __lt__(self, other: "BitSubset") -> bool:
         if other.__class__ is self.__class__:

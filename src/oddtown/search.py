@@ -87,7 +87,7 @@ from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import CheckpointError, InfeasibleSpecError, OracleSoundnessError
-from .gf2 import _same_ground, _subsets, _Value
+from .gf2 import _bit_indices, _same_ground, _subsets, _Value
 from .setfamily import SetFamily, exact_t_rows, odd_rows
 
 DEFAULT_NODE_BUDGET = 10**9
@@ -224,6 +224,11 @@ class SearchSpec(_Value):
         return 1 << (self.ground_size - 1)
 
 
+def _element_lists(family: SetFamily | None) -> list[list[int]] | None:
+    """Each member of family as its ascending 1-based elements; None for no family."""
+    return None if family is None else [[e + 1 for e in _bit_indices(x)] for x in family.masks]
+
+
 class SearchResult(NamedTuple):
     """Outcome of one search run.
 
@@ -246,9 +251,7 @@ class SearchResult(NamedTuple):
         floor, entry = _floor(self.spec)
         return {
             "best_value": self.best_value,
-            "witness": None
-            if self.witness is None
-            else [list(m.elements()) for m in self.witness.members],
+            "witness": _element_lists(self.witness),
             "optimal": self.optimal,
             "lower_bound": self.best_value if self.optimal else floor,
             "floor_entry": None
@@ -779,9 +782,7 @@ def _result(
     """The SearchResult of a run whose best family is the pool indices chosen, if any."""
     return SearchResult(
         best_value=value,
-        witness=None
-        if chosen is None
-        else SetFamily.from_masks(spec.ground_size, [pool[i] for i in chosen]),
+        witness=None if chosen is None else SetFamily(spec.ground_size, [pool[i] for i in chosen]),
         optimal=optimal,
         nodes_explored=nodes,
         elapsed=time.monotonic() - start_time,
@@ -796,10 +797,12 @@ def _minimize_exact(spec: SearchSpec, checkpoint: str | Path | None = None) -> S
             f"exhaustive enumeration of C({P},{m}) = {comb(P, m)} families exceeds "
             f"the feasibility cap {_EXHAUSTIVE_CAP}; use branch and bound"
         )
+    ck_path = None if checkpoint is None else Path(checkpoint)
+    if ck_path is not None and not ck_path.parent.is_dir():
+        raise CheckpointError(f"checkpoint {ck_path}: directory {ck_path.parent} does not exist")
     start_time, deadline, pool, rows = _setup(spec)
     # exhaustive mode enumerates every family: no value is <= -1
     floor = _floor(spec)[0] if spec.mode == "bnb" else -1
-    ck_path = None if checkpoint is None else Path(checkpoint)
     start, preload = (0, _NOTHING) if ck_path is None else _load_checkpoint(ck_path, spec, rows)
     # the hint primes pruning, and is the incumbent if the tree is cut early;
     # the tree's count continues from the hint's evaluations
@@ -874,7 +877,7 @@ def local_search(spec: SearchSpec, initial: SetFamily | None = None) -> SearchRe
                 raise ValueError(f"initial family has {len(initial)} members, spec wants {m}")
             index_of = {mask: i for i, mask in enumerate(pool)}
             try:
-                start = [index_of[mask] for mask in initial.masks()]
+                start = [index_of[mask] for mask in initial.masks]
             except KeyError as exc:
                 raise ValueError(f"initial member {exc} is not in the instance class") from None
         else:
@@ -997,7 +1000,7 @@ def verify_theorem(
             raise OracleSoundnessError(
                 f"{statement} at n={n}, s={s}: search found a family with value "
                 f"{result.best_value} below the proven bound {bound}; "
-                f"witness {[list(m.elements()) for m in result.witness.members]}"  # type: ignore[union-attr]
+                f"witness {_element_lists(result.witness)}"
             )
     elif not result.optimal:
         verdict = "INCONCLUSIVE"

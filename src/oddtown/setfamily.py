@@ -6,8 +6,11 @@ pair count c_{k,t}, shadows, links, the even/odd family rule validators,
 maximal even-rule subfamilies, and the bipartite cross-intersection
 pattern check.  Densities are exact rationals, never floats.
 
-Families keep insertion order and refuse duplicate members; a canonical
-mask-sorted form is available for comparisons.  Pair statistics come from
+A family holds its members as bit masks, the characteristic vectors in
+F2^n on which every statistic and the file format work, keeps insertion
+order and refuses duplicate members; a canonical mask-sorted form is
+available for comparisons.  BitSubset objects are built only for callers
+that ask for them.  Pair statistics come from
 the row builders odd_rows and exact_t_rows, which never visit a pair.
 Both start from the element basis (the transposed bit matrix of the
 members, built with string operations when it is dense).  For many dense
@@ -24,9 +27,9 @@ set.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import chain, repeat
+from itertools import chain
 from math import comb
-from operator import getitem, lshift, or_, xor
+from operator import getitem, or_, xor
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
@@ -34,11 +37,10 @@ from .errors import (
     CapExceededError,
     DuplicateMemberError,
     FamilyFormatError,
-    GroundSetMismatchError,
     ParityError,
     UniformityError,
 )
-from .gf2 import BitSubset, _bit_indices, _same_ground, _subsets, _Value
+from .gf2 import BitSubset, _bit_indices, _check_mask, _mask_of, _same_ground, _subsets, _Value
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -49,60 +51,60 @@ EXACT_SUBFAMILY_CAP = 30  # exact maximum eventown subfamily refuses larger inpu
 
 
 class SetFamily(_Value):
-    """An ordered, duplicate-free collection of subsets of {1,..,ground_size}."""
+    """An ordered, duplicate-free collection of subsets of {1,..,ground_size}.
 
-    __slots__ = ("ground_size", "members")
+    masks holds the members as bit masks (bit i-1 for element i), the
+    characteristic vectors every statistic here works on.  The constructor
+    takes any iterable of ints and refuses a ground size below 1, a mask
+    with bits outside [ground_size] and a repeated mask.  members,
+    iteration and membership tests deal in BitSubset objects, built on
+    demand.
+    """
+
+    __slots__ = ("ground_size", "masks")
     ground_size: int
-    members: tuple[BitSubset, ...]
+    masks: tuple[int, ...]
 
-    def __init__(self, ground_size: int, members: tuple[BitSubset, ...]) -> None:
-        self._set(ground_size, members)
-        if self.ground_size < 1:
-            raise ValueError(f"ground size must be >= 1, got {self.ground_size}")
-        seen = set()
-        for m in self.members:
-            if m.ground_size != self.ground_size:
-                raise GroundSetMismatchError(
-                    f"member over ground size {m.ground_size}, family has {self.ground_size}"
-                )
-            if m.mask in seen:
-                raise DuplicateMemberError(f"duplicate member {m}")
-            seen.add(m.mask)
-
-    @classmethod
-    def from_masks(cls, ground_size: int, masks: Iterable[int]) -> "SetFamily":
-        return cls(ground_size, tuple(BitSubset(m, ground_size) for m in masks))
+    def __init__(self, ground_size: int, masks: Iterable[int]) -> None:
+        self._set(ground_size, tuple(masks))
+        if ground_size < 1:
+            raise ValueError(f"ground size must be >= 1, got {ground_size}")
+        seen: set[int] = set()
+        for x in self.masks:
+            _check_mask(x, ground_size)
+            if x in seen:
+                raise DuplicateMemberError(f"duplicate member {BitSubset(x, ground_size)}")
+            seen.add(x)
 
     @classmethod
     def from_sets(cls, ground_size: int, sets: Iterable[Iterable[int]]) -> "SetFamily":
         """Build from iterables of 1-based element indices."""
-        return cls(
-            ground_size,
-            tuple(BitSubset.from_elements(s, ground_size) for s in sets),
-        )
+        return cls(ground_size, [_mask_of(s, ground_size) for s in sets])
 
-    def masks(self) -> tuple[int, ...]:
-        return tuple(m.mask for m in self.members)
+    @property
+    def members(self) -> tuple[BitSubset, ...]:
+        """The members as BitSubset objects, built on each read."""
+        return tuple(BitSubset(x, self.ground_size) for x in self.masks)
 
     def canonical(self) -> "SetFamily":
         """The same family with members sorted ascending by mask."""
-        return SetFamily(self.ground_size, tuple(sorted(self.members)))
+        return SetFamily(self.ground_size, sorted(self.masks))
 
     def union(self, other: "SetFamily") -> "SetFamily":
         """Members of self followed by members of other not already present."""
         _same_ground(other.ground_size, self.ground_size)
-        have = set(self.masks())
-        extra = tuple(m for m in other.members if m.mask not in have)
-        return SetFamily(self.ground_size, self.members + extra)
+        have = set(self.masks)
+        extra = tuple(x for x in other.masks if x not in have)
+        return SetFamily(self.ground_size, self.masks + extra)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.masks)
 
     def __iter__(self) -> Iterator[BitSubset]:
         return iter(self.members)
 
     def __contains__(self, item: BitSubset) -> bool:
-        return item.ground_size == self.ground_size and item.mask in set(self.masks())
+        return item.ground_size == self.ground_size and item.mask in self.masks
 
 
 class OpReport(NamedTuple):
@@ -244,7 +246,7 @@ def op(family: SetFamily, materialize_pairs: bool = False) -> OpReport:
     """Count unordered pairs of distinct members with odd intersection."""
     count = 0
     pairs: list[tuple[int, int]] | None = [] if materialize_pairs else None
-    for i, row in enumerate(odd_rows(family.masks())):
+    for i, row in enumerate(odd_rows(family.masks)):
         later = row >> (i + 1)
         count += later.bit_count()
         if pairs is not None:
@@ -257,7 +259,7 @@ def op_count(family: SetFamily) -> int:
 
 
 def _uniform_size(family: SetFamily) -> int:
-    sizes = {len(m) for m in family.members}
+    sizes = set(map(int.bit_count, family.masks))
     if len(sizes) > 1:
         raise UniformityError(f"family is not uniform, member sizes {sorted(sizes)}")
     return sizes.pop() if sizes else 0
@@ -271,30 +273,30 @@ def c_kt(family: SetFamily, t: int) -> int:
     k = _uniform_size(family)
     if not 0 <= t < k:
         raise ValueError(f"need 0 <= t < member size, got t={t}, k={k}")
-    return sum(row.bit_count() for row in exact_t_rows(family.masks(), t)) // 2
+    return sum(row.bit_count() for row in exact_t_rows(family.masks, t)) // 2
 
 
 def shadow(family: SetFamily, k: int) -> SetFamily:
     """All k-subsets contained in at least one member, mask-sorted."""
     if k < 0:
         raise ValueError(f"shadow size must be non-negative, got {k}")
-    for m in family.members:
-        if k >= len(m):
+    for x in family.masks:
+        if k >= x.bit_count():
             raise ValueError(
-                f"shadow size {k} must be smaller than every member; {m} has size {len(m)}"
+                f"shadow size {k} must be smaller than every member; "
+                f"{BitSubset(x, family.ground_size)} has size {x.bit_count()}"
             )
     seen: set[int] = set()
-    for m in family.masks():
-        seen.update(_subsets(m, k))
-    return SetFamily.from_masks(family.ground_size, sorted(seen))
+    for x in family.masks:
+        seen.update(_subsets(x, k))
+    return SetFamily(family.ground_size, sorted(seen))
 
 
 def link(family: SetFamily, a: BitSubset) -> SetFamily:
     """The link of a: { F \\ a : F in family, a subset of F }, member order kept."""
     _same_ground(a.ground_size, family.ground_size)
     am = a.mask
-    out = [m.mask & ~am for m in family.members if am & ~m.mask == 0]
-    return SetFamily.from_masks(family.ground_size, out)
+    return SetFamily(family.ground_size, [x & ~am for x in family.masks if am & ~x == 0])
 
 
 def _links(family: SetFamily, k: int) -> Iterator[SetFamily]:
@@ -369,13 +371,13 @@ def check_application_bound(family: SetFamily, k: int, s: int) -> ApplicationBou
 
 def is_eventown(family: SetFamily) -> bool:
     """All members even-sized and all pairwise intersections even."""
-    masks = family.masks()
+    masks = family.masks
     return not any(m.bit_count() & 1 for m in masks) and not any(odd_rows(masks))
 
 
 def is_oddtown(family: SetFamily) -> bool:
     """All members odd-sized and all pairwise intersections even."""
-    masks = family.masks()
+    masks = family.masks
     return all(m.bit_count() & 1 for m in masks) and not any(odd_rows(masks))
 
 
@@ -388,12 +390,12 @@ def maximal_eventown_subfamily(family: SetFamily, strategy: str = "greedy") -> S
     returning the lexicographically least (by member index) among optima;
     it refuses families larger than EXACT_SUBFAMILY_CAP.
     """
-    for m in family.members:
-        if len(m) & 1:
-            raise ParityError(f"member {m} has odd size")
+    masks = family.masks
+    for x in masks:
+        if x.bit_count() & 1:
+            raise ParityError(f"member {BitSubset(x, family.ground_size)} has odd size")
     if strategy not in ("greedy", "exact"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    masks = family.masks()
     adj = list(odd_rows(masks))  # the odd-intersection graph on member indices
     if strategy == "greedy":
         chosen_bits = 0
@@ -402,7 +404,7 @@ def maximal_eventown_subfamily(family: SetFamily, strategy: str = "greedy") -> S
             if adj[i] & chosen_bits == 0:
                 chosen_bits |= 1 << i
                 keep.append(i)
-        return SetFamily(family.ground_size, tuple(family.members[i] for i in keep))
+        return SetFamily(family.ground_size, [masks[i] for i in keep])
 
     m = len(masks)
     if m > EXACT_SUBFAMILY_CAP:
@@ -427,7 +429,7 @@ def maximal_eventown_subfamily(family: SetFamily, strategy: str = "greedy") -> S
         explore(i + 1, chosen, chosen_bits)
 
     explore(0, [], 0)
-    return SetFamily(family.ground_size, tuple(family.members[i] for i in best))
+    return SetFamily(family.ground_size, [masks[i] for i in best])
 
 
 def bipartite_oddtown_check(xs: SetFamily, ys: SetFamily) -> bool:
@@ -436,7 +438,7 @@ def bipartite_oddtown_check(xs: SetFamily, ys: SetFamily) -> bool:
     if len(xs) != len(ys):
         raise ValueError(f"family sizes differ: {len(xs)} vs {len(ys)}")
     # bit len(xs) + j of the row of X_i is |X_i n Y_j| mod 2
-    rows = odd_rows(xs.masks() + ys.masks())
+    rows = odd_rows(xs.masks + ys.masks)
     return all(row >> len(xs) == 1 << i for i, row in zip(range(len(xs)), rows))
 
 
@@ -450,8 +452,21 @@ def op_density(family: SetFamily) -> Fraction:
 # ---------------------------------------------------------------------------
 # Family file format: first line "n=<ground_size>", then one set per line as
 # space-separated 1-based indices, the token "empty" for the empty set, and
-# "#" comments.  Block files (constructions.load_steiner) share the grammar,
+# "#" comments.  Header values and indices are an optional "+" and then ASCII
+# decimal digits.  Block files (constructions.load_steiner) share the grammar,
 # with the header "n=<n> k=<k> t=<t>" and no "empty" token.
+
+
+def _number(token: str) -> int:
+    """token read as an optional "+" and then ASCII decimal digits, else ValueError.
+
+    int() alone would also take "_" between digits, a "-" sign and digits
+    of other scripts.
+    """
+    digits = token[1:] if token.startswith("+") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a number: {token!r}")
+    return int(digits)
 
 
 def _read(path: str | Path, usage: str) -> tuple[dict[str, int], list[tuple[int, str]]]:
@@ -481,7 +496,7 @@ def _read(path: str | Path, usage: str) -> tuple[dict[str, int], list[tuple[int,
             raise FamilyFormatError(f"repeated header key {key!r}", line_no)
         name = "ground size" if key == "n" else key
         try:
-            header[key] = int(value)
+            header[key] = _number(value)
         except ValueError:
             raise FamilyFormatError(f"bad {name} {value!r}", line_no) from None
         if header[key] < 1:
@@ -491,42 +506,38 @@ def _read(path: str | Path, usage: str) -> tuple[dict[str, int], list[tuple[int,
     return header, records
 
 
-def _member(line: str, line_no: int, what: str, ground_size: int) -> BitSubset:
-    """The subset a record lists as 1-based elements; errors name the line."""
+def _member(line: str, line_no: int, what: str, ground_size: int) -> int:
+    """The mask of the subset a record lists as 1-based elements; errors name the line."""
     try:
-        elements = [int(tok) for tok in line.split()]
+        elements = [_number(tok) for tok in line.split()]
     except ValueError:
         raise FamilyFormatError(f"bad {what} line {line!r}", line_no) from None
     try:
-        return BitSubset.from_elements(elements, ground_size)
+        return _mask_of(elements, ground_size)
     except ValueError as exc:
         raise FamilyFormatError(str(exc), line_no) from None
 
 
-def _members(records: list[tuple[int, str]], what: str, ground_size: int) -> list[BitSubset]:
-    """The subsets that records list as 1-based elements, in order; errors name the line.
+def _members(records: list[tuple[int, str]], what: str, ground_size: int) -> list[int]:
+    """The masks of the subsets records list as 1-based elements, in order; errors name the line.
 
-    Each distinct token is read once, into a dict from tokens to 0-based
-    elements, so a record is one reduce over C-level maps and the dict
-    grows with the tokens the file uses, not with [ground_size].  If some
-    token is not an element of [ground_size], _member reads the records
-    one by one instead and raises the error of the first bad one.
+    Each distinct token is read once, into a dict from tokens to element
+    bits, so a record is one reduce over C-level maps and the dict grows
+    with the tokens the file uses, not with [ground_size].  If some token
+    is not an element of [ground_size], _member reads the records one by
+    one instead and raises the error of the first bad one.
     """
-    index: dict[str, int] = {}
+    bits: dict[str, int] = {}
     for tok in set(chain.from_iterable(line.split() for _, line in records)):
         try:
-            e = int(tok)
+            e = _number(tok)
         except ValueError:
             break
         if not 1 <= e <= ground_size:
             break
-        index[tok] = e - 1
+        bits[tok] = 1 << (e - 1)
     else:  # every token is an element
-        return [
-            BitSubset(reduce(or_, map(lshift, repeat(1), map(index.__getitem__, line.split()))),
-                      ground_size)
-            for _, line in records
-        ]
+        return [reduce(or_, map(bits.__getitem__, line.split())) for _, line in records]
     return [_member(line, line_no, what, ground_size) for line_no, line in records]
 
 
@@ -536,16 +547,19 @@ def _family(
     """The family of the subsets records list, in order; errors name the line.
 
     A record equal to empty, when given, is the empty set.  A repeated
-    member is a FamilyFormatError.
+    member is a FamilyFormatError at the later line of the pair.
     """
     listed = iter(_members([r for r in records if r[1] != empty], what, ground_size))
-    members = [
-        BitSubset(0, ground_size) if line == empty else next(listed) for _, line in records
-    ]
+    masks = [0 if line == empty else next(listed) for _, line in records]
     try:
-        return SetFamily(ground_size, tuple(members))
+        return SetFamily(ground_size, masks)
     except DuplicateMemberError as exc:
-        raise FamilyFormatError(str(exc), None) from None
+        seen = set()  # only a file with a repeat pays for finding its line
+        for (line_no, _), x in zip(records, masks):
+            if x in seen:
+                break
+            seen.add(x)
+        raise FamilyFormatError(str(exc), line_no) from None
 
 
 def load_family(path: str | Path) -> SetFamily:
@@ -575,4 +589,4 @@ def _write_records(path: str | Path, header: str, masks: Sequence[int]) -> None:
 
 
 def save_family(family: SetFamily, path: str | Path) -> None:
-    _write_records(path, f"n={family.ground_size}", family.masks())
+    _write_records(path, f"n={family.ground_size}", family.masks)

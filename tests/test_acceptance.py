@@ -142,7 +142,7 @@ def test_criterion_5_uniform_triple_data_point():
         optima = [
             fam
             for fam in combinations(sorted(pool), 6)
-            if ot.op_count(SetFamily.from_masks(5, fam)) == r.best_value
+            if ot.op_count(SetFamily(5, fam)) == r.best_value
         ]
         assert any(set(fam) == f1 for fam in optima)
 
@@ -280,8 +280,8 @@ def test_criterion_9_bipartite_pattern_exhausted_at_n3():
 
 def test_criterion_10_density_windows():
     with criterion(10, "exact odd-pair densities sit in their predicted windows"):
-        evens6 = SetFamily.from_masks(6, [m for m in range(1 << 6) if m.bit_count() % 2 == 0])
-        evens8 = SetFamily.from_masks(8, [m for m in range(1 << 8) if m.bit_count() % 2 == 0])
+        evens6 = SetFamily(6, [m for m in range(1 << 6) if m.bit_count() % 2 == 0])
+        evens8 = SetFamily(8, [m for m in range(1 << 8) if m.bit_count() % 2 == 0])
         d6, d8 = ot.op_density(evens6), ot.op_density(evens8)
         assert d6 == Fraction(15, 31)
         assert d8 == Fraction(63, 127)

@@ -245,6 +245,24 @@ class TestSearch:
         assert captured.out == ""
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("m", ["2", "3"])
+    def test_checkpoint_in_missing_directory_is_refused_before_any_work(
+        self, capsys, tmp_path, monkeypatch, m
+    ):
+        # at m=2 the top node has no branch, so no checkpoint would be written
+        def no_work(spec):
+            pytest.fail("the candidate pool was built")
+
+        monkeypatch.setattr(se, "candidate_pool", no_work)
+        ckpt = tmp_path / "missing" / "x.ckpt"
+        code = main(["search", "--class", "even", "--n", "4", "--m", m,
+                     "--checkpoint", str(ckpt)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: checkpoint {ckpt}: directory {ckpt.parent} does not exist\n"
+        assert captured.out == ""
+        assert not ckpt.parent.exists()
+
     @pytest.mark.parametrize(
         "argv,word",
         [

@@ -29,7 +29,7 @@ class TestEventownPair:
 
     def test_overlap_is_whole_block_unions(self):
         a, b = ot.eventown_pair(8)
-        common = set(a.masks()) & set(b.masks())
+        common = set(a.masks) & set(b.masks)
         blocks = [0b1111, 0b11110000]
         expected = {0, blocks[0], blocks[1], blocks[0] | blocks[1]}
         assert common == expected
@@ -40,10 +40,10 @@ class TestEventownPair:
 
     def test_member_order_n8(self):
         a, b = ot.eventown_pair(8)
-        assert a.masks() == (
+        assert a.masks == (
             0, 3, 12, 15, 48, 51, 60, 63, 192, 195, 204, 207, 240, 243, 252, 255
         )
-        assert b.masks() == (
+        assert b.masks == (
             0, 9, 6, 15, 144, 153, 150, 159, 96, 105, 102, 111, 240, 249, 246, 255
         )
 
@@ -147,7 +147,7 @@ class TestNamedExamples:
         assert ot.op_count(fam) == 3
         # no 5-member subfamily obeys odd rules
         for skip in range(6):
-            sub = SetFamily(5, tuple(m for i, m in enumerate(fam.members) if i != skip))
+            sub = SetFamily(5, tuple(m for i, m in enumerate(fam.masks) if i != skip))
             assert not ot.is_oddtown(sub)
 
     def test_f1(self):
@@ -281,8 +281,10 @@ class TestSteinerSystems:
     def test_repeated_block(self, tmp_path):
         path = tmp_path / "twice.blocks"
         path.write_text("n=8 k=4 t=1\n1 2 3 4\n4 3 2 1\n5 6 7 8\n")
-        with pytest.raises(FamilyFormatError, match=r"^duplicate member \{1 2 3 4\}$"):
+        message = r"^line 3: duplicate member \{1 2 3 4\}$"
+        with pytest.raises(FamilyFormatError, match=message) as err:
             ot.load_steiner(path)
+        assert err.value.line_no == 3
 
     def test_header_mismatch_comes_before_the_blocks(self, tmp_path):
         path = tmp_path / "bad.blocks"
@@ -316,7 +318,7 @@ class TestSeededSelectors:
             a, _ = ot.eventown_pair(n)
             quads = ot.steiner_partition(n).blocks
             union_of_all = 0
-            for b in quads.masks():
+            for b in quads.masks:
                 union_of_all |= b
             assert union_of_all == (1 << n) - 1
             assert steiner_21_5_2_blocks()[0] == (1, 2, 7, 9, 19)

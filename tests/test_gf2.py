@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import inspect
 import pickle
 import random
 from itertools import combinations
@@ -32,6 +33,7 @@ from oddtown import (
     span,
     steiner_partition,
 )
+from oddtown.gf2 import _Value
 from oddtown.search import DEFAULT_NODE_BUDGET, DEFAULT_TIME_BUDGET
 
 from oracles import mask_to_row, nullspace_enumerated, rank_dense, subspace_vectors
@@ -90,7 +92,7 @@ SPEC_FIELDS = (
 VALUE_TYPES = [
     (BitSubset, ("mask", "ground_size"), (0b1011, 5)),
     (Gf2Subspace, ("ground_size", "rows"), (4, (0b0011, 0b0100))),
-    (SetFamily, ("ground_size", "members"), (4, (BitSubset(0b11, 4), BitSubset(0b100, 4)))),
+    (SetFamily, ("ground_size", "masks"), (4, (0b11, 0b100))),
     (SteinerSystem, ("n", "k", "t", "blocks"), (8, 4, 1, steiner_partition(8).blocks)),
     (
         SearchSpec,
@@ -103,7 +105,7 @@ VALUE_TYPES = [
 # every public call that checks ground sets, with the exact message it gives
 # for operands over 3 and 4 points (its operands in the order it names them)
 _A3, _B4 = BitSubset(0b101, 3), BitSubset(0b0110, 4)
-_F3, _F4 = SetFamily(3, (_A3,)), SetFamily(4, (_B4,))
+_F3, _F4 = SetFamily(3, (_A3.mask,)), SetFamily(4, (_B4.mask,))
 GROUND_MISMATCHES = {
     "and": (lambda: _A3 & _B4, "3 vs 4"),
     "or": (lambda: _A3 | _B4, "3 vs 4"),
@@ -165,6 +167,22 @@ class TestValueTypes:
         assert copy.copy(obj) == obj
         assert copy.deepcopy(obj) == obj
         assert pickle.loads(pickle.dumps(obj)) == obj
+
+
+def _value_classes(cls=_Value):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _value_classes(sub)
+
+
+def test_every_value_type_is_checked_and_rebuilt_from_its_slots():
+    # __reduce__ rebuilds an object as cls(*fields), so __init__ must take
+    # exactly the __slots__ fields, in order
+    classes = {cls for cls in _value_classes() if cls.__module__.startswith("oddtown.")}
+    assert classes == {cls for cls, _, _ in VALUE_TYPES}
+    for cls in classes:
+        params = list(inspect.signature(cls.__init__).parameters)[1:]
+        assert params == list(cls.__slots__), cls.__name__
 
 
 class TestValueOrder:
@@ -296,7 +314,7 @@ class TestKernelOfFunctional:
     def test_twin_family_vector_cuts_dimension_by_one(self):
         a, b = eventown_pair(4)
         w = span(list(a.members))
-        twin_only = sorted(set(b.masks()) - set(a.masks()))
+        twin_only = sorted(set(b.masks) - set(a.masks))
         v = BitSubset(twin_only[0], 4)
         ker = kernel_of_functional(w, v)
         assert ker.dim == w.dim - 1 == 1

@@ -406,7 +406,7 @@ class TestLexLeader:
                     continue
                 spec = SearchSpec(ground_size=n, family_size=m, family_class=family_class,
                                   mode="exhaustive")
-                assert _lex_leader_path(minimize(spec).witness.masks(), n), spec
+                assert _lex_leader_path(minimize(spec).witness.masks, n), spec
                 checked += 1
         assert checked == {3: 8, 4: 16, 5: 32}[n]
 
@@ -419,7 +419,7 @@ class TestLexLeader:
     def test_lex_leader_keeps_the_pinned_witnesses(self, kw, value, masks):
         result = minimize(SearchSpec(**kw))
         assert result.optimal
-        assert (result.best_value, result.witness.masks()) == (value, masks)
+        assert (result.best_value, result.witness.masks) == (value, masks)
         assert op_sets(witness_sets(result)) == value
         assert _lex_leader_path(masks, kw["ground_size"])
 
@@ -510,7 +510,7 @@ class TestDeterminismAndSoundness:
         # the undecided twins from the bound changes the witness
         result = minimize(SearchSpec(ground_size=6, family_size=m, family_class="even"))
         assert result.optimal
-        assert (result.best_value, result.witness.masks()) == (value, masks)
+        assert (result.best_value, result.witness.masks) == (value, masks)
         assert op_sets(witness_sets(result)) == value
 
     # the name is kept from when the test also varied a thread count
@@ -526,10 +526,10 @@ class TestDeterminismAndSoundness:
             m = rng.randrange(2, min(pool, 7) + 1)
             kw = dict(ground_size=n, family_size=m, family_class=family_class, k=k)
             baseline = minimize(SearchSpec(mode="exhaustive", **kw))
-            seen = {(baseline.best_value, baseline.witness.masks())}
+            seen = {(baseline.best_value, baseline.witness.masks)}
             for mode in ("exhaustive", "bnb"):
                 r = minimize(SearchSpec(mode=mode, **kw))
-                seen.add((r.best_value, r.witness.masks()))
+                seen.add((r.best_value, r.witness.masks))
             assert len(seen) == 1, f"divergence on {kw}: {seen}"
 
     def test_minimum_is_monotone_in_family_size(self):
@@ -595,10 +595,10 @@ class TestBudgetsAndValidation:
     def test_single_member_families(self):
         result = minimize(SearchSpec(ground_size=1, family_size=1, family_class="even", mode="bnb"))
         assert result.best_value == 0
-        assert result.witness.masks() == (0,)
+        assert result.witness.masks == (0,)
         result = minimize(SearchSpec(ground_size=3, family_size=1, family_class="odd", mode="exhaustive"))
         assert result.best_value == 0
-        assert result.witness.masks() == (0b001,)
+        assert result.witness.masks == (0b001,)
 
     def test_whole_pool_family(self):
         # m equals the class size: exactly one family exists
@@ -911,7 +911,7 @@ class TestLocalSearch:
     def test_initial_must_share_the_ground_set(self):
         # {}, {1, 2}, {1, 3} over [10] are masks of even sets of [8] too
         spec = SearchSpec(ground_size=8, family_size=3, family_class="even", mode="local")
-        other = ot.SetFamily.from_masks(10, [0, 3, 5])
+        other = ot.SetFamily(10, [0, 3, 5])
         with pytest.raises(ot.GroundSetMismatchError, match="ground sets differ: 10 vs 8"):
             local_search(spec, initial=other)
 
@@ -948,7 +948,7 @@ LOCAL_SEARCH_PINS = [
 def test_local_search_trajectory_is_pinned(kw, seed, initial, expected):
     start = None if initial is None else ot.eventown_plus(*initial)
     result = local_search(SearchSpec(mode="local", seed=seed, **kw), initial=start)
-    assert (result.best_value, result.witness.masks(), result.nodes_explored) == expected
+    assert (result.best_value, result.witness.masks, result.nodes_explored) == expected
 
 
 # the wide workload's local item at seed 7: (value, witness masks, evaluations),
@@ -971,7 +971,7 @@ def test_wide_local_item_is_pinned(monkeypatch, cap):
         monkeypatch.setattr(search, "_SPREAD_BYTES", cap)
     spec = SearchSpec(ground_size=12, family_size=65, family_class="even", mode="local", seed=7)
     result = local_search(spec)
-    assert (result.best_value, result.witness.masks(), result.nodes_explored) == WIDE_LOCAL_PIN
+    assert (result.best_value, result.witness.masks, result.nodes_explored) == WIDE_LOCAL_PIN
 
 
 def _climb_instances():

@@ -55,9 +55,9 @@ class TestSetFamily:
         with pytest.raises(DuplicateMemberError):
             family_of([(1, 2), (2, 1)], 3)
 
-    def test_ground_mismatch_rejected(self):
-        with pytest.raises(ot.GroundSetMismatchError):
-            SetFamily(3, (BitSubset(1, 4),))
+    def test_mask_outside_ground_set_rejected(self):
+        with pytest.raises(ValueError, match="^mask 0x8 has bits outside ground set of size 3$"):
+            SetFamily(3, (0b1, 0b1000))
 
     def test_insertion_order_and_canonical(self):
         fam = family_of([(2, 3), (1,)], 3)
@@ -70,8 +70,31 @@ class TestSetFamily:
         b = family_of([(2,), (3,)], 3)
         assert [m.elements() for m in a.union(b).members] == [(1,), (2,), (3,)]
 
+    def test_mask_paths_build_no_bit_subsets(self, tmp_path, monkeypatch):
+        # the wide family of eventown_plus(24, 4): construction, op and the
+        # file round trip work on masks alone
+        built = []
+        init = BitSubset.__init__
+
+        def counting_init(self, mask, ground_size):
+            built.append(mask)
+            init(self, mask, ground_size)
+
+        monkeypatch.setattr(BitSubset, "__init__", counting_init)
+
+        def built_by(call, *args):
+            built.clear()
+            return call(*args), len(built)
+
+        path = tmp_path / "wide.txt"
+        fam, made = built_by(ot.eventown_plus, 24, 4)
+        assert (len(fam), made) == (4100, 0)
+        assert built_by(ot.save_family, fam, path)[1] == 0
+        assert built_by(ot.op, fam) == (ot.OpReport(8192, None, 4100), 0)
+        assert built_by(ot.load_family, path) == (fam, 0)
+
     def test_empty_set_is_a_legal_member(self):
-        fam = SetFamily.from_masks(4, [0, 0b11])
+        fam = SetFamily(4, [0, 0b11])
         assert len(fam) == 2
         assert ot.is_eventown(fam)
 
@@ -100,7 +123,7 @@ class TestOp:
         masks = data.draw(
             st.lists(st.integers(0, (1 << n) - 1), min_size=m, max_size=m, unique=True)
         )
-        fam = SetFamily.from_masks(n, masks)
+        fam = SetFamily(n, masks)
         assert ot.op(fam).op_count == op_sets(to_sets(fam))
 
     def test_invariant_under_relabeling_and_reordering(self):
@@ -108,23 +131,23 @@ class TestOp:
         for _ in range(50):
             n = rng.randrange(2, 9)
             masks = rng.sample(range(1 << n), rng.randrange(2, min(12, 1 << n)))
-            fam = SetFamily.from_masks(n, masks)
+            fam = SetFamily(n, masks)
             perm = list(range(1, n + 1))
             rng.shuffle(perm)
             relabeled = family_of(
                 [[perm[e - 1] for e in m.elements()] for m in fam.members], n
             )
-            shuffled = list(fam.members)
+            shuffled = list(fam.masks)
             rng.shuffle(shuffled)
             assert ot.op_count(fam) == ot.op_count(relabeled)
-            assert ot.op_count(fam) == ot.op_count(SetFamily(n, tuple(shuffled)))
+            assert ot.op_count(fam) == ot.op_count(SetFamily(n, shuffled))
 
     def test_eventown_iff_zero_op_for_even_families(self):
         rng = random.Random(5)
         for _ in range(100):
             n = rng.randrange(2, 9)
             evens = [m for m in range(1 << n) if m.bit_count() % 2 == 0]
-            fam = SetFamily.from_masks(n, rng.sample(evens, rng.randrange(1, min(10, len(evens)))))
+            fam = SetFamily(n, rng.sample(evens, rng.randrange(1, min(10, len(evens)))))
             assert (ot.op_count(fam) == 0) == ot.is_eventown(fam)
 
     def test_even_family_deficiency_lower_bound(self):
@@ -136,7 +159,7 @@ class TestOp:
             if len(evens) <= cap:
                 continue
             m = rng.randrange(cap + 1, len(evens) + 1)
-            fam = SetFamily.from_masks(n, rng.sample(evens, m))
+            fam = SetFamily(n, rng.sample(evens, m))
             assert ot.op_count(fam) >= m - cap
 
 
@@ -154,7 +177,7 @@ class TestRowKernel:
     @example(1, None)
     def test_op_and_rule_validators(self, n, data):
         masks = [0, 1] if data is None else data.draw(masks_over(n, 12))
-        fam = SetFamily.from_masks(n, masks)
+        fam = SetFamily(n, masks)
         sets = to_sets(fam)
         report = ot.op(fam, materialize_pairs=True)
         assert report.pairs == tuple(odd_pairs(sets))
@@ -174,7 +197,7 @@ class TestRowKernel:
             )
             xs = data.draw(pick)
             ys = xs if data.draw(st.booleans()) else data.draw(pick)
-        fx, fy = SetFamily.from_masks(n, xs), SetFamily.from_masks(n, ys)
+        fx, fy = SetFamily(n, xs), SetFamily(n, ys)
         assert ot.bipartite_oddtown_check(fx, fy) == odd_diagonal(to_sets(fx), to_sets(fy))
 
     @given(st.integers(1, 7), st.data())
@@ -184,10 +207,10 @@ class TestRowKernel:
         masks = [0] if data is None else data.draw(
             st.lists(st.sampled_from(evens), max_size=10, unique=True)
         )
-        fam = SetFamily.from_masks(n, masks)
+        fam = SetFamily(n, masks)
         sub = ot.maximal_eventown_subfamily(fam, "exact")
         expected = max_even_subfamily(to_sets(fam))
-        assert sub.masks() == tuple(masks[i] for i in expected)
+        assert sub.masks == tuple(masks[i] for i in expected)
 
 
 def mask_over(n: int, sparse: bool):
@@ -230,7 +253,7 @@ class TestRowKernelAcrossBytes:
     @BOTH_KERNELS
     @given(st.integers(9, 20), st.booleans(), st.data())
     def test_op_with_pairs_and_rule_validators(self, tables, n, sparse, data):
-        fam = SetFamily.from_masks(n, data.draw(masks_holding_top(n, 14, sparse)))
+        fam = SetFamily(n, data.draw(masks_holding_top(n, 14, sparse)))
         sets = to_sets(fam)
         with row_kernel(tables):
             report = ot.op(fam, materialize_pairs=True)
@@ -269,17 +292,17 @@ class TestRowKernelAcrossBytes:
             st.lists(mask_over(n, sparse).map(lambda m: m & keep),
                      min_size=len(xs), max_size=len(xs), unique=True)
         )
-        fx, fy = SetFamily.from_masks(n, xs), SetFamily.from_masks(n, ys)
+        fx, fy = SetFamily(n, xs), SetFamily(n, ys)
         with row_kernel(tables):
             assert ot.bipartite_oddtown_check(fx, fy) == odd_diagonal(to_sets(fx), to_sets(fy))
 
     @BOTH_KERNELS
     def test_bipartite_pattern_with_a_point_outside_the_targets(self, tables):
         # X_i = {i, 20}, Y_i = {i}: point 20 lies in no Y, so only the diagonal is odd
-        xs = SetFamily.from_masks(20, [1 << i | 1 << 19 for i in range(19)])
-        ys = SetFamily.from_masks(20, [1 << i for i in range(19)])
+        xs = SetFamily(20, [1 << i | 1 << 19 for i in range(19)])
+        ys = SetFamily(20, [1 << i for i in range(19)])
         # Y_19 = {19, 20} meets every X_j in point 20 as well
-        ys_with_top = SetFamily.from_masks(20, ys.masks()[:-1] + (1 << 18 | 1 << 19,))
+        ys_with_top = SetFamily(20, ys.masks[:-1] + (1 << 18 | 1 << 19,))
         with row_kernel(tables):
             assert ot.bipartite_oddtown_check(xs, ys)
             assert not ot.bipartite_oddtown_check(xs, ys_with_top)
@@ -287,7 +310,7 @@ class TestRowKernelAcrossBytes:
     @BOTH_KERNELS
     @given(st.integers(2, 20), st.booleans(), st.data())
     def test_saved_lines(self, tables, tmp_path_factory, n, sparse, data):
-        fam = SetFamily.from_masks(n, data.draw(masks_holding_top(n, 14, sparse)))
+        fam = SetFamily(n, data.draw(masks_holding_top(n, 14, sparse)))
         path = tmp_path_factory.mktemp("saved") / "fam.txt"
         with row_kernel(tables):
             ot.save_family(fam, path)
@@ -357,7 +380,7 @@ class TestKernelSelection:
 
     def test_2048_masks_over_two_full_bytes_take_the_tables(self, decisions):
         # every subset of [11] plus point 16: elements reach the top bit of byte 2
-        family = SetFamily.from_masks(16, [m | 1 << 15 for m in range(2048)])
+        family = SetFamily(16, [m | 1 << 15 for m in range(2048)])
         with row_kernel(False):
             expected = ot.op(family).op_count
         assert ot.op(family).op_count == expected
@@ -406,7 +429,7 @@ class TestCkt:
         outside = next(e for e in range(1, 22) if e not in block)
         added = BitSubset.from_elements(block[:3] + (outside,), 21)
         assert added not in f0
-        extended = SetFamily(21, f0.members + (added,))
+        extended = SetFamily(21, f0.masks + (added.mask,))
         assert ot.c_kt(extended, 2) == 12
 
 
@@ -551,12 +574,12 @@ class TestMaximalEventownSubfamily:
         a, _ = ot.eventown_pair(4)
         for strategy in ("greedy", "exact"):
             result = ot.maximal_eventown_subfamily(a, strategy)
-            assert result.masks() == a.masks()
+            assert result.masks == a.masks
 
     def test_perturbed_extremal_family_peaks_at_original_size(self):
         a, b = ot.eventown_pair(8)
-        twin_only = sorted(set(b.masks()) - set(a.masks()))
-        fam = SetFamily.from_masks(8, a.masks() + (twin_only[0],))
+        twin_only = sorted(set(b.masks) - set(a.masks))
+        fam = SetFamily(8, a.masks + (twin_only[0],))
         exact = ot.maximal_eventown_subfamily(fam, "exact")
         assert len(exact) == 16
         assert ot.is_eventown(exact)
@@ -566,16 +589,16 @@ class TestMaximalEventownSubfamily:
         for _ in range(50):
             n = rng.randrange(2, 9)
             evens = [m for m in range(1 << n) if m.bit_count() % 2 == 0]
-            fam = SetFamily.from_masks(n, rng.sample(evens, rng.randrange(1, min(14, len(evens)) + 1)))
+            fam = SetFamily(n, rng.sample(evens, rng.randrange(1, min(14, len(evens)) + 1)))
             sub = ot.maximal_eventown_subfamily(fam, "greedy")
-            chosen = set(sub.masks())
-            assert chosen <= set(fam.masks())
+            chosen = set(sub.masks)
+            assert chosen <= set(fam.masks)
             assert ot.is_eventown(sub)
             # maximality: every leftover member conflicts with the subfamily
             for m in fam.members:
                 if m.mask in chosen:
                     continue
-                extended = SetFamily(n, sub.members + (m,))
+                extended = SetFamily(n, sub.masks + (m.mask,))
                 assert not ot.is_eventown(extended)
 
     def test_parity_and_cap_errors(self, monkeypatch):
@@ -630,7 +653,7 @@ class TestOddFamilyRuleEquivalence:
         for _ in range(100):
             n = rng.randrange(2, 9)
             odds = [m for m in range(1 << n) if m.bit_count() % 2 == 1]
-            fam = SetFamily.from_masks(
+            fam = SetFamily(
                 n, rng.sample(odds, rng.randrange(1, min(10, len(odds)) + 1))
             )
             assert (ot.op_count(fam) == 0) == ot.is_oddtown(fam)
@@ -638,7 +661,7 @@ class TestOddFamilyRuleEquivalence:
 
 class TestOpDensity:
     def test_even_sets_of_6(self):
-        evens = SetFamily.from_masks(6, [m for m in range(64) if m.bit_count() % 2 == 0])
+        evens = SetFamily(6, [m for m in range(64) if m.bit_count() % 2 == 0])
         # for A outside {empty, full}, exactly half of the even-weight
         # subspace meets A oddly: density (2^(n-2) - 1)/(2^(n-1) - 1)
         assert ot.op_density(evens) == Fraction(15, 31)
@@ -654,7 +677,7 @@ class TestOpDensity:
 
 class TestFamilyFile:
     def test_round_trip(self, tmp_path):
-        fam = SetFamily.from_masks(5, [0, 0b11, 0b10100])
+        fam = SetFamily(5, [0, 0b11, 0b10100])
         path = tmp_path / "fam.txt"
         ot.save_family(fam, path)
         assert ot.load_family(path) == fam
@@ -681,9 +704,11 @@ class TestFamilyFile:
             ("n= 4\n1\n", 1, "bad ground size ''"),
             ("n=4 n=4\n1\n", 1, "repeated header key 'n'"),
             ("n=4 k=3\n1\n", 1, "expected header 'n=<ground_size>'"),
+            ("n=1_6\n1\n", 1, "bad ground size '1_6'"),
+            ("n=-4\n1\n", 1, "bad ground size '-4'"),
         ],
         ids=["not-a-number", "zero", "no-header-line", "space-after-equals", "repeated-key",
-             "extra-key"],
+             "extra-key", "underscore", "minus"],
     )
     def test_bad_header(self, tmp_path, text, line_no, message):
         path = tmp_path / "fam.txt"
@@ -695,9 +720,9 @@ class TestFamilyFile:
     def test_repeated_member(self, tmp_path):
         path = tmp_path / "fam.txt"
         path.write_text("n=4\n1 2\nempty\n2 1\n")
-        with pytest.raises(FamilyFormatError, match=r"^duplicate member \{1 2\}$") as err:
+        with pytest.raises(FamilyFormatError, match=r"^line 4: duplicate member \{1 2\}$") as err:
             ot.load_family(path)
-        assert err.value.line_no is None
+        assert err.value.line_no == 4
 
     def test_bad_token_reports_line(self, tmp_path):
         path = tmp_path / "fam.txt"
@@ -738,8 +763,12 @@ class TestFamilyFile:
             ("1 2\n0 1\n", r"element 0 outside ground set \[1, 4\]"),
             ("1 2\n1 empty\n", "bad set line '1 empty'"),
             ("1 2\n1 x\n2 5\n", "bad set line '1 x'"),
+            ("1 2\n1_0\n", "bad set line '1_0'"),
+            ("1 2\n\u0663\n", "bad set line '\u0663'"),
+            ("1 2\n-1\n", "bad set line '-1'"),
         ],
-        ids=["bad-token", "above-range", "zero", "empty-with-element", "first-of-two-bad"],
+        ids=["bad-token", "above-range", "zero", "empty-with-element", "first-of-two-bad",
+             "underscore", "arabic-indic-digit", "minus"],
     )
     def test_errors_after_known_tokens(self, tmp_path, body, message):
         path = tmp_path / "fam.txt"
