@@ -3,7 +3,9 @@
 Five subcommands: construct (generate a named family), analyze (statistics
 of a family file), search (exact or heuristic minimisation), verify
 (statement instances against the oracle minimum), steiner (block design
-validation and shadows).
+validation and shadows).  search and verify hand the flags given to
+SearchSpec and verify_theorem by name, so a flag left out takes the
+library's default.
 
 Machine output is JSON on stdout; when stdout is a terminal a plain
 key/value table is shown instead (force JSON with --json).  Exit codes:
@@ -82,8 +84,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="force JSON output on a terminal")
     sub = parser.add_subparsers(dest="command", required=True)
+    # search and verify pass the flags given, by name, to SearchSpec and
+    # verify_theorem: a flag left out is absent, and the library's default applies
+    run = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    run.add_argument("--threads", type=_thread_count, help="accepted for existing command lines; no effect")
+    run.add_argument("--budget-nodes", type=int)
+    run.add_argument("--budget-secs", type=float)
 
     p = sub.add_parser("construct", help="generate a named family")
+    p.set_defaults(handler=_cmd_construct)
     p.add_argument("--family", required=True, choices=tuple(_FAMILIES))
     p.add_argument("--n", type=int, help="ground set size")
     p.add_argument("--s", type=int, help="number of added sets (eventown-plus, oddtown-plus)")
@@ -92,38 +101,42 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, help="write the family file here")
 
     p = sub.add_parser("analyze", help="statistics of a family file")
+    p.set_defaults(handler=_cmd_analyze)
     p.add_argument("--in", dest="path", required=True, type=Path)
     p.add_argument("--pairs", action="store_true", help="list odd pairs by member index")
     p.add_argument("--ckt", type=int, metavar="T", help="count pairs meeting in exactly T elements")
     p.add_argument("--density", action="store_true", help="report the exact odd-pair density")
     p.add_argument("--links", type=int, metavar="K", help="check the link double count at uniformity K")
 
-    p = sub.add_parser("search", help="minimise an objective over a family class")
+    p = sub.add_parser(
+        "search", parents=[run], argument_default=argparse.SUPPRESS,
+        help="minimise an objective over a family class",
+    )
+    p.set_defaults(handler=_cmd_search)
     p.add_argument("--class", dest="family_class", required=True, choices=se._CLASSES)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True, help="family size")
+    p.add_argument("--n", dest="ground_size", metavar="N", type=int, required=True)
+    p.add_argument("--m", dest="family_size", metavar="M", type=int, required=True, help="family size")
     p.add_argument("--k", type=int, help="uniform class member size")
-    p.add_argument("--objective", choices=se._OBJECTIVES, default="op")
+    p.add_argument("--objective", choices=se._OBJECTIVES)
     p.add_argument("--t", type=int, help="intersection size for objective ckt")
-    p.add_argument("--mode", choices=se._MODES, default="bnb")
-    p.add_argument("--threads", type=_thread_count, default=1, help="accepted for existing command lines; no effect")
-    p.add_argument("--seed", type=int, default=0, help="seed for local search")
-    p.add_argument("--restarts", type=int, default=1, help="restarts for local search")
-    p.add_argument("--budget-nodes", type=int, default=se.DEFAULT_NODE_BUDGET)
-    p.add_argument("--budget-secs", type=float, default=se.DEFAULT_TIME_BUDGET)
+    p.add_argument("--mode", choices=se._MODES)
+    p.add_argument("--seed", type=int, help="seed for local search")
+    p.add_argument("--restarts", type=int, help="restarts for local search")
     p.add_argument("--checkpoint", type=Path, help="resume file, written after each first-level branch (exact modes only)")
 
-    p = sub.add_parser("verify", help="check a statement instance against the oracle")
+    p = sub.add_parser(
+        "verify", parents=[run], argument_default=argparse.SUPPRESS,
+        help="check a statement instance against the oracle",
+    )
+    p.set_defaults(handler=_cmd_verify)
     p.add_argument("--statement", required=True, choices=se._STATEMENTS)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=int, default=1)
+    p.add_argument("--s", type=int)
     p.add_argument("--k", type=int, help="uniformity for prob-uniform (odd, default 3)")
-    p.add_argument("--mode", choices=tuple(m for m in se._MODES if m != "local"), default="bnb")
-    p.add_argument("--threads", type=_thread_count, default=1, help="accepted for existing command lines; no effect")
-    p.add_argument("--budget-nodes", type=int, default=se.DEFAULT_NODE_BUDGET)
-    p.add_argument("--budget-secs", type=float, default=se.DEFAULT_TIME_BUDGET)
+    p.add_argument("--mode", choices=tuple(m for m in se._MODES if m != "local"))
 
     p = sub.add_parser("steiner", help="validate block designs, emit shadows")
+    p.set_defaults(handler=_cmd_steiner)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--validate", type=Path, help="block file to validate")
     group.add_argument("--partition", action="store_true", help="build the quadruple partition design")
@@ -192,37 +205,23 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     return payload, EXIT_OK
 
 
+# the namespace entries of search and verify that are the CLI's own, not the library's
+_CLI_ONLY = ("command", "json", "handler", "threads", "checkpoint")
+
+
+def _library_args(args: argparse.Namespace) -> dict[str, Any]:
+    return {key: value for key, value in vars(args).items() if key not in _CLI_ONLY}
+
+
 def _cmd_search(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
-    spec = se.SearchSpec(
-        ground_size=args.n,
-        family_size=args.m,
-        family_class=args.family_class,
-        k=args.k,
-        objective=args.objective,
-        t=args.t,
-        mode=args.mode,
-        budget_nodes=args.budget_nodes,
-        budget_secs=args.budget_secs,
-        seed=args.seed,
-        restarts=args.restarts,
-    )
-    result = se.minimize(spec, checkpoint=args.checkpoint)
-    payload = result.to_json_dict()
-    if args.mode == "local":
-        return payload, EXIT_OK
-    return payload, EXIT_OK if result.optimal else EXIT_INCONCLUSIVE
+    spec = se.SearchSpec(**_library_args(args))
+    result = se.minimize(spec, checkpoint=getattr(args, "checkpoint", None))
+    code = EXIT_OK if spec.mode == "local" or result.optimal else EXIT_INCONCLUSIVE
+    return result.to_json_dict(), code
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
-    report = se.verify_theorem(
-        args.statement,
-        args.n,
-        args.s,
-        args.k,
-        mode=args.mode,
-        budget_nodes=args.budget_nodes,
-        budget_secs=args.budget_secs,
-    )
+    report = se.verify_theorem(**_library_args(args))
     payload = report.to_json_dict()
     if report.verdict in ("HOLDS", "TIGHT"):
         return payload, EXIT_OK
@@ -266,15 +265,8 @@ def _cmd_steiner(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "construct": _cmd_construct,
-        "analyze": _cmd_analyze,
-        "search": _cmd_search,
-        "verify": _cmd_verify,
-        "steiner": _cmd_steiner,
-    }
     try:
-        payload, code = handlers[args.command](args)
+        payload, code = args.handler(args)
     except SteinerValidationError as exc:
         payload = {"valid": False, "error": str(exc)}
         if exc.offending is not None:

@@ -662,7 +662,14 @@ def _tree(
         top, start = (0,), max(start, 1)
         pending = (P - 1,) if twinned and P - 1 >= start else ()
     top_size = len(top)
-    extend(top, pending, ((1 << spec.ground_size) - 1,) if bounding else (), 0, 0, start)
+    # extend recurses once per member, and m may reach the pool cap 2^16;
+    # CPython >= 3.11 keeps these Python-to-Python calls off the C stack
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + m)
+    try:
+        extend(top, pending, ((1 << spec.ground_size) - 1,) if bounding else (), 0, 0, start)
+    finally:
+        sys.setrecursionlimit(limit)
     return outcome()
 
 

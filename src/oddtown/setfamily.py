@@ -10,18 +10,18 @@ A family holds its members as bit masks, the characteristic vectors in
 F2^n on which every statistic and the file format work, keeps insertion
 order and refuses duplicate members; a canonical mask-sorted form is
 available for comparisons.  BitSubset objects are built only for callers
-that ask for them.  Pair statistics come from
-the row builders odd_rows and exact_t_rows, which never visit a pair.
-Both start from the element basis (the transposed bit matrix of the
-members, built with string operations when it is dense).  For many dense
-members odd_rows reads each row off per-byte tables: for every byte of
-the ground set that a member uses, a 256-entry table of XORs of basis
-rows, so a row costs one lookup per byte rather than one XOR per element.
-Family files are written from per-byte tables of pre-joined element
-strings on the same terms, and read through a dict from each distinct
-token to its element.  Sparse or few members take the element-by-element
-paths, so every cost follows the set bits, not the width of the ground
-set.
+that ask for them.  Pair statistics come from the row builders odd_rows
+and exact_t_rows, which never visit a pair.  Both start from the element
+basis, the transposed bit matrix of the members: a dict keyed by the
+elements they hold, built with string operations when it is dense.  For
+many dense members odd_rows reads each row off per-byte tables: for
+every byte of the ground set that a member uses, a 256-entry table of
+XORs of basis rows, so a row costs one lookup per byte rather than one
+XOR per element.  Family files are written from per-byte tables of
+pre-joined element strings on the same terms, and read through a dict
+from each distinct token to its element.  Sparse or few members take the
+element-by-element paths, so the memory used beyond the masks themselves
+follows the set bits, not the highest element.
 """
 
 from __future__ import annotations
@@ -128,28 +128,31 @@ class OpReport(NamedTuple):
         return Fraction(self.op_count, comb(self.size, 2))
 
 
-def _element_basis(masks: Sequence[int]) -> list[int]:
+def _element_basis(masks: Sequence[int]) -> dict[int, int]:
     """basis[e] has bit j set iff masks[j] contains element e (0-based).
 
-    When more than one bit in 8 of the m x n bit matrix is set, it is
-    transposed with string operations: each mask becomes an n-digit
-    binary string (the last mask first), zip reads off the columns, and
-    int(column, 2) turns column e into basis[e].  The strings take m * n
-    bytes, at most 8 per set bit.  Sparser matrices are transposed one set
-    bit at a time.
+    Its keys are the elements some mask holds, so its size follows the set
+    bits, not the highest element.  When more than one bit in 8 of the
+    m x n bit matrix is set, it is transposed with string operations: each
+    mask becomes an n-digit binary string (the last mask first), zip reads
+    off the columns, and int(column, 2) turns column e into basis[e].  The
+    strings take m * n bytes, at most 8 per set bit.  Sparser matrices are
+    transposed one set bit at a time.
     """
-    n = reduce(or_, masks, 0).bit_length()
+    used = reduce(or_, masks, 0)
+    n = used.bit_length()
     if len(masks) * n >= 8 * sum(map(int.bit_count, masks)):
-        basis = [0] * n
+        basis = dict.fromkeys(_bit_indices(used), 0)
         for j, x in enumerate(masks):
             for e in _bit_indices(x):
                 basis[e] |= 1 << j
         return basis
     digits = f"0{n}b"
     columns = zip(*[format(x, digits) for x in reversed(masks)])
-    basis = [int("".join(column), 2) for column in columns]
-    basis.reverse()  # the strings list the highest element first
-    return basis
+    # the strings list the highest element first
+    return {
+        n - 1 - e: col for e, column in enumerate(columns) if (col := int("".join(column), 2))
+    }
 
 
 def _tables_pay(masks: Sequence[int], size: int) -> bool:
@@ -204,7 +207,9 @@ def odd_rows(masks: Sequence[int]) -> Iterator[int]:
     is cleared.  Rows are yielded one at a time.
     """
     basis = _element_basis(masks)
-    tables = _byte_tables(basis.__getitem__, masks, len(basis), _xor_all)
+    # the tables fold every element below the highest, held or not
+    top = max(basis, default=-1) + 1
+    tables = _byte_tables(lambda e: basis.get(e, 0), masks, top, _xor_all)
     size = len(tables or ())
     for i, x in enumerate(masks):
         if tables is None:
@@ -452,9 +457,11 @@ def op_density(family: SetFamily) -> Fraction:
 # ---------------------------------------------------------------------------
 # Family file format: first line "n=<ground_size>", then one set per line as
 # space-separated 1-based indices, the token "empty" for the empty set, and
-# "#" comments.  Header values and indices are an optional "+" and then ASCII
-# decimal digits.  Block files (constructions.load_steiner) share the grammar,
-# with the header "n=<n> k=<k> t=<t>" and no "empty" token.
+# "#" comments.  Records end at line feeds only, and tokens are separated
+# by ASCII spaces and tabs only.  Header values and indices are an
+# optional "+" and then ASCII decimal digits.  Block files
+# (constructions.load_steiner) share the grammar, with the header
+# "n=<n> k=<k> t=<t>" and no "empty" token.
 
 
 def _number(token: str) -> int:
@@ -469,26 +476,38 @@ def _number(token: str) -> int:
     return int(digits)
 
 
+def _tokens(line: str) -> Iterator[str]:
+    """The tokens of a record: its runs of characters other than ASCII space and tab.
+
+    str.split() would also split at other whitespace, such as the no-break
+    space, so a token holding one would read as two numbers.
+    """
+    return filter(None, line.replace("\t", " ").split(" "))
+
+
 def _read(path: str | Path, usage: str) -> tuple[dict[str, int], list[tuple[int, str]]]:
     """The header values and the (line number, text) records of a family or block file.
 
-    Lines are read once "#" comments are cut, and blank ones are skipped.
-    The first is the header: a space-separated key=value token for each
-    key=<...> token of usage, in any order, each key once, with an integer
-    value >= 1 (key n is the ground size).  Errors name the header's line.
+    Lines end at line feeds only: read_text turns CR LF and CR into LF, and
+    the other breaks of str.splitlines, such as VT and U+2028, stay inside
+    a line.  Lines are read once "#" comments and outer spaces and tabs are
+    cut, and blank ones are skipped.  The first is the header: a
+    space-separated key=value token for each key=<...> token of usage, in
+    any order, each key once, with an integer value >= 1 (key n is the
+    ground size).  Errors name the header's line.
     """
     text = Path(path).read_text(encoding="utf-8")
     records = [
         (line_no, line)
-        for line_no, raw in enumerate(text.splitlines(), start=1)
-        if (line := raw.split("#", 1)[0].strip())
+        for line_no, raw in enumerate(text.split("\n"), start=1)
+        if (line := raw.split("#", 1)[0].strip(" \t"))
     ]
     if not records:
         raise FamilyFormatError(f"missing {usage!r} header", None)
     line_no, line = records.pop(0)
     keys = [tok.partition("=")[0] for tok in usage.split()]
     header: dict[str, int] = {}
-    for tok in line.split():
+    for tok in _tokens(line):
         key, sep, value = tok.partition("=")
         if key not in keys or not sep:
             raise FamilyFormatError(f"expected header {usage!r}", line_no)
@@ -509,7 +528,7 @@ def _read(path: str | Path, usage: str) -> tuple[dict[str, int], list[tuple[int,
 def _member(line: str, line_no: int, what: str, ground_size: int) -> int:
     """The mask of the subset a record lists as 1-based elements; errors name the line."""
     try:
-        elements = [_number(tok) for tok in line.split()]
+        elements = [_number(tok) for tok in _tokens(line)]
     except ValueError:
         raise FamilyFormatError(f"bad {what} line {line!r}", line_no) from None
     try:
@@ -528,7 +547,7 @@ def _members(records: list[tuple[int, str]], what: str, ground_size: int) -> lis
     one instead and raises the error of the first bad one.
     """
     bits: dict[str, int] = {}
-    for tok in set(chain.from_iterable(line.split() for _, line in records)):
+    for tok in set(chain.from_iterable(_tokens(line) for _, line in records)):
         try:
             e = _number(tok)
         except ValueError:
@@ -537,7 +556,7 @@ def _members(records: list[tuple[int, str]], what: str, ground_size: int) -> lis
             break
         bits[tok] = 1 << (e - 1)
     else:  # every token is an element
-        return [reduce(or_, map(bits.__getitem__, line.split())) for _, line in records]
+        return [reduce(or_, map(bits.__getitem__, _tokens(line))) for _, line in records]
     return [_member(line, line_no, what, ground_size) for line_no, line in records]
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import jsonschema
 import pytest
 
 import oddtown as ot
+from oddtown import cli
 from oddtown import search as se
 from oddtown.cli import main
 
@@ -490,6 +492,42 @@ class TestSteiner:
         assert doc["shadow"]["size"] == 105
         assert doc["shadow"]["formula_size"] == 105
         assert doc["shadow"]["matches_formula"] is True
+
+
+class TestThinShell:
+    """search and verify hand the flags given, by name, to SearchSpec and verify_theorem."""
+
+    @pytest.mark.parametrize(
+        "argv,required",
+        [
+            (["search", "--class", "even", "--n", "4", "--m", "5"],
+             dict(family_class="even", ground_size=4, family_size=5)),
+            (["verify", "--statement", "thm-even", "--n", "4"], dict(statement="thm-even", n=4)),
+        ],
+        ids=["search", "verify"],
+    )
+    def test_no_flag_sets_a_default(self, argv, required):
+        # a flag left out is absent, so the library's own default applies
+        args = cli._build_parser().parse_args(argv)
+        handler = {"search": cli._cmd_search, "verify": cli._cmd_verify}[argv[0]]
+        assert vars(args) == {"json": False, "command": argv[0], "handler": handler, **required}
+
+    @pytest.mark.parametrize(
+        "argv,target",
+        [
+            (["search", "--class", "uniform", "--n", "5", "--m", "3", "--k", "3",
+              "--objective", "ckt", "--t", "1", "--mode", "local", "--seed", "2",
+              "--restarts", "2", "--budget-nodes", "10", "--budget-secs", "1.5",
+              "--threads", "2", "--checkpoint", "ck"], se.SearchSpec),
+            (["verify", "--statement", "prob-uniform", "--n", "5", "--s", "2", "--k", "3",
+              "--mode", "exhaustive", "--budget-nodes", "10", "--budget-secs", "1.5",
+              "--threads", "2"], se.verify_theorem),
+        ],
+        ids=["search", "verify"],
+    )
+    def test_every_library_parameter_has_a_flag(self, argv, target):
+        given = cli._library_args(cli._build_parser().parse_args(argv))
+        assert set(given) == set(inspect.signature(target).parameters)
 
 
 def test_schema_enums_are_the_search_names():

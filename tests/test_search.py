@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import sys
 import threading
 from math import comb
 
@@ -545,6 +546,23 @@ class TestDeterminismAndSoundness:
         assert result.optimal
         assert result.best_value == 4  # matches the proven bound at s=1
         assert ot.op_count(result.witness) == 4
+
+
+@pytest.mark.parametrize("mode", ["bnb", "exhaustive"])
+def test_tree_deeper_than_the_recursion_limit(mode):
+    # the whole even class of [11], 1,024 members: the tree recurses once per
+    # member, past CPython's default limit of 1,000 frames
+    spec = SearchSpec(ground_size=11, family_size=1024, family_class="even", mode=mode)
+    limit = sys.getrecursionlimit()
+    result = minimize(spec)
+    assert sys.getrecursionlimit() == limit
+    assert result.optimal
+    assert result.best_value == ot.op(ot.SetFamily(11, candidate_pool(spec))).op_count == 261888
+
+
+def test_deep_tree_from_the_command_line(capsys):
+    assert cli_main(["search", "--class", "even", "--n", "11", "--m", "1024"]) == 0
+    assert json.loads(capsys.readouterr().out)["best_value"] == 261888
 
 
 class TestBudgetsAndValidation:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
@@ -230,11 +231,10 @@ def masks_holding_top(n: int, max_size: int, sparse: bool = False):
 
 
 def element_basis_reference(targets):
-    """basis[e] marks the targets holding element e, one bit at a time."""
+    """basis[e] marks the targets holding element e, one bit at a time, for each e held."""
     width = max((t.bit_length() for t in targets), default=0)
-    return [
-        sum(1 << j for j, t in enumerate(targets) if t >> e & 1) for e in range(width)
-    ]
+    columns = (sum(1 << j for j, t in enumerate(targets) if t >> e & 1) for e in range(width))
+    return {e: column for e, column in enumerate(columns) if column}
 
 
 @contextmanager
@@ -333,6 +333,19 @@ class TestRowKernelAcrossBytes:
     def test_element_basis(self, targets):
         # at most two points of 20 in each target is the sparse, bit-by-bit transpose
         assert _element_basis(targets) == element_basis_reference(targets)
+
+
+@pytest.mark.parametrize("statistic", [ot.op, lambda fam: ot.c_kt(fam, 0)], ids=["op", "c_kt"])
+def test_wide_ground_costs_follow_the_set_bits(statistic):
+    # {1} and {10^6}: each mask takes 125 KB, a basis indexed by element 8 MB
+    fam = SetFamily(10**6, [1, 1 << (10**6 - 1)])
+    tracemalloc.start()
+    try:
+        statistic(fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 class TestKernelSelection:
@@ -706,9 +719,10 @@ class TestFamilyFile:
             ("n=4 k=3\n1\n", 1, "expected header 'n=<ground_size>'"),
             ("n=1_6\n1\n", 1, "bad ground size '1_6'"),
             ("n=-4\n1\n", 1, "bad ground size '-4'"),
+            ("n=4\xa0\n1\n", 1, r"bad ground size '4\\xa0'"),
         ],
         ids=["not-a-number", "zero", "no-header-line", "space-after-equals", "repeated-key",
-             "extra-key", "underscore", "minus"],
+             "extra-key", "underscore", "minus", "no-break-space"],
     )
     def test_bad_header(self, tmp_path, text, line_no, message):
         path = tmp_path / "fam.txt"
@@ -766,9 +780,17 @@ class TestFamilyFile:
             ("1 2\n1_0\n", "bad set line '1_0'"),
             ("1 2\n\u0663\n", "bad set line '\u0663'"),
             ("1 2\n-1\n", "bad set line '-1'"),
+            # only ASCII spaces and tabs separate tokens, and only line feeds lines
+            ("1 2\n1\u20032\n", r"bad set line '1\\u20032'"),
+            ("1 2\n3\xa04\n", r"bad set line '3\\xa04'"),
+            ("1 2\n1 2\x0b3 4\n", r"bad set line '1 2\\x0b3 4'"),
+            ("1 2\n1 2\x0c3 4\n", r"bad set line '1 2\\x0c3 4'"),
+            ("1 2\n1 2\x853 4\n", r"bad set line '1 2\\x853 4'"),
+            ("1 2\n1 2\u20283 4\n", r"bad set line '1 2\\u20283 4'"),
         ],
         ids=["bad-token", "above-range", "zero", "empty-with-element", "first-of-two-bad",
-             "underscore", "arabic-indic-digit", "minus"],
+             "underscore", "arabic-indic-digit", "minus", "em-space", "no-break-space",
+             "vertical-tab", "form-feed", "next-line", "line-separator"],
     )
     def test_errors_after_known_tokens(self, tmp_path, body, message):
         path = tmp_path / "fam.txt"
