@@ -35,6 +35,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_REFUTED = 4
+# the exit code of each verify verdict
+_VERDICT_EXIT = {"HOLDS": EXIT_OK, "TIGHT": EXIT_OK, "INCONCLUSIVE": EXIT_INCONCLUSIVE,
+                 "COUNTEREXAMPLE": EXIT_REFUTED}
 
 # each construct family: the flags it takes, all but --seed required, and its
 # builder, called with those flags' values in that order
@@ -216,21 +219,20 @@ def _library_args(args: argparse.Namespace) -> dict[str, Any]:
 def _cmd_search(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     spec = se.SearchSpec(**_library_args(args))
     result = se.minimize(spec, checkpoint=getattr(args, "checkpoint", None))
-    code = EXIT_OK if spec.mode == "local" or result.optimal else EXIT_INCONCLUSIVE
+    # local search reports an incumbent, unless its budget ran out before one
+    found = spec.mode == "local" and result.witness is not None
+    code = EXIT_OK if found or result.optimal else EXIT_INCONCLUSIVE
     return result.to_json_dict(), code
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     report = se.verify_theorem(**_library_args(args))
-    payload = report.to_json_dict()
-    if report.verdict in ("HOLDS", "TIGHT"):
-        return payload, EXIT_OK
-    if report.verdict == "COUNTEREXAMPLE":
-        return payload, EXIT_REFUTED
-    return payload, EXIT_INCONCLUSIVE
+    return report.to_json_dict(), _VERDICT_EXIT[report.verdict]
 
 
 def _cmd_steiner(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
+    if args.out is not None and args.shadow is None:
+        raise ValueError("--out needs --shadow")
     if args.partition:
         if args.n is None:
             raise ValueError("--partition requires --n")

@@ -54,7 +54,7 @@ class SteinerValidationError(OddtownError, ValueError):
 
 
 class OracleSoundnessError(OddtownError, RuntimeError):
-    """An exact search contradicted a proven bound, i.e. a bug."""
+    """A search contradicted a proven bound or misreported a value, i.e. a bug."""
 
 
 class CheckpointError(OddtownError, ValueError):

@@ -82,6 +82,7 @@ import os
 import sys
 import time
 from array import array
+from itertools import islice
 from math import comb
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -204,8 +205,8 @@ class SearchSpec(_Value):
             raise InfeasibleSpecError(f"restarts must be >= 1, got {self.restarts}")
         if self.mode != "local" and (self.seed, self.restarts) != (0, 1):
             raise InfeasibleSpecError("seed and restarts only apply to mode 'local'")
-        if self.budget_nodes < 1 or not self.budget_secs > 0:  # NaN fails too
-            raise InfeasibleSpecError("budgets must be positive")
+        if self.budget_nodes < 1 or not 0 < self.budget_secs < float("inf"):  # NaN fails too
+            raise InfeasibleSpecError("budgets must be positive and finite")
         pool = self.pool_size()
         if pool > _POOL_CAP:
             raise InfeasibleSpecError(
@@ -272,11 +273,24 @@ def candidate_pool(spec: SearchSpec) -> list[int]:
     return [m for m in range(1 << n) if m.bit_count() & 1 == want]
 
 
-def _pool_rows(spec: SearchSpec, pool: Sequence[int]) -> list[int]:
-    """Bitmask rows of counted pairs: bit j of row i marks (pool[i], pool[j])."""
+def _pool_rows(
+    spec: SearchSpec, pool: Sequence[int], deadline: float = float("inf")
+) -> list[int] | None:
+    """Bitmask rows of counted pairs: bit j of row i marks (pool[i], pool[j]).
+
+    The deadline is polled before each _CHECK_INTERVAL rows: None when it
+    passes before the rows are all built.
+    """
     if spec.objective == "op":
-        return list(odd_rows(pool))
-    return list(exact_t_rows(pool, spec.t))  # type: ignore[arg-type]
+        build = odd_rows(pool)
+    else:
+        build = exact_t_rows(pool, spec.t)  # type: ignore[arg-type]
+    rows: list[int] = []
+    while len(rows) < len(pool):
+        if time.monotonic() > deadline:
+            return None
+        rows.extend(islice(build, _CHECK_INTERVAL))
+    return rows
 
 
 # Class minima certified by this package's own branch and bound, each pinned
@@ -731,8 +745,7 @@ def _load_checkpoint(path: Path, spec: SearchSpec, rows: Sequence[int]) -> tuple
         ):
             problem = f"witness {witness!r} is not {spec.family_size} increasing pool indices"
         else:
-            bits = sum(1 << i for i in witness)
-            recount = sum((rows[i] & bits).bit_count() for i in witness) // 2
+            recount = _recount(rows, witness)
             if not (is_int(value) and value == recount):
                 problem = f"best_value {value!r} is not its witness's value {recount}"
     if problem is None:
@@ -770,23 +783,45 @@ def _write_checkpoint(path: Path, data: dict) -> None:
         raise
 
 
-def _setup(spec: SearchSpec) -> tuple[float, float, list[int], list[int]]:
-    """(start time, deadline, pool, rows) of a run; budget_secs counts from before the pool."""
+def _setup(spec: SearchSpec) -> tuple[float, float, list[int], list[int] | None]:
+    """(start time, deadline, pool, rows) of a run; budget_secs counts from before the pool.
+
+    rows is None when the deadline passes before they are all built.
+    """
     start_time = time.monotonic()
+    deadline = start_time + spec.budget_secs
     pool = candidate_pool(spec)
-    return start_time, start_time + spec.budget_secs, pool, _pool_rows(spec, pool)
+    return start_time, deadline, pool, _pool_rows(spec, pool, deadline)
+
+
+def _recount(rows: Sequence[int], chosen: Sequence[int]) -> int:
+    """The counted pairs among the pool indices chosen, read off their rows."""
+    bits = sum(1 << i for i in chosen)
+    return sum((rows[i] & bits).bit_count() for i in chosen) // 2
 
 
 def _result(
     spec: SearchSpec,
     pool: Sequence[int],
+    rows: Sequence[int] | None,
     start_time: float,
-    value: int | None,
-    chosen: Iterable[int] | None,
-    nodes: int,
+    value: int | None = None,
+    chosen: Sequence[int] | None = None,
+    nodes: int = 0,
     optimal: bool = False,
 ) -> SearchResult:
-    """The SearchResult of a run whose best family is the pool indices chosen, if any."""
+    """The SearchResult of a run whose best family is the pool indices chosen, if any.
+
+    A family's value is recounted from the rows first: a mismatch means the
+    search misreported it, and raises OracleSoundnessError.
+    """
+    if chosen is not None:
+        recount = _recount(rows, chosen)  # type: ignore[arg-type]
+        if recount != value:
+            raise OracleSoundnessError(
+                f"search reported value {value} for pool indices {list(chosen)}, "
+                f"whose rows count {recount}"
+            )
     return SearchResult(
         best_value=value,
         witness=None if chosen is None else SetFamily(spec.ground_size, [pool[i] for i in chosen]),
@@ -808,6 +843,8 @@ def _minimize_exact(spec: SearchSpec, checkpoint: str | Path | None = None) -> S
     if ck_path is not None and not ck_path.parent.is_dir():
         raise CheckpointError(f"checkpoint {ck_path}: directory {ck_path.parent} does not exist")
     start_time, deadline, pool, rows = _setup(spec)
+    if rows is None:
+        return _result(spec, pool, rows, start_time)
     # exhaustive mode enumerates every family: no value is <= -1
     floor = _floor(spec)[0] if spec.mode == "bnb" else -1
     start, preload = (0, _NOTHING) if ck_path is None else _load_checkpoint(ck_path, spec, rows)
@@ -839,7 +876,7 @@ def _minimize_exact(spec: SearchSpec, checkpoint: str | Path | None = None) -> S
     )
     best_val, best_wit = _merge_best([tree, hint, preload])
     nodes = preload.nodes + tree.nodes
-    return _result(spec, pool, start_time, best_val, best_wit, nodes, not tree.aborted)
+    return _result(spec, pool, rows, start_time, best_val, best_wit, nodes, not tree.aborted)
 
 
 def _merge_best(
@@ -868,11 +905,15 @@ def local_search(spec: SearchSpec, initial: SetFamily | None = None) -> SearchRe
 
     Deterministic for a fixed spec.seed; restart 0 starts from `initial` when
     given, later restarts from seeded random families.  The result is an
-    upper-bound incumbent, never a proof, so optimal is always False.
+    upper-bound incumbent, never a proof, so optimal is always False.  A
+    run whose deadline passes while the conflict rows are built returns
+    no family.
     """
     import random
 
     start_time, deadline, pool, rows = _setup(spec)
+    if rows is None:
+        return _result(spec, pool, rows, start_time)
     m = spec.family_size
     rng = random.Random(spec.seed)
     found: list[tuple[int, tuple[int, ...]]] = []
@@ -895,14 +936,31 @@ def local_search(spec: SearchSpec, initial: SetFamily | None = None) -> SearchRe
         found.append((value, chosen))
         if stopped:
             break
-    return _result(spec, pool, start_time, *min(found), evals)
+    return _result(spec, pool, rows, start_time, *min(found), evals)
 
 
 # ---------------------------------------------------------------------------
 # Statement verification
 
 
-_STATEMENTS = ("thm-even", "thm-odd", "conj-even", "conj-odd", "prob-uniform")
+# Each statement's claimed range of s, (least, most) from n and the rule
+# bound B (m = B + s); None: no upper end.  Each statement names its class.
+_S_RANGES: dict[str, Callable[[int, int], tuple[int, int | None]]] = {
+    "thm-even": lambda n, B: (1, 2),
+    "thm-odd": lambda n, B: (1, 1),
+    "conj-even": lambda n, B: (3, B - (1 << (n // 4))),
+    "conj-odd": lambda n, B: (1, B),
+    "prob-uniform": lambda n, B: (1, None),
+}
+_STATEMENTS = tuple(_S_RANGES)
+# Each class's claimed least op at m = B + s, from s, B and k
+_CLAIMS: dict[str, Callable[[int, int, int | None], int]] = {
+    "even": lambda s, B, k: s * B // 2,
+    "odd": lambda s, B, k: 3 * s,
+    "uniform": lambda s, B, k: 4 if k == 3 else 5,
+}
+# TheoremReport fields whose JSON key differs from the field name
+_REPORT_KEYS = {"proven": "proven_statement", "result": "search"}
 
 
 class TheoremReport(NamedTuple):
@@ -921,16 +979,8 @@ class TheoremReport(NamedTuple):
 
     def to_json_dict(self) -> dict:
         return {
-            "statement": self.statement,
-            "n": self.n,
-            "s": self.s,
-            "k": self.k,
-            "family_size": self.family_size,
-            "claimed_bound": self.claimed_bound,
-            "minimum": self.minimum,
-            "verdict": self.verdict,
-            "proven_statement": self.proven,
-            "search": self.result.to_json_dict(),
+            _REPORT_KEYS.get(name, name): value.to_json_dict() if name == "result" else value
+            for name, value in self._asdict().items()
         }
 
 
@@ -954,40 +1004,30 @@ def verify_theorem(
       prob-uniform  conjectured: n+s k-uniform sets (odd k) force 4 odd pairs for
                     k=3 and 5 otherwise
 
+    s outside the statement's claimed range (_S_RANGES) raises ValueError,
+    "{statement} claims {lo} <= s <= {hi} at n={n}, got s={s}" (prob-uniform
+    has no upper end); the claimed bound is the class's entry in _CLAIMS.
+    k applies to prob-uniform only: odd, at least 3, 3 when left out.
     A COUNTEREXAMPLE verdict against a proven statement raises
     OracleSoundnessError, because it can only mean the search is wrong.
-    k applies to prob-uniform only.
+    A run cut by its budgets, in the row build included, is INCONCLUSIVE
+    unless its incumbent is already below the bound.
     """
     if statement not in _STATEMENTS:
         raise ValueError(f"statement must be one of {_STATEMENTS}, got {statement!r}")
     if k is not None and statement != "prob-uniform":
         raise ValueError(f"k only applies to prob-uniform, not {statement}")
-    family_class = statement.partition("-")[2]  # each statement names its class
-    spec_k: int | None = None
-    if statement == "thm-even" and s not in (1, 2):
-        raise ValueError(f"thm-even is proven for s in {{1, 2}}, got s={s}")
-    if statement == "thm-odd" and s != 1:
-        raise ValueError(f"thm-odd is the s=1 statement, got s={s}")
-    if statement == "conj-odd" and not 1 <= s <= n:
-        raise ValueError(f"conj-odd claims 1 <= s <= {n}, got s={s}")
-    if statement == "prob-uniform":
-        spec_k = 3 if k is None else k
-        if spec_k < 3 or spec_k % 2 == 0:
-            raise ValueError(f"prob-uniform needs odd k >= 3, got k={spec_k}")
-        if s < 1:
-            raise ValueError(f"need s >= 1, got s={s}")
+    family_class = statement.partition("-")[2]
+    spec_k = 3 if k is None and family_class == "uniform" else k
+    if family_class == "uniform" and (spec_k < 3 or spec_k % 2 == 0):  # type: ignore[operator]
+        raise ValueError(f"prob-uniform needs odd k >= 3, got k={spec_k}")
     rule = _rule_bound(family_class, n, spec_k)
-    if statement == "conj-even":
-        hi = rule - (1 << (n // 4))
-        if not 3 <= s <= hi:
-            raise ValueError(f"conj-even claims 3 <= s <= {hi} at n={n}, got s={s}")
+    lo, hi = _S_RANGES[statement](n, rule)
+    if s < lo or (hi is not None and s > hi):
+        most = "" if hi is None else f" <= {hi}"
+        raise ValueError(f"{statement} claims {lo} <= s{most} at n={n}, got s={s}")
     m = rule + s
-    if family_class == "even":
-        bound = s * rule // 2
-    elif family_class == "odd":
-        bound = 3 * s
-    else:
-        bound = 4 if spec_k == 3 else 5
+    bound = _CLAIMS[family_class](s, rule, spec_k)
     proven = statement.startswith("thm-")
 
     spec = SearchSpec(
@@ -1016,15 +1056,7 @@ def verify_theorem(
     else:
         verdict = "HOLDS"
 
+    # the fields in TheoremReport's order
     return TheoremReport(
-        statement=statement,
-        n=n,
-        s=s,
-        k=spec_k,
-        family_size=m,
-        claimed_bound=bound,
-        minimum=result.best_value,
-        verdict=verdict,
-        proven=proven,
-        result=result,
+        statement, n, s, spec_k, m, bound, result.best_value, verdict, proven, result
     )

@@ -336,10 +336,25 @@ class TestSearch:
         assert "restarts" in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("budget", [["--budget-secs", "nan"]], ids=["flag"])
+    @pytest.mark.parametrize(
+        "budget",
+        [["--budget-secs", "nan"], ["--budget-secs", "inf"], ["--budget-secs", "1e999"]],
+        ids=["flag", "inf", "1e999"],
+    )
     def test_nan_time_budget_is_usage_error(self, capsys, budget):
         assert main(["search", "--class", "even", "--n", "4", "--m", "5", *budget]) == 2
         assert "budgets must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["bnb", "local"])
+    def test_budget_spent_in_the_row_build_is_inconclusive(self, capsys, mode):
+        code, doc = run(
+            capsys,
+            "search", "--class", "even", "--n", "12", "--m", "2", "--mode", mode,
+            "--budget-secs", "1e-9",
+        )
+        assert code == 3
+        assert (doc["best_value"], doc["witness"], doc["optimal"]) == (None, None, False)
+        jsonschema.validate(doc, SCHEMA)
 
     def test_threads_flag_deterministic(self, capsys):
         outs = []
@@ -404,6 +419,21 @@ class TestVerify:
         code = main(["verify", "--statement", "thm-even", "--n", "4", "--s", "5"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv,verdict,exit_code",
+        [
+            (["thm-even", "--n", "3", "--s", "2"], "HOLDS", 0),
+            (["thm-even", "--n", "4", "--s", "1"], "TIGHT", 0),
+            (["conj-odd", "--n", "5", "--s", "2", "--budget-nodes", "40"], "INCONCLUSIVE", 3),
+            (["conj-odd", "--n", "5", "--s", "2", "--budget-secs", "1e-9"], "INCONCLUSIVE", 3),
+            (["prob-uniform", "--n", "5", "--k", "3"], "COUNTEREXAMPLE", 4),
+        ],
+        ids=["holds", "tight", "inconclusive", "inconclusive-in-row-build", "counterexample"],
+    )
+    def test_exit_code_of_each_verdict(self, capsys, argv, verdict, exit_code):
+        code, doc = run(capsys, "verify", "--statement", *argv)
+        assert (doc["verdict"], code) == (verdict, exit_code)
+
 
 class TestBracket:
     @pytest.mark.parametrize(
@@ -440,6 +470,23 @@ class TestSteiner:
         assert doc["shadow"]["matches_formula"] is True
         shade = ot.load_family(out)
         assert shade.canonical() == ot.disjoint_k4_triples(8).canonical()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--partition", "--n", "8"], ["--validate", "{blocks}"]],
+        ids=["partition", "validate"],
+    )
+    def test_out_without_shadow_is_usage_error(self, capsys, tmp_path, argv):
+        blocks = tmp_path / "good.blocks"
+        blocks.write_text("n=8 k=4 t=1\n1 2 3 4\n5 6 7 8\n")
+        out = tmp_path / "x.fam"
+        argv = [arg.format(blocks=blocks) for arg in argv]
+        code = main(["steiner", *argv, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: --out needs --shadow\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--k", "--t"])
     def test_partition_refuses_design_flags(self, capsys, flag):

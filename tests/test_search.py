@@ -12,7 +12,7 @@ from math import comb
 import pytest
 
 import oddtown as ot
-from oddtown import CheckpointError, InfeasibleSpecError, SearchSpec, search
+from oddtown import CheckpointError, InfeasibleSpecError, OracleSoundnessError, SearchSpec, search
 from oddtown.cli import main as cli_main
 from oddtown.search import candidate_pool, local_search, minimize, verify_theorem
 
@@ -663,11 +663,54 @@ class TestBudgetsAndValidation:
     @pytest.mark.parametrize(
         "budgets",
         [dict(budget_secs=float("nan")), dict(budget_secs=0.0), dict(budget_secs=-1.0),
-         dict(budget_nodes=0)],
+         dict(budget_nodes=0), dict(budget_secs=float("inf"))],
     )
     def test_budgets_must_be_positive(self, budgets):
         with pytest.raises(InfeasibleSpecError, match="budgets"):
             SearchSpec(ground_size=4, family_size=5, family_class="even", **budgets)
+
+    @pytest.mark.parametrize("mode", ["bnb", "exhaustive", "local"])
+    def test_time_budget_covers_the_row_build(self, monkeypatch, mode):
+        # even n=12 has P = 2,048 rows; a deadline already passed stops the
+        # build at its first poll, and the run holds no family
+        built = []
+
+        def counted(masks):
+            for row in ot.setfamily.odd_rows(masks):
+                built.append(row)
+                yield row
+
+        monkeypatch.setattr(search, "odd_rows", counted)
+        spec = SearchSpec(
+            ground_size=12, family_size=2, family_class="even", mode=mode, budget_secs=1e-9
+        )
+        result = minimize(spec)
+        assert len(built) < spec.pool_size()
+        assert (result.best_value, result.witness, result.optimal) == (None, None, False)
+        assert result.nodes_explored == 0
+
+    @pytest.mark.parametrize("mode", ["bnb", "local"])
+    def test_a_misreported_climb_value_raises(self, monkeypatch, mode):
+        # the hint of even n=4 m=5 is optimal, so a value one too low is
+        # never beaten by the tree and reaches the result
+        climb = search._climb
+
+        def misreport(*args):
+            value, chosen, evals, stopped = climb(*args)
+            return value - 1, chosen, evals, stopped
+
+        monkeypatch.setattr(search, "_climb", misreport)
+        spec = SearchSpec(ground_size=4, family_size=5, family_class="even", mode=mode)
+        with pytest.raises(OracleSoundnessError, match="whose rows count"):
+            minimize(spec)
+
+    def test_a_misreported_tree_value_raises(self, monkeypatch):
+        # spread rows of zeros make every leaf of the exhaustive tree look like
+        # value 0, and the first family of even n=4 m=5 has odd pairs
+        monkeypatch.setattr(search, "_spreader", lambda rows, width: lambda j: 0)
+        spec = SearchSpec(ground_size=4, family_size=5, family_class="even", mode="exhaustive")
+        with pytest.raises(OracleSoundnessError, match="reported value 0"):
+            minimize(spec)
 
     @pytest.mark.parametrize(
         "kw,message",
@@ -1130,11 +1173,11 @@ class TestVerifyTheorem:
         assert op_sets(to_sets(report.result.witness)) == 16
 
     def test_range_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="thm-even claims 1 <= s <= 2 at n=4, got s=3"):
             verify_theorem("thm-even", 4, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="thm-odd claims 1 <= s <= 1 at n=4, got s=2"):
             verify_theorem("thm-odd", 4, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="conj-odd claims 1 <= s <= 4 at n=4, got s=5"):
             verify_theorem("conj-odd", 4, 5)
         with pytest.raises(ValueError):
             verify_theorem("prob-uniform", 5, 1, 4)
@@ -1142,7 +1185,7 @@ class TestVerifyTheorem:
             verify_theorem("conj-even", 6, 7)
         with pytest.raises(ValueError, match="conj-even claims 3 <= s <= 6 at n=6, got s=2"):
             verify_theorem("conj-even", 6, 2)
-        with pytest.raises(ValueError, match="need s >= 1, got s=0"):
+        with pytest.raises(ValueError, match="prob-uniform claims 1 <= s at n=5, got s=0"):
             verify_theorem("prob-uniform", 5, 0)
         with pytest.raises(ValueError):
             verify_theorem("nope", 4, 1)
@@ -1195,3 +1238,13 @@ class TestVerifyTheorem:
         assert doc["verdict"] == "TIGHT"
         assert doc["claimed_bound"] == 3
         assert doc["search"]["best_value"] == 3
+
+    def test_report_json_key_order(self):
+        report = verify_theorem("thm-odd", 4, 1)
+        doc = report.to_json_dict()
+        assert list(doc) == [
+            "statement", "n", "s", "k", "family_size", "claimed_bound", "minimum",
+            "verdict", "proven_statement", "search",
+        ]
+        assert doc["proven_statement"] is True
+        assert doc["search"] == report.result.to_json_dict()
