@@ -11,6 +11,16 @@ Machine output is JSON on stdout; when stdout is a terminal a plain
 key/value table is shown instead (force JSON with --json).  Exit codes:
 0 success/optimal, 2 usage or argument error, 3 inconclusive under budget,
 4 counterexample or invalid design.
+
+main(argv) is the in-process API and returns the exit code.  run() is the
+process entry (`python -m oddtown.cli` and the `oddtown` script): after
+main returns it flushes stdout and stderr and leaves with os._exit, which
+skips the interpreter's finalization (module teardown, the last garbage
+collections, freeing every object), 8-11 ms of CPU per command.  Every
+file a command writes is closed before main returns, and nothing here
+registers an atexit handler or starts a thread.  A usage error or --help
+(SystemExit from argparse) and any unexpected exception leave run() as
+they leave main(), and the interpreter finalizes as usual.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ import os
 import sys
 from math import comb
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, NoReturn
 
 from . import constructions as cons
 from . import search as se
@@ -287,5 +297,13 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
+def run() -> NoReturn:
+    """main() on sys.argv, then flush and os._exit with its code."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

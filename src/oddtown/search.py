@@ -427,8 +427,9 @@ def _climb(
     For a in ascending order, swap in the first c outside the family whose
     swap strictly lowers the value; rescan after each swap, stop when none
     improves or once evals (candidate evaluations, continuing the count
-    given) passes budget_nodes or the deadline.  Returns (value, chosen
-    indices ascending, evals, stopped).
+    given) passes budget_nodes or the deadline.  A deadline passed while
+    the start's spread rows are built returns the start family, evals
+    unchanged.  Returns (value, chosen indices ascending, evals, stopped).
 
     Each scan tests every candidate at once.  W packs w[x], x's pairs with
     the family, as field x of b bits, b the least multiple of 8 with
@@ -454,6 +455,10 @@ def _climb(
     W = 0
     free = ones << (b - 1)
     for c in chosen:
+        # a spread takes ~0.5 ms at P = 65,536, so poll before each one
+        if time.monotonic() > deadline:
+            family = tuple(sorted(chosen))
+            return _recount(rows, family), family, evals, True
         W += spread(c)
         free ^= lift << c * b
     value = sum(W >> c * b & field for c in chosen) // 2

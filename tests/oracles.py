@@ -157,14 +157,18 @@ def climb_reference(
     w[c] - [c pairs with a] < w[a], where w[x] counts x's pairs with the
     family; rescan after each swap.  Each candidate tested adds one to
     evals, and at each multiple of 4096 the run stops, before that test,
-    once evals passes budget_nodes or the clock passes deadline.  Returns
-    (value, chosen indices ascending, evals, stopped).
+    once evals passes budget_nodes or the clock passes deadline.  A clock
+    already past deadline stops the run before any test, with the start
+    family and evals as given.  Returns (value, chosen indices ascending,
+    evals, stopped).
     """
     P = len(rows)
     pairs = [[row >> y & 1 for y in range(P)] for row in rows]
     chosen = set(start)
     w = [sum(pairs[x][c] for c in chosen) for x in range(P)]
     value = sum(w[c] for c in chosen) // 2
+    if time.monotonic() > deadline:
+        return value, tuple(sorted(chosen)), evals, True
     stopped = False
     improved = True
     while improved and not stopped:

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import jsonschema
@@ -17,9 +18,8 @@ from oddtown import cli
 from oddtown import search as se
 from oddtown.cli import main
 
-SCHEMA = json.loads(
-    (Path(__file__).parent.parent / "docs" / "search_result.schema.json").read_text()
-)
+ROOT = Path(__file__).parent.parent
+SCHEMA = json.loads((ROOT / "docs" / "search_result.schema.json").read_text())
 
 
 def run(capsys, *argv) -> tuple[int, dict]:
@@ -678,3 +678,110 @@ class TestHarness:
         loaded = proc.stdout.split()
         assert "oddtown.cli" in loaded
         assert [name for name in heavy if name in loaded] == []
+
+
+class TestProcessEntry:
+    """cli.run, the process entry: main, a flush, then os._exit on a normal return."""
+
+    # prints "finalized" on stderr if the interpreter runs its exit handlers
+    FINALIZED = "import atexit, runpy, sys; atexit.register(sys.stderr.write, 'finalized'); "
+
+    def entry(self, *argv) -> subprocess.CompletedProcess:
+        code = (
+            self.FINALIZED
+            + f"sys.argv = ['oddtown', *{list(argv)!r}]; "
+            + "runpy.run_module('oddtown.cli', run_name='__main__')"
+        )
+        return run_process("-c", code, capture_output=True)
+
+    def test_normal_return_skips_finalization(self):
+        # finalization cost 8-11 ms of CPU per command; the entry leaves
+        # after flushing, so exit handlers never run
+        proc = self.entry("--json", "construct", "--family", "x5")
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["op"] == 3
+
+    def test_usage_error_still_finalizes(self):
+        proc = self.entry("construct", "--family", "nope")
+        assert proc.returncode == 2
+        assert "invalid choice" in proc.stderr
+        assert proc.stderr.endswith("finalized")
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "argv,code,key,value",
+        [
+            (["construct", "--family", "x5"], 0, "op", 3),
+            (["verify", "--statement", "prob-uniform", "--n", "5", "--k", "3"], 4,
+             "verdict", "COUNTEREXAMPLE"),
+        ],
+        ids=["construct", "verify-counterexample"],
+    )
+    def test_console_script_target(self, argv, code, key, value):
+        # what an installed `oddtown` runs: sys.exit(<target>()), as the
+        # wrapper generated from [project.scripts] does
+        target = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+        module, name = target["oddtown"].split(":")
+        script = (
+            self.FINALIZED
+            + f"sys.argv = ['oddtown', '--json', *{argv!r}]; "
+            + f"from {module} import {name}; sys.exit({name}())"
+        )
+        proc = run_process("-c", script, capture_output=True)
+        assert proc.returncode == code
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)[key] == value
+
+    def test_value_error_keeps_its_stderr_line(self):
+        proc = run_process(
+            "-m", "oddtown.cli", "steiner", "--out", "x", "--partition", "--n", "8",
+            capture_output=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: --out needs --shadow\n"
+        assert proc.stdout == ""
+
+    def test_budget_cut_leaves_a_checkpoint(self, tmp_path):
+        # the first first-level branch of odd n=9 m=10 ends after ~0.9 s; a
+        # 0.5 s budget cuts inside it and writes no file
+        ckpt = tmp_path / "odd9.ckpt"
+        proc = run_process(
+            "-m", "oddtown.cli", "--json", "search", "--class", "odd", "--n", "9",
+            "--m", "10", "--budget-secs", "2", "--checkpoint", str(ckpt),
+            capture_output=True,
+        )
+        assert proc.returncode == 3, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["optimal"] is False
+        spec = se.SearchSpec(ground_size=9, family_size=10, family_class="odd")
+        rows = se._pool_rows(spec, se.candidate_pool(spec))
+        next_branch, best = se._load_checkpoint(ckpt, spec, rows)
+        assert next_branch >= 1
+        assert best.best_value == doc["best_value"]
+
+    def test_finished_search_resumes_from_its_checkpoint(self, tmp_path):
+        ckpt = tmp_path / "odd8.ckpt"
+        argv = ["-m", "oddtown.cli", "--json", "search", "--class", "odd", "--n", "8",
+                "--m", "11", "--checkpoint", str(ckpt)]
+        docs = []
+        for _ in range(2):
+            proc = run_process(*argv, capture_output=True)
+            assert proc.returncode == 0, proc.stderr
+            assert ckpt.exists()
+            docs.append(json.loads(proc.stdout))
+        first, resumed = docs
+        assert first["best_value"] == resumed["best_value"] == 5
+        assert first["witness"] == resumed["witness"]
+        assert first["optimal"] and resumed["optimal"]
+
+    def test_constructed_family_file_reads_back(self, tmp_path):
+        out = tmp_path / "plus.fam"
+        proc = run_process(
+            "-m", "oddtown.cli", "--json", "construct", "--family", "eventown-plus",
+            "--n", "12", "--s", "2", "--out", str(out), capture_output=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        family = ot.load_family(out)
+        assert (len(family), ot.op(family).op_count) == (doc["size"], doc["op"]) == (66, 64)

@@ -7,6 +7,7 @@ import os
 import random
 import sys
 import threading
+import time
 from math import comb
 
 import pytest
@@ -1081,6 +1082,30 @@ def test_packed_climb_matches_the_candidate_loop():
                     runs += 1
                     stops += got[3]
     assert stops > 100 and runs - stops > 100  # both endings are exercised
+
+
+def test_climb_polls_the_deadline_while_it_builds_its_start(monkeypatch):
+    # the start's spread rows took ~150 ms at even n=17 m=300 before the first poll
+    built = []
+    spreader = search._spreader
+
+    def counting_spreader(rows, width):
+        spread = spreader(rows, width)
+
+        def counted(j):
+            built.append(j)
+            return spread(j)
+
+        return counted
+
+    monkeypatch.setattr(search, "_spreader", counting_spreader)
+    spec = SearchSpec(ground_size=8, family_size=17, family_class="even")
+    rows = search._pool_rows(spec, candidate_pool(spec))
+    start = tuple(range(3, 20))
+    got = search._climb(rows, start, 10**9, time.monotonic() - 1, evals=123)
+    assert got == (search._recount(rows, start), start, 123, True)
+    assert got[0] > 0
+    assert len(built) <= 1
 
 
 class TestVerifyTheorem:
