@@ -135,7 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=se._MODES)
     p.add_argument("--seed", type=int, help="seed for local search")
     p.add_argument("--restarts", type=int, help="restarts for local search")
-    p.add_argument("--checkpoint", type=Path, help="resume file, written after each first-level branch (exact modes only)")
+    p.add_argument("--checkpoint", type=Path, help="resume file: where the budget stopped the tree, or its end (exact modes only)")
 
     p = sub.add_parser(
         "verify", parents=[run], argument_default=argparse.SUPPRESS,

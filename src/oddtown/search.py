@@ -60,11 +60,14 @@ is cut before it reaches a leaf.  The hint's evaluations open the run's
 count, which the tree continues, so budget_nodes and nodes_explored cover
 both.
 
-The tree runs on the calling thread.  A checkpoint records first-level
-branches, the children of the top node: its next_branch is the pool index
-where the top node's loop resumes.  An even-class bnb run thus records
-progress after each child of {∅}, but at thm-even n=8 s=2 the first child
-holds ~80 % of the work, and a cut inside it records nothing.  Pruning uses one bound:
+The tree runs on the calling thread and stops only at a budget poll.  A
+checkpoint records the DFS path there, the pool indices chosen: every
+subtree left of it is finished, so a resume descends along it and searches
+on from the node at its end.  It is written when the budgets are spent, at
+most every _SAVE_SECS while the tree runs, and with no path once the tree
+ends; a rerun on that file returns its result without a hint or a tree.
+Its incumbent merges the tree's, the hint's and the resumed one, so a
+resume that holds a family runs no hint.  Pruning uses one bound:
 one more than the least value known before the tree (the hint's or a
 resumed checkpoint's), then each kept leaf's value.  A subtree or
 candidate is cut when its lower bound reaches the bound, so the tree keeps
@@ -104,6 +107,7 @@ _POOL_CAP = 1 << 16
 _SPREAD_BYTES = 1 << 29
 _EXHAUSTIVE_CAP = 10**8  # most families exhaustive mode will enumerate
 _CHECK_INTERVAL = 1024  # budget polling granularity, in nodes
+_SAVE_SECS = 5.0  # least time between two checkpoint writes of a run that goes on
 
 _CLASSES = ("even", "odd", "uniform")
 _OBJECTIVES = ("op", "ckt")
@@ -504,22 +508,40 @@ def _two_byte_fields(raw: bytes) -> array:
     return fields
 
 
+def _top(spec: SearchSpec) -> tuple[int, ...]:
+    """The members of the tree's top node: {∅} (pool index 0) or the empty family.
+
+    ∅ meets every set evenly, so in the even class an optimum without it
+    keeps its value when its largest member is swapped for ∅, and gets
+    lex-smaller: under bnb with m >= 2 the lex-least optimum holds ∅.  The
+    top node's first candidate is pool index len(top).
+    """
+    even = spec.mode == "bnb" and spec.family_class == "even" and spec.family_size >= 2
+    return (0,) if even else ()
+
+
 def _tree(
     pool: Sequence[int],
     rows: Sequence[int],
     spec: SearchSpec,
-    start: int,
+    resume: Sequence[int],
     bound: float,
     deadline: float,
     floor: int,
     nodes: int,
-    branch_done: Callable[[int, _Outcome], None] | None = None,
+    save: Callable[[tuple[int, ...] | None, _Outcome], None] | None = None,
 ) -> _Outcome:
     """Depth-first search of the combinations from one top node, keeping leaves below bound.
 
-    The top node is the empty family, or {∅} in the even class under bnb
-    with m >= 2.  Its loop over first members (the first-level branches)
-    begins at pool index start, 0 unless a checkpoint resumes the search.
+    The top node is _top's.  Every node visits its children in ascending
+    pool index, so entering a node means every subtree left of its path is
+    finished: the path, the pool indices chosen below the top node, is a
+    sound point to resume from.  A run resumes from the path resume (empty:
+    from the top node).  Each node on it skips its children below the
+    path's next member, descends into that member with the rest of the
+    path, and counts no evaluations: the run that saved the path did.  So
+    a resume that runs no hint first polls past the node the path ends at,
+    and makes progress whatever its budget.
 
     Each node carries one packed integer whose field j counts candidate j's
     pairs with the partial family.  Fields are 1 byte wide when m <= 256
@@ -537,14 +559,14 @@ def _tree(
     family holding an upper X but not X^c keeps its value when X is swapped
     for X^c, and gets lex-smaller.  The admitted candidates of a node are
     the lower ones in [start, P/2) and the pending twins: those of chosen
-    members, at index >= start.  Its conflict bound sums the smallest
-    counts of a multiset holding each pending twin once and each lower
-    candidate twice, once for itself and once for its twin, which a later
-    choice may admit; the lower candidates and their twins are the slice
-    [start, P - start) of the counts.  Dropping those undecided twins from
-    the bound would be unsound, and a node with fewer counts than members
-    to add is cut.  In every other class and mode the lower half is the
-    whole pool and no twin is pending.
+    members, at index >= start, all above the lower ones.  Its conflict
+    bound sums the smallest counts of a multiset holding each pending twin
+    once and each lower candidate twice, once for itself and once for its
+    twin, which a later choice may admit; the lower candidates and their
+    twins are the slice [start, P - start) of the counts.  Dropping those
+    undecided twins from the bound would be unsound, and a node with fewer
+    counts than members to add is cut.  In every other class and mode the
+    lower half is the whole pool and no twin is pending.
 
     Lex-leaders (bnb): each node carries the cells of the ground set, the
     classes of two or more points that every chosen member treats alike;
@@ -571,12 +593,10 @@ def _tree(
     bounds the two together; a hint of _CHECK_INTERVAL evaluations or more
     has the top node poll the budgets at once.  The search stops at the
     first kept leaf whose value is at most floor, a lower bound on every
-    family (_floor's, or -1 to search every family).  branch_done(next
-    branch, best so far) is called after each first-level branch that ran
-    to its end, with the pool index where the top node's loop resumes.  The
-    even class's pending twin [n] is the last pool set, so it is never a
-    first-level branch: a family it completes (m = 2) is a leaf of the top
-    node, which then has no branches and writes no checkpoint.
+    family (_floor's, or -1 to search every family).  The budget poll is
+    the only place a run stops: there save(path, best so far) is called
+    when the budgets are spent, and otherwise at most every _SAVE_SECS.
+    A search that ends uncut, at the floor stop too, calls save(None, ...).
     """
     P = len(rows)
     m = spec.family_size
@@ -587,9 +607,11 @@ def _tree(
     width = 1 if m <= 256 else 2
     bits = 8 * width
     spread = _spreader(rows, width)
+    top = _top(spec)
 
     wit: tuple[int, ...] | None = None
     next_check = _CHECK_INTERVAL
+    next_save = time.monotonic() + _SAVE_SECS
     aborted = False
     done = False  # floor reached: later branches are lex-greater ties at best
 
@@ -600,20 +622,27 @@ def _tree(
         packed: int,
         cur: int,
         start: int,
+        path: tuple[int, ...],
     ) -> None:
         # pending: the twins admitted by chosen members, ascending, all >= start;
-        # cells: the points every chosen member treats alike, two or more a cell
-        nonlocal nodes, next_check, bound, wit, aborted, done
+        # cells: the points every chosen member treats alike, two or more a cell;
+        # path: the rest of the resume path below this node, empty off it
+        nonlocal nodes, next_check, next_save, bound, wit, aborted, done
         if nodes >= next_check:
             next_check = nodes + _CHECK_INTERVAL
-            if nodes > budget_nodes or time.monotonic() > deadline:
-                aborted = True
+            now = time.monotonic()
+            aborted = nodes > budget_nodes or now > deadline
+            if save is not None and (aborted or now >= next_save):
+                next_save = now + _SAVE_SECS
+                save(chosen[len(top) :], outcome())
+            if aborted:
                 return
         need = m - len(chosen)
         raw = (packed >> (start * bits)).to_bytes((P - start) * width, "little")
         ws = raw if width == 1 else _two_byte_fields(raw)
         low = half - start if start < half else 0  # lower candidates: [start, half)
-        nodes += low + len(pending)
+        # a node on the path counted its candidates in the run that saved it
+        nodes += 0 if path else low + len(pending)
         if need == 1:  # keep the first least leaf, as ascending j would: none is below floor
             w = min(ws[:low]) if low else bound
             j = None
@@ -635,7 +664,9 @@ def _tree(
                     counts.append(ws[t - start])
             if cur + sum(sorted(counts)[:need]) >= bound or len(counts) < need:
                 return
-        for j, w in zip(range(start, min(half, P - need + 1)), ws):
+        # on the resume path, the children below path[0] are finished
+        first = path[0] if path else start
+        for j, w in zip(range(first, min(half, P - need + 1)), ws[first - start :] if path else ws):
             nv = cur + w
             if bounding and nv >= bound:
                 continue
@@ -649,46 +680,39 @@ def _tree(
                 packed + spread(j),
                 nv,
                 j + 1,
+                path[1:] if j == first else (),
             )
-            if aborted:
-                return
-            if branch_done is not None and len(chosen) == top_size:
-                branch_done(j + 1, outcome())
-            if done:
+            if aborted or done:
                 return
         if pending:  # empty outside the twin rule
             for i, t in enumerate(pending):
                 if t > P - need:  # too few sets after t, as for j above
                     break
                 nv = cur + ws[t - start]
-                if nv >= bound:
+                if nv >= bound or t < first:  # the twins below path[0] are finished
                     continue
                 # a twin splits the cells as its chosen complement did
-                extend(chosen + (t,), pending[i + 1 :], cells, packed + spread(t), nv, t + 1)
+                extend(chosen + (t,), pending[i + 1 :], cells, packed + spread(t), nv, t + 1,
+                       path[1:] if t == first else ())
                 if aborted or done:
                     return
 
     def outcome() -> _Outcome:
         return _Outcome(None if wit is None else int(bound), wit, nodes, aborted)
 
-    top: tuple[int, ...] = ()
-    pending: tuple[int, ...] = ()
-    if bounding and spec.family_class == "even" and m >= 2:
-        # ∅ meets every set evenly, so an optimum without it keeps its value
-        # when its largest member is swapped for ∅, and gets lex-smaller: the
-        # lex-least optimum holds ∅, index 0.  Its row is 0, it splits no
-        # cell, and at even n its twin is [n], index P - 1
-        top, start = (0,), max(start, 1)
-        pending = (P - 1,) if twinned and P - 1 >= start else ()
-    top_size = len(top)
+    # the top node splits no cell; at even n the twin of ∅ is [n], index P - 1
+    pending = (P - 1,) if twinned and top else ()
     # extend recurses once per member, and m may reach the pool cap 2^16;
     # CPython >= 3.11 keeps these Python-to-Python calls off the C stack
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + m)
     try:
-        extend(top, pending, ((1 << spec.ground_size) - 1,) if bounding else (), 0, 0, start)
+        cells = ((1 << spec.ground_size) - 1,) if bounding else ()
+        extend(top, pending, cells, 0, 0, len(top), tuple(resume))
     finally:
         sys.setrecursionlimit(limit)
+    if save is not None and not aborted:
+        save(None, outcome())
     return outcome()
 
 
@@ -705,24 +729,41 @@ def _instance_identity(spec: SearchSpec) -> dict:
     }
 
 
-def _load_checkpoint(path: Path, spec: SearchSpec, rows: Sequence[int]) -> tuple[int, _Outcome]:
-    """(next first-level branch, best so far) from a checkpoint, or (0, _NOTHING) if absent.
+def _index_list(x: object, lo: int, hi: int, sizes: range) -> bool:
+    """Whether x is a list of increasing ints in [lo, hi) whose length is in sizes."""
+    return (
+        isinstance(x, list)
+        and len(x) in sizes
+        and all(type(i) is int for i in x)  # JSON true/false load as bool, a subclass of int
+        and all(a < b for a, b in zip(x, x[1:]))
+        and (not x or lo <= x[0] and x[-1] < hi)
+    )
 
-    Nothing in the file is trusted: next_branch must be a pool index in
-    [0, P] and nodes a count, a witness must be m increasing pool indices
-    whose value, recounted from the rows, is best_value, and the digest must
+
+def _load_checkpoint(
+    path: Path, spec: SearchSpec, rows: Sequence[int]
+) -> tuple[list[int] | None, _Outcome]:
+    """(resume path, best so far) from a checkpoint, or ([], _NOTHING) if absent.
+
+    The resume path is _tree's: the pool indices chosen below the top node
+    at the poll that wrote the file, or None once the search has ended.
+    Nothing in the file is trusted: the path must be fewer than m members
+    with the top node's, increasing, from the top node's first candidate
+    up to P - 1, nodes a count, a witness m increasing pool indices whose
+    value, recounted from the rows, is best_value, and the digest must
     match the other fields.  The digest catches hand edits and corruption
-    that leave a file self-consistent, such as a next_branch raised past the
-    branches searched; it does not authenticate a file whose digest was
-    recomputed after an edit.  A file without next_branch, such as one in
-    the older format that counted root branches, is corrupt.
+    that leave a file self-consistent, such as a path moved past the
+    subtrees searched; it does not authenticate a file whose digest was
+    recomputed after an edit.  A file without a path, such as one in an
+    older format that counted first-level branches or root branches, is
+    corrupt.
     """
     if not path.exists():
-        return 0, _NOTHING
+        return [], _NOTHING
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
         instance = data["instance"]
-        next_branch = data["next_branch"]
+        resume = data["path"]
         nodes = data["nodes"]
         value = data["best_value"]
         witness = data["witness"]
@@ -730,28 +771,18 @@ def _load_checkpoint(path: Path, spec: SearchSpec, rows: Sequence[int]) -> tuple
         raise CheckpointError(f"checkpoint {path} is truncated or corrupt: {exc}") from None
     if instance != _instance_identity(spec):
         raise CheckpointError(f"checkpoint {path} was written for a different instance")
-
-    def is_int(x: object) -> bool:
-        return type(x) is int  # JSON true/false load as bool, a subclass of int
-
+    P, m, first = len(rows), spec.family_size, len(_top(spec))  # the top node's first candidate
     problem = None
-    if not (is_int(next_branch) and 0 <= next_branch <= len(rows)):
-        problem = f"next_branch {next_branch!r} is not in [0, {len(rows)}]"
-    elif not (is_int(nodes) and nodes >= 0):
+    if not (resume is None or _index_list(resume, first, P, range(m - first))):
+        problem = f"path {resume!r} is not under {m - first} increasing indices in [{first}, {P})"
+    elif not (type(nodes) is int and nodes >= 0):
         problem = f"nodes {nodes!r} is not a count"
     elif value is not None or witness is not None:
-        if not (
-            isinstance(witness, list)
-            and len(witness) == spec.family_size
-            and all(is_int(i) for i in witness)
-            and witness == sorted(set(witness))
-            and 0 <= witness[0]
-            and witness[-1] < len(rows)
-        ):
-            problem = f"witness {witness!r} is not {spec.family_size} increasing pool indices"
+        if not _index_list(witness, 0, P, range(m, m + 1)):
+            problem = f"witness {witness!r} is not {m} increasing pool indices"
         else:
             recount = _recount(rows, witness)
-            if not (is_int(value) and value == recount):
+            if not (type(value) is int and value == recount):
                 problem = f"best_value {value!r} is not its witness's value {recount}"
     if problem is None:
         fields = {key: val for key, val in data.items() if key != "digest"}
@@ -759,7 +790,7 @@ def _load_checkpoint(path: Path, spec: SearchSpec, rows: Sequence[int]) -> tuple
             problem = "its digest is missing or does not match its fields"
     if problem is not None:
         raise CheckpointError(f"checkpoint {path} is corrupt: {problem}")
-    return next_branch, _Outcome(value, None if witness is None else tuple(witness), nodes, False)
+    return resume, _Outcome(value, None if witness is None else tuple(witness), nodes, False)
 
 
 def _digest(fields: dict) -> str:
@@ -852,23 +883,27 @@ def _minimize_exact(spec: SearchSpec, checkpoint: str | Path | None = None) -> S
         return _result(spec, pool, rows, start_time)
     # exhaustive mode enumerates every family: no value is <= -1
     floor = _floor(spec)[0] if spec.mode == "bnb" else -1
-    start, preload = (0, _NOTHING) if ck_path is None else _load_checkpoint(ck_path, spec, rows)
+    resume, preload = ([], _NOTHING) if ck_path is None else _load_checkpoint(ck_path, spec, rows)
+    if resume is None:  # the file holds an ended search and its result
+        value, chosen, nodes, _ = preload
+        return _result(spec, pool, rows, start_time, value, chosen, nodes, optimal=True)
     # the hint primes pruning, and is the incumbent if the tree is cut early;
-    # the tree's count continues from the hint's evaluations
+    # the tree's count continues from the hint's evaluations.  A resumed
+    # incumbent already holds the first run's hint
     hint, evals = _NOTHING, 0
-    if spec.mode == "bnb":
+    if spec.mode == "bnb" and preload.witness is None:
         value, chosen, evals, _ = _climb(rows, range(m), spec.budget_nodes, deadline)
         hint = _Outcome(value, chosen, 0, False)
     known_best, _ = _merge_best([hint, preload])
     bound = float("inf") if known_best is None else known_best + 1
 
-    def on_branch_done(next_branch: int, so_far: _Outcome) -> None:
-        best_val, best_wit = _merge_best([so_far, preload])
+    def save(path: tuple[int, ...] | None, so_far: _Outcome) -> None:
+        best_val, best_wit = _merge_best([so_far, hint, preload])
         _write_checkpoint(
             ck_path,  # type: ignore[arg-type]
             {
                 "instance": _instance_identity(spec),
-                "next_branch": next_branch,
+                "path": path,  # JSON writes a tuple as a list
                 "best_value": best_val,
                 "witness": None if best_wit is None else list(best_wit),
                 "nodes": preload.nodes + so_far.nodes,
@@ -876,8 +911,8 @@ def _minimize_exact(spec: SearchSpec, checkpoint: str | Path | None = None) -> S
         )
 
     tree = _tree(
-        pool, rows, spec, start, bound, deadline, floor, evals,
-        branch_done=on_branch_done if ck_path is not None else None,
+        pool, rows, spec, resume, bound, deadline, floor, evals,
+        save if ck_path is not None else None,
     )
     best_val, best_wit = _merge_best([tree, hint, preload])
     nodes = preload.nodes + tree.nodes
@@ -895,8 +930,9 @@ def _merge_best(
 def minimize(spec: SearchSpec, checkpoint: str | Path | None = None) -> SearchResult:
     """Dispatch on spec.mode; exhaustive and bnb are exact, local is heuristic.
 
-    A checkpoint records the first-level branches of an exact search's
-    tree, so local mode, which has no tree, refuses one.
+    A checkpoint records where an exact search's tree stopped, the path of
+    its last budget poll (see _tree), or that the search ended, so a rerun
+    returns its result at once.  Local mode, which has no tree, refuses one.
     """
     if spec.mode == "local":
         if checkpoint is not None:

@@ -251,7 +251,7 @@ class TestSearch:
     def test_checkpoint_in_missing_directory_is_refused_before_any_work(
         self, capsys, tmp_path, monkeypatch, m
     ):
-        # at m=2 the top node has no branch, so no checkpoint would be written
+        # at m=2 the top node {∅} is the last node of the tree, at m=3 it is not
         def no_work(spec):
             pytest.fail("the candidate pool was built")
 
@@ -297,7 +297,7 @@ class TestSearch:
             json.dumps({**good, **fields})
             for fields in (
                 dict(best_value=0, witness=[0, 1, 2, 3, 4]),  # a "certified" 0; the minimum is 2
-                dict(next_branch=-3),
+                dict(path=[-3]),
                 dict(best_value="2"),
                 dict(nodes="12"),
                 dict(witness=[0, 1, 2, 3, 9]),
@@ -312,13 +312,13 @@ class TestSearch:
             assert captured.out == ""
 
     def test_forged_checkpoint_progress_is_usage_error(self, capsys, tmp_path):
-        # all 4 first-level branches (pool indices 0-3) claimed done with a
-        # value-5 family; the minimum is 2
+        # the search claimed ended (path null) with a value-5 family; the
+        # minimum is 2
         argv = ["search", "--class", "even", "--n", "4", "--m", "5", "--mode", "exhaustive"]
         ckpt = tmp_path / "FORGED"
         instance = dict(ground_size=4, family_size=5, family_class="even", k=None,
                         objective="op", t=None, mode="exhaustive")
-        ckpt.write_text(json.dumps(dict(instance=instance, next_branch=4, best_value=5,
+        ckpt.write_text(json.dumps(dict(instance=instance, path=None, best_value=5,
                                         witness=[0, 1, 2, 3, 4], nodes=0)), encoding="utf-8")
         code = main([*argv, "--checkpoint", str(ckpt)])
         captured = capsys.readouterr()
@@ -743,12 +743,13 @@ class TestProcessEntry:
         assert proc.stdout == ""
 
     def test_budget_cut_leaves_a_checkpoint(self, tmp_path):
-        # the first first-level branch of odd n=9 m=10 ends after ~0.9 s; a
-        # 0.5 s budget cuts inside it and writes no file
+        # the first first-level branch of odd n=9 m=10, {1} (pool index 0),
+        # ends after ~1.1 s on a 2-core x86-64 host: a 0.5 s budget cuts
+        # inside it, and the file records the path there
         ckpt = tmp_path / "odd9.ckpt"
         proc = run_process(
             "-m", "oddtown.cli", "--json", "search", "--class", "odd", "--n", "9",
-            "--m", "10", "--budget-secs", "2", "--checkpoint", str(ckpt),
+            "--m", "10", "--budget-secs", "0.5", "--checkpoint", str(ckpt),
             capture_output=True,
         )
         assert proc.returncode == 3, proc.stderr
@@ -756,9 +757,9 @@ class TestProcessEntry:
         assert doc["optimal"] is False
         spec = se.SearchSpec(ground_size=9, family_size=10, family_class="odd")
         rows = se._pool_rows(spec, se.candidate_pool(spec))
-        next_branch, best = se._load_checkpoint(ckpt, spec, rows)
-        assert next_branch >= 1
-        assert best.best_value == doc["best_value"]
+        path, best = se._load_checkpoint(ckpt, spec, rows)
+        assert path  # a cut below the top node
+        assert (best.best_value, best.nodes) == (doc["best_value"], doc["nodes_explored"])
 
     def test_finished_search_resumes_from_its_checkpoint(self, tmp_path):
         ckpt = tmp_path / "odd8.ckpt"
@@ -774,6 +775,8 @@ class TestProcessEntry:
         assert first["best_value"] == resumed["best_value"] == 5
         assert first["witness"] == resumed["witness"]
         assert first["optimal"] and resumed["optimal"]
+        # the ended search is not run again
+        assert first["nodes_explored"] == resumed["nodes_explored"] == 47_279
 
     def test_constructed_family_file_reads_back(self, tmp_path):
         out = tmp_path / "plus.fam"

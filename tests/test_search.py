@@ -228,16 +228,26 @@ def test_the_hint_counts_in_the_run(monkeypatch, tmp_path):
     tree = run(spec, climber=uncounted).nodes_explored
     assert run(spec).nodes_explored == hints[0] + tree == 1_127 + 36_376
 
+    # the checkpoint's count holds the hint's; its family holds the hint's
+    # too, so a resume runs no hint and adds the tree's count alone
     kw = dict(ground_size=8, family_size=17, family_class="even")
     path = tmp_path / "run.ckpt"
-    assert not run(SearchSpec(budget_nodes=137_892, **kw), path).optimal
-    saved = path.read_text(encoding="utf-8")
-    before = json.loads(saved)["nodes"]
-    tree = run(SearchSpec(**kw), path, uncounted).nodes_explored - before
-    path.write_text(saved, encoding="utf-8")
+    cut = run(SearchSpec(budget_nodes=137_892, **kw), path)
+    assert not cut.optimal
+    before = json.loads(path.read_text(encoding="utf-8"))["nodes"]
+    assert before == cut.nodes_explored > hints[0] == 7_892
+    grow, trees = search._tree, []
+
+    def tree_counted(*args):
+        out = grow(*args)
+        trees.append(out.nodes)
+        return out
+
+    monkeypatch.setattr(search, "_tree", tree_counted)
     resumed = run(SearchSpec(**kw), path)
     assert resumed.optimal
-    assert resumed.nodes_explored == before + hints[0] + tree
+    assert hints == []
+    assert resumed.nodes_explored == before + trees[0]
 
     # the hint spends the whole budget, so the tree stops at its first poll
     cut = run(SearchSpec(budget_nodes=2_000, **kw))
@@ -455,22 +465,26 @@ class TestDeterminismAndSoundness:
         assert checked == 248
 
     def test_first_level_branches(self, monkeypatch, tmp_path):
-        # the checkpoint is written after each child of the top node, so its
-        # next_branch values name the first-level branches: in bnb, the prefix
-        # sets (a uniform class has one), and below {∅} in the even class the
-        # even ones; in exhaustive mode every index that leaves room for the
-        # rest of the family.  The even class's pending twin [n] is the last
-        # pool set, so it starts a branch only when it completes the family
-        # (m = 2), where the top node is a leaf and has no branches
+        # polled at every node and saved at every poll, the checkpoint's
+        # paths of one member name the first-level branches, the children
+        # of the top node: in bnb, the prefix sets (a uniform class has
+        # one), and below {∅} in the even class the even ones; in exhaustive
+        # mode every index that leaves room for the rest of the family.  The
+        # even class's pending twin [n] is the last pool set, so it starts a
+        # branch only when it completes the family (m = 2), where the top
+        # node is a leaf and has no branches
         seen = []
         monkeypatch.setattr(search, "_write_checkpoint", lambda path, data: seen.append(data))
+        monkeypatch.setattr(search, "_CHECK_INTERVAL", 1)
+        monkeypatch.setattr(search, "_SAVE_SECS", 0)
 
         def branches(**kw):
             seen.clear()
             spec = SearchSpec(**kw)
             assert minimize(spec, checkpoint=tmp_path / "run.ckpt").optimal
+            assert seen[-1]["path"] is None  # the search ended
             pool = candidate_pool(spec)
-            return [pool[data["next_branch"] - 1] for data in seen]
+            return [pool[data["path"][0]] for data in seen[:-1] if len(data["path"]) == 1]
 
         # pool index 15 holds {1,..,5} and leaves too few sets after it for m = 7
         assert branches(ground_size=5, family_size=7, family_class="odd") == [0b1, 0b111]
@@ -796,7 +810,7 @@ class TestCheckpoint:
         argv = ["--json", "search", "--class", "odd", "--n", "5", "--m", "6",
                 "--mode", "exhaustive", "--threads", "2", "--checkpoint", str(path)]
         assert cli_main([*argv, "--budget-nodes", "6000"]) == 3
-        assert json.loads(path.read_text(encoding="utf-8"))["next_branch"] >= 1
+        assert len(json.loads(path.read_text(encoding="utf-8"))["path"]) >= 1
         capsys.readouterr()
         assert cli_main(argv) == 0
         resumed = json.loads(capsys.readouterr().out)
@@ -805,28 +819,81 @@ class TestCheckpoint:
         assert resumed["witness"] == direct.to_json_dict()["witness"]
 
     def test_even_class_resume_after_abort_matches_direct_run(self, tmp_path):
-        # thm-even n=8 s=1: a budget cut inside the top node {∅} still leaves
-        # a checkpoint, since its first child ends before the budget does.  The
-        # budget is the hint's 7,892 evaluations plus 130,000 for the tree
+        # thm-even n=8 s=1: a budget cut below the top node {∅} leaves a path
+        # through its second child, {1,2,3,4} (pool index 7), since the first
+        # ends before the budget does.  The budget is the hint's 7,892
+        # evaluations plus 130,000 for the tree
         kw = dict(ground_size=8, family_size=17, family_class="even")
         direct = minimize(SearchSpec(**kw))
         path = tmp_path / "run.ckpt"
         partial = minimize(SearchSpec(budget_nodes=137_892, **kw), checkpoint=path)
         assert not partial.optimal
-        assert json.loads(path.read_text(encoding="utf-8"))["next_branch"] == 2
+        assert json.loads(path.read_text(encoding="utf-8"))["path"][0] == 7
         resumed = minimize(SearchSpec(**kw), checkpoint=path)
         assert resumed.optimal
         assert (resumed.best_value, resumed.witness) == (direct.best_value, direct.witness)
         assert direct.best_value == 8
 
-    # odd n=5 m=6 exhaustive, cut at budget_nodes=6000 after its first
-    # first-level branch, as written before the checkpoint's instance was
-    # taken from SearchSpec's slots: files already on disk must still resume
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(ground_size=6, family_size=12, family_class="even"),  # complement twins
+            dict(ground_size=5, family_size=7, family_class="even"),
+            dict(ground_size=5, family_size=7, family_class="odd"),
+            dict(ground_size=5, family_size=6, family_class="odd", mode="exhaustive"),
+        ],
+        ids=["even6", "even5", "odd5", "odd5-exhaustive"],
+    )
+    def test_a_saved_path_splits_the_tree_exactly(self, monkeypatch, kw):
+        # under a fixed bound that keeps no leaf (the optimum's value), the
+        # tree grown from a path saved at any poll counts exactly the
+        # evaluations the whole tree makes after that poll: a resume neither
+        # recounts the path nor searches a subtree left of it
+        monkeypatch.setattr(search, "_CHECK_INTERVAL", 4)
+        monkeypatch.setattr(search, "_SAVE_SECS", 0)
+        spec = SearchSpec(**kw)
+        pool = candidate_pool(spec)
+        rows = search._pool_rows(spec, pool)
+        bound = minimize(spec).best_value
+        saves = []
+
+        def tree(resume, save=None):
+            return search._tree(pool, rows, spec, resume, bound, float("inf"), -1, 0, save)
+
+        whole = tree((), lambda path, so_far: saves.append((path, so_far.nodes)))
+        assert whole.witness is None and not whole.aborted
+        assert saves.pop() == (None, whole.nodes)
+        assert len(saves) >= 20
+        for path, before in saves[:: len(saves) // 20]:
+            assert before + tree(path).nodes == whole.nodes, path
+
+    def test_cut_inside_the_first_branch_resumes_to_the_direct_run(self, tmp_path):
+        # thm-even n=8 s=1 takes 179,934 evaluations, most of them below the
+        # top node's first child {1,2} (pool index 1): a budget of 36,000 cuts
+        # inside it, and runs resumed at that budget reach TIGHT 8 with the
+        # direct run's witness
+        kw = dict(ground_size=8, family_size=17, family_class="even")
+        direct = minimize(SearchSpec(**kw))
+        path = tmp_path / "run.ckpt"
+        cut = minimize(SearchSpec(budget_nodes=36_000, **kw), checkpoint=path)
+        assert not cut.optimal
+        assert json.loads(path.read_text(encoding="utf-8"))["path"][0] == 1
+        runs = 1
+        while not cut.optimal:
+            cut = minimize(SearchSpec(budget_nodes=36_000, **kw), checkpoint=path)
+            runs += 1
+            assert runs <= 8
+        assert (cut.best_value, cut.witness) == (direct.best_value, direct.witness)
+        assert json.loads(path.read_text(encoding="utf-8"))["path"] is None
+
+    # odd n=5 m=6 exhaustive, cut at budget_nodes=6000 below its second
+    # first-level branch, as written on disk: such files must still resume
     SAVED = (
         '{"instance": {"ground_size": 5, "family_size": 6, "family_class": "odd", '
         '"k": null, "objective": "op", "t": null, "mode": "exhaustive"}, '
-        '"next_branch": 1, "best_value": 3, "witness": [0, 1, 2, 3, 4, 8], "nodes": 4838, '
-        '"digest": "b50d349fe6cbf91781f4797be8b0832beb9cd6fc9a04cab4deb3eabc9209d167"}'
+        '"path": [1, 3, 4, 10, 14], "best_value": 3, "witness": [0, 1, 2, 3, 4, 8], '
+        '"nodes": 6152, '
+        '"digest": "03701cbd1960a51c22ccd8bb7796ac671146cfe7899b90e89805c9742ecc5c0f"}'
     )
 
     def test_saved_checkpoint_still_resumes(self, tmp_path):
@@ -879,32 +946,46 @@ class TestCheckpoint:
             dict(witness=[0, 1, 2, 3]),
             dict(witness=[0, 1, 2, 3, "4"]),
             dict(witness="01234"),
-            dict(next_branch=-3),
-            dict(next_branch=9),  # the pool has 8 sets
-            dict(next_branch=True),
-            dict(next_branch="1"),
+            dict(path=[-3]),
+            dict(path=[1, 8]),  # the pool has 8 sets
+            dict(path=[2, 1]),
+            dict(path=[1, 1]),
+            dict(path=[1, 2, 3, 4]),  # with {∅}, the top node's, 5 members: m
+            dict(path=[0]),  # below the top node's first candidate, index 1
+            dict(path=True),
+            dict(path="1"),
+            dict(path=[True]),
             dict(nodes=-1),
             dict(nodes="12"),
         ]
         texts = ["[]", "{}", '"x"', "\xff\xfe"]
         texts += [json.dumps({**json.loads(good), **fields}) for fields in forged]
         # self-consistent but undigested: the genuine file, and one claiming
-        # every branch is done with a real family of value 5
+        # the search ended with a real family of value 5
         undigested = {k: v for k, v in json.loads(good).items() if k != "digest"}
         texts.append(json.dumps(undigested))
-        texts.append(json.dumps({**undigested, "next_branch": 8, "best_value": 5,
+        texts.append(json.dumps({**undigested, "path": None, "best_value": 5,
                                  "witness": [0, 1, 2, 3, 4]}))
         # digested, in the format that still named a symmetry setting, whose
         # root positions counted every first member
         legacy = {**undigested, "instance": {**undigested["instance"], "symmetry": False}}
         texts.append(json.dumps({**legacy, "digest": search._digest(legacy)}))
-        # digested, in the format that counted completed root branches
-        legacy = {k: v for k, v in undigested.items() if k != "next_branch"}
-        legacy["completed_roots"] = 1
-        texts.append(json.dumps({**legacy, "digest": search._digest(legacy)}))
+        # digested, in the formats that counted completed root branches and
+        # named the next first-level branch
+        for field in ("completed_roots", "next_branch"):
+            legacy = {k: v for k, v in undigested.items() if k != "path"}
+            legacy[field] = 1
+            texts.append(json.dumps({**legacy, "digest": search._digest(legacy)}))
         for text in texts:
             path.write_bytes(text.encode("latin-1"))
             with pytest.raises(CheckpointError, match="run.ckpt"):
+                minimize(spec, checkpoint=path)
+        # digested again, the forged files are refused for their fields
+        for fields in forged:
+            doc = {**undigested, **fields}
+            path.write_text(json.dumps({**doc, "digest": search._digest(doc)}), encoding="utf-8")
+            refusal = r"run\.ckpt is corrupt: (path|nodes|witness|best_value) "
+            with pytest.raises(CheckpointError, match=refusal):
                 minimize(spec, checkpoint=path)
         path.write_text(good, encoding="utf-8")
         assert minimize(spec, checkpoint=path).best_value == 2
