@@ -182,8 +182,6 @@ class BitSubset(_Value):
         return self.mask & other.mask == 0
 
     def __str__(self) -> str:
-        if not self.mask:
-            return "{}"
         return "{" + " ".join(map(str, self.elements())) + "}"
 
 

@@ -66,16 +66,21 @@ subtree left of it is finished, so a resume descends along it and searches
 on from the node at its end.  It is written when the budgets are spent, at
 most every _SAVE_SECS while the tree runs, and with no path once the tree
 ends; a rerun on that file returns its result without a hint or a tree.
-Its incumbent merges the tree's, the hint's and the resumed one, so a
-resume that holds a family runs no hint.  Pruning uses one bound:
-one more than the least value known before the tree (the hint's or a
-resumed checkpoint's), then each kept leaf's value.  A subtree or
-candidate is cut when its lower bound reaches the bound, so the tree keeps
+
+The tree owns the run's one incumbent, which starts as the known family:
+the hint's on a fresh run, or the checkpoint's on a resume, which then
+runs no hint.  Pruning uses one bound.  It starts one above the known
+value while the known family lies in the part left to search,
+lex-greater than the path, so a tie met first is lex-less and wins;
+otherwise at the known value.  Each kept leaf then lowers it to its own value, so the tree keeps
 only strictly better leaves and its first optimum is the lex-least one.
-Every known value is that of a real family, hence at least the floor, so
-the bound stays above the floor until the floor stop ends the search: the
-floor never needs to raise a lower bound.  The final merge takes the least
-(value, witness) pair over the tree, the checkpoint and the hint.
+A kept leaf replaces the incumbent unless it ties it with a lex-greater
+witness, so the run ends with the least (value, witness) pair.  A resume's
+bound is never above the direct run's at the same point, so a chain of
+resumed runs makes no more evaluations than one direct run.  Every known
+value is that of a real family, hence at least the floor, so the bound
+stays above the floor until the floor stop ends the search: the floor
+never needs to raise a lower bound.
 """
 
 from __future__ import annotations
@@ -525,13 +530,25 @@ def _tree(
     rows: Sequence[int],
     spec: SearchSpec,
     resume: Sequence[int],
-    bound: float,
+    known: _Outcome,
     deadline: float,
     floor: int,
     nodes: int,
     save: Callable[[tuple[int, ...] | None, _Outcome], None] | None = None,
 ) -> _Outcome:
-    """Depth-first search of the combinations from one top node, keeping leaves below bound.
+    """Depth-first search of the combinations from one top node, improving on known.
+
+    The tree owns the run's incumbent from its first node: it starts as
+    known, the outcome known before the tree (the hint's on a fresh run, a
+    checkpoint's on a resume), and the tree returns the least (value,
+    witness) over known and the leaves it keeps, with known.nodes added to
+    its count.  Pruning uses one bound.  It starts at known's value plus one
+    while known's witness is lex-greater than the top node's members plus
+    resume: that family is still in the part left to search, so a tie met
+    first is lex-less and must win.  Otherwise it starts at known's value,
+    or inf with no family.  A kept leaf lowers the bound to its value and
+    replaces the incumbent unless it ties it with a lex-greater witness.  A
+    subtree or candidate is cut when its lower bound reaches the bound.
 
     The top node is _top's.  Every node visits its children in ascending
     pool index, so entering a node means every subtree left of its path is
@@ -609,7 +626,11 @@ def _tree(
     spread = _spreader(rows, width)
     top = _top(spec)
 
-    wit: tuple[int, ...] | None = None
+    val, wit = known.best_value, known.witness
+    if wit is None:
+        bound = float("inf")
+    else:  # a known family still ahead of the path yields to a tie met first
+        bound = val + 1 if wit > top + tuple(resume) else val
     next_check = _CHECK_INTERVAL
     next_save = time.monotonic() + _SAVE_SECS
     aborted = False
@@ -627,7 +648,7 @@ def _tree(
         # pending: the twins admitted by chosen members, ascending, all >= start;
         # cells: the points every chosen member treats alike, two or more a cell;
         # path: the rest of the resume path below this node, empty off it
-        nonlocal nodes, next_check, next_save, bound, wit, aborted, done
+        nonlocal nodes, next_check, next_save, bound, val, wit, aborted, done
         if nodes >= next_check:
             next_check = nodes + _CHECK_INTERVAL
             now = time.monotonic()
@@ -652,7 +673,9 @@ def _tree(
                         w, j = ws[t - start], t
             if cur + w < bound:
                 bound = cur + w
-                wit = chosen + (start + ws.index(w) if j is None else j,)
+                leaf = chosen + (start + ws.index(w) if j is None else j,)
+                if wit is None or bound < val or leaf < wit:  # a tie keeps the lex-lesser
+                    val, wit = bound, leaf
                 if bound <= floor:
                     done = True
             return
@@ -698,7 +721,7 @@ def _tree(
                     return
 
     def outcome() -> _Outcome:
-        return _Outcome(None if wit is None else int(bound), wit, nodes, aborted)
+        return _Outcome(val, wit, known.nodes + nodes, aborted)
 
     # the top node splits no cell; at even n the twin of ∅ is [n], index P - 1
     pending = (P - 1,) if twinned and top else ()
@@ -887,44 +910,30 @@ def _minimize_exact(spec: SearchSpec, checkpoint: str | Path | None = None) -> S
     if resume is None:  # the file holds an ended search and its result
         value, chosen, nodes, _ = preload
         return _result(spec, pool, rows, start_time, value, chosen, nodes, optimal=True)
-    # the hint primes pruning, and is the incumbent if the tree is cut early;
-    # the tree's count continues from the hint's evaluations.  A resumed
-    # incumbent already holds the first run's hint
-    hint, evals = _NOTHING, 0
+    # the hint is the known family of a fresh run, and its evaluations open
+    # the run's count; a resumed family already holds the first run's hint
+    known, evals = preload, 0
     if spec.mode == "bnb" and preload.witness is None:
         value, chosen, evals, _ = _climb(rows, range(m), spec.budget_nodes, deadline)
-        hint = _Outcome(value, chosen, 0, False)
-    known_best, _ = _merge_best([hint, preload])
-    bound = float("inf") if known_best is None else known_best + 1
+        known = _Outcome(value, chosen, preload.nodes, False)
 
     def save(path: tuple[int, ...] | None, so_far: _Outcome) -> None:
-        best_val, best_wit = _merge_best([so_far, hint, preload])
         _write_checkpoint(
             ck_path,  # type: ignore[arg-type]
             {
                 "instance": _instance_identity(spec),
                 "path": path,  # JSON writes a tuple as a list
-                "best_value": best_val,
-                "witness": None if best_wit is None else list(best_wit),
-                "nodes": preload.nodes + so_far.nodes,
+                "best_value": so_far.best_value,
+                "witness": None if so_far.witness is None else list(so_far.witness),
+                "nodes": so_far.nodes,
             },
         )
 
-    tree = _tree(
-        pool, rows, spec, resume, bound, deadline, floor, evals,
+    value, chosen, nodes, aborted = _tree(
+        pool, rows, spec, resume, known, deadline, floor, evals,
         save if ck_path is not None else None,
     )
-    best_val, best_wit = _merge_best([tree, hint, preload])
-    nodes = preload.nodes + tree.nodes
-    return _result(spec, pool, rows, start_time, best_val, best_wit, nodes, not tree.aborted)
-
-
-def _merge_best(
-    outcomes: Sequence[_Outcome],
-) -> tuple[int | None, tuple[int, ...] | None]:
-    """The least (value, witness) pair; an outcome has both or neither."""
-    found = [(o.best_value, o.witness) for o in outcomes if o.best_value is not None]
-    return min(found, default=(None, None))  # type: ignore[return-value]
+    return _result(spec, pool, rows, start_time, value, chosen, nodes, not aborted)
 
 
 def minimize(spec: SearchSpec, checkpoint: str | Path | None = None) -> SearchResult:

@@ -488,6 +488,13 @@ class TestSteiner:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_partition_needs_n(self, capsys):
+        code = main(["steiner", "--partition"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: --partition requires --n\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("flag", ["--k", "--t"])
     def test_partition_refuses_design_flags(self, capsys, flag):
         # the partition design is always k=4, t=1: --k and --t would do nothing
@@ -599,6 +606,18 @@ class TestHarness:
         out = capsys.readouterr().out
         assert code == 0
         assert "op" in out and "{" not in out.splitlines()[0]
+
+    def test_terminal_table_prints_nested_values_as_json(self, capsys, monkeypatch):
+        import sys as _sys
+
+        argv = ["search", "--class", "even", "--n", "4", "--m", "5"]
+        _, doc = run(capsys, *argv)
+        monkeypatch.setattr(_sys.stdout, "isatty", lambda: True)
+        assert main(argv) == 0
+        table = dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines())
+        assert json.loads(table["witness"]) == doc["witness"]
+        assert json.loads(table["spec"]) == doc["spec"]
+        assert table["best_value"] == "2"
 
     def test_json_flag_forces_json_on_terminal(self, capsys, monkeypatch):
         import sys as _sys

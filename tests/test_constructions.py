@@ -165,6 +165,10 @@ class TestNamedExamples:
         assert ot.op_count(fam) == 5
         assert op_sets(to_sets(fam)) == 5
 
+    def test_singletons_need_a_point(self):
+        with pytest.raises(ValueError, match="need n >= 1, got 0"):
+            ot.singletons(0)
+
     def test_f2_rejects_bad_k(self):
         with pytest.raises(ValueError):
             ot.example_f2(4)
@@ -192,6 +196,24 @@ class TestSteinerSystems:
             5, 5, 2, SetFamily.from_sets(5, [(1, 2, 3, 4, 5)])
         )
         assert len(ot.shadow(system.blocks, 4)) == 5
+
+    @pytest.mark.parametrize(
+        "n,k,t,blocks",
+        [
+            (4, 2, 2, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]),  # t = k, a cover
+            (3, 4, 1, []),  # k > n
+        ],
+        ids=["t-equals-k", "k-above-n"],
+    )
+    def test_parameters_outside_0_t_k_n_are_refused(self, n, k, t, blocks):
+        with pytest.raises(ValueError, match=f"need 0 < t < k <= n, got n={n}, k={k}, t={t}"):
+            ot.SteinerSystem(n, k, t, SetFamily.from_sets(n, blocks))
+
+    def test_blocks_over_another_ground_size_are_refused(self):
+        # the partition of [8] into quadruples, over a ground set of 12
+        blocks = SetFamily.from_sets(12, [(1, 2, 3, 4), (5, 6, 7, 8)])
+        with pytest.raises(ValueError, match="blocks over ground size 12, expected 8"):
+            ot.SteinerSystem(8, 4, 1, blocks)
 
     def test_bad_cover_is_rejected_with_offender(self):
         blocks = SetFamily.from_sets(8, [(1, 2, 3, 4), (4, 5, 6, 7)])

@@ -76,6 +76,10 @@ class TestBitSubset:
         with pytest.raises(GroundSetMismatchError):
             bs([1], 3) & bs([1], 4)
 
+    def test_str_lists_elements_and_empty_braces(self):
+        assert str(bs([1, 3], 4)) == "{1 3}"
+        assert str(BitSubset(0, 4)) == "{}"
+
     def test_ordering_is_by_mask(self):
         assert sorted([bs([3], 4), bs([1, 2], 4), bs([1], 4)]) == [
             bs([1], 4),
@@ -243,6 +247,24 @@ class TestSpan:
         w = span([], ground_size=3)
         assert w.dim == 0 and w.ground_size == 3
 
+    def test_empty_input_needs_a_ground_size(self):
+        with pytest.raises(ValueError, match="ground_size is required for an empty vector list"):
+            span([])
+
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            ((0b01, 0), "nonzero and inside the ground set"),
+            ((0b1000,), "nonzero and inside the ground set"),  # ground size 3
+            ((0b010, 0b001), "pivots must strictly increase"),
+            ((0b011, 0b010), "not fully reduced"),  # pivot 1 of the second row is in the first
+        ],
+        ids=["zero-row", "outside", "pivot-order", "unreduced"],
+    )
+    def test_subspace_refuses_a_basis_not_in_reduced_form(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            Gf2Subspace(3, rows)
+
     def test_eventown_family_span_dim_matches_dense_oracle(self):
         a, _ = eventown_pair(4)
         vectors = list(a.members)
@@ -268,6 +290,10 @@ class TestSpan:
 
 
 class TestNullspace:
+    def test_needs_a_vector(self):
+        with pytest.raises(ValueError, match="nullspace needs at least one vector"):
+            nullspace([])
+
     def test_duplicate_pair_dependency(self):
         v = bs([1, 3], 3)
         ns = nullspace([v, v])

@@ -238,16 +238,18 @@ def test_the_hint_counts_in_the_run(monkeypatch, tmp_path):
     assert before == cut.nodes_explored > hints[0] == 7_892
     grow, trees = search._tree, []
 
-    def tree_counted(*args):
-        out = grow(*args)
-        trees.append(out.nodes)
+    def tree_counted(pool, rows, spec, resume, known, deadline, floor, nodes, save=None):
+        out = grow(pool, rows, spec, resume, known, deadline, floor, nodes, save)
+        trees.append((known.nodes, nodes, out.nodes))
         return out
 
     monkeypatch.setattr(search, "_tree", tree_counted)
     resumed = run(SearchSpec(**kw), path)
     assert resumed.optimal
     assert hints == []
-    assert resumed.nodes_explored == before + trees[0]
+    # the tree gets the file's count with its family and continues from it
+    assert trees == [(before, 0, resumed.nodes_explored)]
+    assert resumed.nodes_explored > before
 
     # the hint spends the whole budget, so the tree stops at its first poll
     cut = run(SearchSpec(budget_nodes=2_000, **kw))
@@ -786,6 +788,23 @@ class TestBudgetsAndValidation:
         assert isinstance(doc["elapsed_ms"], int)
 
 
+def resume_chain(kw, budget, path, most_runs=30):
+    """Runs at budget_nodes=budget on one checkpoint until one certifies.
+
+    Returns (the path the first run saved, runs, last result); the first
+    run must be cut.
+    """
+    last = minimize(SearchSpec(budget_nodes=budget, **kw), checkpoint=path)
+    assert not last.optimal
+    first = json.loads(path.read_text(encoding="utf-8"))["path"]
+    runs = 1
+    while not last.optimal:
+        last = minimize(SearchSpec(budget_nodes=budget, **kw), checkpoint=path)
+        runs += 1
+        assert runs <= most_runs
+    return first, runs, last
+
+
 class TestCheckpoint:
     def test_resume_after_abort_matches_direct_run(self, tmp_path):
         kw = dict(ground_size=5, family_size=6, family_class="odd")
@@ -845,46 +864,82 @@ class TestCheckpoint:
         ids=["even6", "even5", "odd5", "odd5-exhaustive"],
     )
     def test_a_saved_path_splits_the_tree_exactly(self, monkeypatch, kw):
-        # under a fixed bound that keeps no leaf (the optimum's value), the
-        # tree grown from a path saved at any poll counts exactly the
-        # evaluations the whole tree makes after that poll: a resume neither
-        # recounts the path nor searches a subtree left of it
+        # with the lex-least optimum known, the tree grown from a path saved
+        # at any poll counts exactly the evaluations the whole tree makes
+        # after that poll: a resume neither recounts the path nor searches a
+        # subtree left of it, and it bounds at the optimum's value plus one
+        # before that family (a tie met first wins) and at the value after it
         monkeypatch.setattr(search, "_CHECK_INTERVAL", 4)
         monkeypatch.setattr(search, "_SAVE_SECS", 0)
         spec = SearchSpec(**kw)
         pool = candidate_pool(spec)
         rows = search._pool_rows(spec, pool)
-        bound = minimize(spec).best_value
+        direct = minimize(spec)
+        chosen = tuple(pool.index(mask) for mask in direct.witness.masks)
+        known = search._Outcome(direct.best_value, chosen, 0, False)
         saves = []
 
         def tree(resume, save=None):
-            return search._tree(pool, rows, spec, resume, bound, float("inf"), -1, 0, save)
+            return search._tree(pool, rows, spec, resume, known, float("inf"), -1, 0, save)
 
         whole = tree((), lambda path, so_far: saves.append((path, so_far.nodes)))
-        assert whole.witness is None and not whole.aborted
+        assert whole.witness == chosen and not whole.aborted
         assert saves.pop() == (None, whole.nodes)
         assert len(saves) >= 20
+        top = search._top(spec)
+        assert any(top + path < chosen for path, _ in saves)
+        assert any(top + path > chosen for path, _ in saves)
         for path, before in saves[:: len(saves) // 20]:
             assert before + tree(path).nodes == whole.nodes, path
+
+    def test_a_lex_greater_tie_leaves_the_known_family(self):
+        # odd n=5 m=6 from the path (3, 4, 5, 10), knowing an optimum that
+        # the lex-leader test refuses and that lies ahead of the path: the
+        # first tie the tree meets is lex-greater, so the known family stays,
+        # as the least (value, witness) over it and the tree's leaves
+        spec = SearchSpec(ground_size=5, family_size=6, family_class="odd")
+        pool = candidate_pool(spec)
+        rows = search._pool_rows(spec, pool)
+
+        def tree(known, floor):
+            return search._tree(pool, rows, spec, (3, 4, 5, 10), known, float("inf"), floor, 0)
+
+        known = search._Outcome(3, (3, 4, 6, 9, 10, 11), 0, False)
+        assert tree(search._NOTHING, 3).witness == (3, 4, 8, 9, 10, 11)
+        assert tree(known, -1)[:2] == (3, known.witness)
 
     def test_cut_inside_the_first_branch_resumes_to_the_direct_run(self, tmp_path):
         # thm-even n=8 s=1 takes 179,934 evaluations, most of them below the
         # top node's first child {1,2} (pool index 1): a budget of 36,000 cuts
         # inside it, and runs resumed at that budget reach TIGHT 8 with the
-        # direct run's witness
+        # direct run's witness and evaluations
         kw = dict(ground_size=8, family_size=17, family_class="even")
         direct = minimize(SearchSpec(**kw))
         path = tmp_path / "run.ckpt"
-        cut = minimize(SearchSpec(budget_nodes=36_000, **kw), checkpoint=path)
-        assert not cut.optimal
-        assert json.loads(path.read_text(encoding="utf-8"))["path"][0] == 1
-        runs = 1
-        while not cut.optimal:
-            cut = minimize(SearchSpec(budget_nodes=36_000, **kw), checkpoint=path)
-            runs += 1
-            assert runs <= 8
-        assert (cut.best_value, cut.witness) == (direct.best_value, direct.witness)
+        first, runs, last = resume_chain(kw, 36_000, path)
+        assert (first[0], runs) == (1, 5)
+        assert (last.best_value, last.witness) == (direct.best_value, direct.witness)
+        assert last.nodes_explored == direct.nodes_explored == 179_934
         assert json.loads(path.read_text(encoding="utf-8"))["path"] is None
+
+    @pytest.mark.parametrize(
+        "kw,budget",
+        [
+            (dict(ground_size=7, family_size=9, family_class="even"), 5_000),
+            (dict(ground_size=6, family_size=9, family_class="odd"), 3_000),
+            (dict(ground_size=6, family_size=12, family_class="even"), 3_000),  # complement twins
+        ],
+        ids=["even7", "odd6", "even6"],
+    )
+    def test_a_resumed_chain_makes_the_direct_runs_evaluations(self, tmp_path, kw, budget):
+        # each resume bounds at the known value plus one only while the known
+        # family is still ahead of its path, so no run re-finds a tie that
+        # cannot win, and the chain ends where the direct run does
+        direct = minimize(SearchSpec(**kw))
+        _, runs, last = resume_chain(kw, budget, tmp_path / "run.ckpt")
+        assert runs >= 3
+        assert (last.best_value, last.witness) == (direct.best_value, direct.witness)
+        assert last.nodes_explored == direct.nodes_explored
 
     # odd n=5 m=6 exhaustive, cut at budget_nodes=6000 below its second
     # first-level branch, as written on disk: such files must still resume
@@ -1028,6 +1083,11 @@ class TestLocalSearch:
         spec = SearchSpec(ground_size=8, family_size=17, family_class="even", mode="local")
         result = local_search(spec, initial=start)
         assert result.best_value <= ot.op_count(start) == 8
+
+    def test_initial_family_of_the_wrong_size_is_refused(self):
+        spec = SearchSpec(ground_size=8, family_size=18, family_class="even", mode="local")
+        with pytest.raises(ValueError, match="initial family has 17 members, spec wants 18"):
+            local_search(spec, initial=ot.eventown_plus(8, 1))
 
     def test_large_even_instance_reaches_construction_value(self):
         start = ot.eventown_plus(12, 1)
@@ -1208,6 +1268,19 @@ class TestVerifyTheorem:
         report = verify_theorem(statement, n, s)
         assert report.minimum == minimum
         assert report.verdict == verdict
+
+    def test_a_proven_statement_below_its_bound_raises(self, monkeypatch):
+        # a search that reports a value below a proven bound is wrong, so
+        # the report is refused rather than returned as a counterexample
+        real = search.minimize
+
+        def forged(spec):
+            return real(spec)._replace(best_value=1)
+
+        monkeypatch.setattr(search, "minimize", forged)
+        with pytest.raises(OracleSoundnessError, match="value 1 below the proven bound 2"):
+            verify_theorem("thm-even", 4, 1)
+        assert verify_theorem("conj-odd", 4, 2).verdict == "COUNTEREXAMPLE"
 
     def test_prob_uniform_counterexample_finding(self):
         # the class contains a six-triple family with only three odd pairs,

@@ -56,6 +56,10 @@ class TestSetFamily:
         with pytest.raises(DuplicateMemberError):
             family_of([(1, 2), (2, 1)], 3)
 
+    def test_empty_ground_set_rejected(self):
+        with pytest.raises(ValueError, match="^ground size must be >= 1, got 0$"):
+            SetFamily(0, [])
+
     def test_mask_outside_ground_set_rejected(self):
         with pytest.raises(ValueError, match="^mask 0x8 has bits outside ground set of size 3$"):
             SetFamily(3, (0b1, 0b1000))
@@ -465,6 +469,10 @@ class TestShadow:
         with pytest.raises(ValueError):
             ot.shadow(family_of([(1, 2, 3)], 5), 3)
 
+    def test_rejects_negative_k(self):
+        with pytest.raises(ValueError, match="shadow size must be non-negative, got -1"):
+            ot.shadow(family_of([(1, 2, 3)], 5), -1)
+
     def test_shadow_of_shadow(self):
         rng = random.Random(17)
         for _ in range(20):
@@ -596,6 +604,11 @@ class TestMaximalEventownSubfamily:
         exact = ot.maximal_eventown_subfamily(fam, "exact")
         assert len(exact) == 16
         assert ot.is_eventown(exact)
+
+    def test_unknown_strategy_rejected(self):
+        a, _ = ot.eventown_pair(4)
+        with pytest.raises(ValueError, match="unknown strategy 'fast'"):
+            ot.maximal_eventown_subfamily(a, "fast")
 
     def test_greedy_contract(self):
         rng = random.Random(31)
