@@ -19,7 +19,8 @@ constructions are the trivial partition designs.
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from collections import Counter
+from itertools import chain, combinations
 from pathlib import Path
 
 from .errors import SteinerValidationError
@@ -157,7 +158,9 @@ class SteinerSystem(_Value):
     """A block design where every t-subset of [n] lies in exactly one block.
 
     Validation is exhaustive over all C(n, t) t-subsets at construction
-    time; k = n (a single full block) is permitted as the degenerate case.
+    time: each block's t-subsets are counted once, and the t-subsets of [n]
+    are read in lex order for the first whose count is not 1.  k = n (a
+    single full block) is permitted as the degenerate case.
     """
 
     __slots__ = ("n", "k", "t", "blocks")
@@ -181,8 +184,9 @@ class SteinerSystem(_Value):
             if b.bit_count() != self.k:
                 block = BitSubset(b, self.n)
                 raise SteinerValidationError(f"block {block} does not have size {self.k}")
+        covers = Counter(chain.from_iterable(_subsets(b, self.t) for b in masks))
         for tmask in _subsets((1 << self.n) - 1, self.t):
-            cover = sum(1 for b in masks if tmask & ~b == 0)
+            cover = covers[tmask]
             if cover != 1:
                 combo = tuple(e + 1 for e in _bit_indices(tmask))
                 raise SteinerValidationError(

@@ -331,20 +331,16 @@ def kernel_of_functional(W: Gf2Subspace, v: BitSubset) -> Gf2Subspace:
 
 
 def orthogonal_complement(U: Gf2Subspace) -> Gf2Subspace:
-    """All vectors orthogonal to U; dim U + dim U-perp = n."""
-    n = U.ground_size
-    pivots = [_lsb_index(r) for r in U.rows]
-    pivot_set = set(pivots)
-    gens = []
-    for f in range(n):
-        if f in pivot_set:
-            continue
-        x = 1 << f
-        for p, r in zip(pivots, U.rows):
-            if (r >> f) & 1:
-                x |= 1 << p
-        gens.append(x)
-    return Gf2Subspace(n, _rref(gens))
+    """All vectors orthogonal to U; dim U + dim U-perp = n.
+
+    x is orthogonal to U when the basis columns it picks, column f holding
+    bit f of each basis row, sum to zero: U-perp is their nullspace.
+    """
+    n, d = U.ground_size, U.dim
+    if d == 0:
+        return Gf2Subspace.full(n)
+    columns = (sum((r >> f & 1) << i for i, r in enumerate(U.rows)) for f in range(n))
+    return nullspace([BitSubset(c, d) for c in columns])
 
 
 def enumerate_subspace(W: Gf2Subspace) -> list[BitSubset]:

@@ -438,7 +438,8 @@ def _climb(
     improves or once evals (candidate evaluations, continuing the count
     given) passes budget_nodes or the deadline.  A deadline passed while
     the start's spread rows are built returns the start family, evals
-    unchanged.  Returns (value, chosen indices ascending, evals, stopped).
+    unchanged.  Returns (value, chosen indices ascending, evals, stopped),
+    the value recounted from the rows of the family returned.
 
     Each scan tests every candidate at once.  W packs w[x], x's pairs with
     the family, as field x of b bits, b the least multiple of 8 with
@@ -463,17 +464,16 @@ def _climb(
     spread = _spreader(rows, width)
     W = 0
     free = ones << (b - 1)
+    stopped = False
     for c in chosen:
         # a spread takes ~0.5 ms at P = 65,536, so poll before each one
         if time.monotonic() > deadline:
-            family = tuple(sorted(chosen))
-            return _recount(rows, family), family, evals, True
+            stopped = True
+            break
         W += spread(c)
         free ^= lift << c * b
-    value = sum(W >> c * b & field for c in chosen) // 2
-    stopped = False
-    improved = True
-    while improved and not stopped:
+    improved = not stopped
+    while improved:
         improved = False
         for a in sorted(chosen):
             lost = W >> a * b & field
@@ -497,12 +497,12 @@ def _climb(
             if hits:
                 W = G + spread(c)
                 free ^= (lift << a * b) | (lift << c * b)
-                value += (G >> c * b & field) - lost
                 chosen.remove(a)
                 chosen.add(c)
                 improved = True
                 break
-    return value, tuple(sorted(chosen)), evals, stopped
+    family = tuple(sorted(chosen))
+    return _recount(rows, family), family, evals, stopped
 
 
 def _two_byte_fields(raw: bytes) -> array:
@@ -574,7 +574,8 @@ def _tree(
     An upper set is admitted only when its twin, the smaller mask and so
     decided earlier, is chosen.  The lex-least optimum obeys this rule: a
     family holding an upper X but not X^c keeps its value when X is swapped
-    for X^c, and gets lex-smaller.  The admitted candidates of a node are
+    for X^c, and gets lex-smaller.  A node's start is the index after its
+    last member, 0 at the empty family.  Its admitted candidates are
     the lower ones in [start, P/2) and the pending twins: those of chosen
     members, at index >= start, all above the lower ones.  Its conflict
     bound sums the smallest counts of a multiset holding each pending twin
@@ -608,9 +609,10 @@ def _tree(
     (nodes_explored, the unit of budget_nodes).  The count starts at nodes,
     the evaluations made before the tree (the bnb hint's), so budget_nodes
     bounds the two together; a hint of _CHECK_INTERVAL evaluations or more
-    has the top node poll the budgets at once.  The search stops at the
-    first kept leaf whose value is at most floor, a lower bound on every
-    family (_floor's, or -1 to search every family).  The budget poll is
+    has the top node poll the budgets at once.  The search stops once the
+    bound is at most floor, a lower bound on every family (_floor's, or -1
+    to search every family): a kept leaf has reached the floor, and every
+    later leaf is a lex-greater tie at best.  The budget poll is
     the only place a run stops: there save(path, best so far) is called
     when the budgets are spent, and otherwise at most every _SAVE_SECS.
     A search that ends uncut, at the floor stop too, calls save(None, ...).
@@ -634,7 +636,6 @@ def _tree(
     next_check = _CHECK_INTERVAL
     next_save = time.monotonic() + _SAVE_SECS
     aborted = False
-    done = False  # floor reached: later branches are lex-greater ties at best
 
     def extend(
         chosen: tuple[int, ...],
@@ -642,13 +643,13 @@ def _tree(
         cells: tuple[int, ...],
         packed: int,
         cur: int,
-        start: int,
         path: tuple[int, ...],
     ) -> None:
-        # pending: the twins admitted by chosen members, ascending, all >= start;
+        # pending: the twins admitted by chosen members, ascending, all >= start,
+        # the index after the last member chosen;
         # cells: the points every chosen member treats alike, two or more a cell;
         # path: the rest of the resume path below this node, empty off it
-        nonlocal nodes, next_check, next_save, bound, val, wit, aborted, done
+        nonlocal nodes, next_check, next_save, bound, val, wit, aborted
         if nodes >= next_check:
             next_check = nodes + _CHECK_INTERVAL
             now = time.monotonic()
@@ -658,6 +659,7 @@ def _tree(
                 save(chosen[len(top) :], outcome())
             if aborted:
                 return
+        start = chosen[-1] + 1 if chosen else 0
         need = m - len(chosen)
         raw = (packed >> (start * bits)).to_bytes((P - start) * width, "little")
         ws = raw if width == 1 else _two_byte_fields(raw)
@@ -676,8 +678,6 @@ def _tree(
                 leaf = chosen + (start + ws.index(w) if j is None else j,)
                 if wit is None or bound < val or leaf < wit:  # a tie keeps the lex-lesser
                     val, wit = bound, leaf
-                if bound <= floor:
-                    done = True
             return
         if bounding:
             counts = ws[: 2 * low] if twinned else ws
@@ -702,10 +702,9 @@ def _tree(
                 _split(x, cells),
                 packed + spread(j),
                 nv,
-                j + 1,
                 path[1:] if j == first else (),
             )
-            if aborted or done:
+            if aborted or bound <= floor:  # no later leaf beats the floor
                 return
         if pending:  # empty outside the twin rule
             for i, t in enumerate(pending):
@@ -715,9 +714,9 @@ def _tree(
                 if nv >= bound or t < first:  # the twins below path[0] are finished
                     continue
                 # a twin splits the cells as its chosen complement did
-                extend(chosen + (t,), pending[i + 1 :], cells, packed + spread(t), nv, t + 1,
+                extend(chosen + (t,), pending[i + 1 :], cells, packed + spread(t), nv,
                        path[1:] if t == first else ())
-                if aborted or done:
+                if aborted or bound <= floor:
                     return
 
     def outcome() -> _Outcome:
@@ -731,7 +730,7 @@ def _tree(
     sys.setrecursionlimit(limit + m)
     try:
         cells = ((1 << spec.ground_size) - 1,) if bounding else ()
-        extend(top, pending, cells, 0, 0, len(top), tuple(resume))
+        extend(top, pending, cells, 0, 0, tuple(resume))
     finally:
         sys.setrecursionlimit(limit)
     if save is not None and not aborted:

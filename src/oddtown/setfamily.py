@@ -13,7 +13,7 @@ available for comparisons.  BitSubset objects are built only for callers
 that ask for them.  Pair statistics come from the row builders odd_rows
 and exact_t_rows, which never visit a pair.  Both start from the element
 basis, the transposed bit matrix of the members: a dict keyed by the
-elements they hold, built with string operations when it is dense.  For
+elements they hold, read off the members' bytes when it is dense.  For
 many dense members odd_rows reads each row off per-byte tables: for
 every byte of the ground set that a member uses, a 256-entry table of
 XORs of basis rows, so a row costs one lookup per byte rather than one
@@ -128,16 +128,22 @@ class OpReport(NamedTuple):
         return Fraction(self.op_count, comb(self.size, 2))
 
 
+# _BIT_DIGITS[i] translates each byte to the digit b"1" when its bit i is set, else b"0"
+_BIT_DIGITS = tuple((b"0" * (1 << i) + b"1" * (1 << i)) * (128 >> i) for i in range(8))
+
+
 def _element_basis(masks: Sequence[int]) -> dict[int, int]:
     """basis[e] has bit j set iff masks[j] contains element e (0-based).
 
     Its keys are the elements some mask holds, so its size follows the set
     bits, not the highest element.  When more than one bit in 8 of the
-    m x n bit matrix is set, it is transposed with string operations: each
-    mask becomes an n-digit binary string (the last mask first), zip reads
-    off the columns, and int(column, 2) turns column e into basis[e].  The
-    strings take m * n bytes, at most 8 per set bit.  Sparser matrices are
-    transposed one set bit at a time.
+    m x n bit matrix is set, it is transposed with bytes operations: the
+    masks are joined as ceil(n/8)-byte little-endian strings, the last mask
+    first, so a stride slice reads byte e // 8 of every mask, translate
+    turns each of those bytes into the digit of its bit e % 8, and
+    int(digits, 2) turns them into basis[e].  The joined masks take
+    m * ceil(n/8) bytes, and each column 2m bytes while it is read.
+    Sparser matrices are transposed one set bit at a time.
     """
     used = reduce(or_, masks, 0)
     n = used.bit_length()
@@ -147,11 +153,10 @@ def _element_basis(masks: Sequence[int]) -> dict[int, int]:
             for e in _bit_indices(x):
                 basis[e] |= 1 << j
         return basis
-    digits = f"0{n}b"
-    columns = zip(*[format(x, digits) for x in reversed(masks)])
-    # the strings list the highest element first
+    size = (n + 7) // 8
+    data = b"".join([x.to_bytes(size, "little") for x in reversed(masks)])
     return {
-        n - 1 - e: col for e, column in enumerate(columns) if (col := int("".join(column), 2))
+        e: int(data[e >> 3 :: size].translate(_BIT_DIGITS[e & 7]), 2) for e in _bit_indices(used)
     }
 
 
@@ -419,13 +424,12 @@ def maximal_eventown_subfamily(family: SetFamily, strategy: str = "greedy") -> S
 
     def explore(i: int, chosen: list[int], chosen_bits: int) -> None:
         nonlocal best_size, best
-        if len(chosen) + (m - i) < best_size:
+        # taking before skipping meets the lex-least of each size first, so
+        # a branch that can at most tie the best is cut
+        if len(chosen) + (m - i) <= best_size:
             return
         if i == m:
-            size = len(chosen)
-            cand = tuple(chosen)
-            if size > best_size or (size == best_size and cand < best):
-                best_size, best = size, cand
+            best_size, best = len(chosen), tuple(chosen)
             return
         if adj[i] & chosen_bits == 0:
             chosen.append(i)

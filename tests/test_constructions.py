@@ -231,6 +231,34 @@ class TestSteinerSystems:
             ot.SteinerSystem(7, 3, 2, SetFamily.from_sets(7, fano))
         assert err.value.offending == (3, 6)
 
+    @pytest.mark.parametrize(
+        "removed,added,first,cover",
+        [
+            ((2, 4, 6), None, (2, 4), 0),  # pairs before (2, 4) keep their one block
+            (None, (2, 3, 4), (2, 3), 2),  # (2, 3) is also in {1,2,3}
+        ],
+        ids=["block-removed", "block-added"],
+    )
+    def test_first_offending_pair_of_an_altered_fano_plane(self, removed, added, first, cover):
+        fano = [(1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 5, 6)]
+        blocks = [b for b in fano if b != removed] + ([added] if added else [])
+        with pytest.raises(SteinerValidationError) as err:
+            ot.SteinerSystem(7, 3, 2, SetFamily.from_sets(7, blocks))
+        assert err.value.offending == first
+        assert str(err.value) == f"2-set {set(first)} lies in {cover} blocks, expected 1"
+
+    def test_projective_space_lines_and_a_removed_one(self):
+        # PG(6, 2): points are the nonzero vectors of F2^7, lines {a, b, a ^ b}
+        lines = {frozenset((a, b, a ^ b)) for a in range(1, 128) for b in range(a + 1, 128)}
+        blocks = sorted(sorted(line) for line in lines)
+        assert len(blocks) == 2667
+        assert len(ot.SteinerSystem(127, 3, 2, SetFamily.from_sets(127, blocks)).blocks) == 2667
+        # the removed line's two least points are the first pair in no line
+        removed = blocks.pop(1000)
+        with pytest.raises(SteinerValidationError) as err:
+            ot.SteinerSystem(127, 3, 2, SetFamily.from_sets(127, blocks))
+        assert err.value.offending == tuple(removed[:2])
+
     def test_wrong_block_size_rejected(self):
         blocks = SetFamily.from_sets(8, [(1, 2, 3), (4, 5, 6, 7)])
         with pytest.raises(SteinerValidationError):

@@ -265,6 +265,10 @@ class TestSpan:
         with pytest.raises(ValueError, match=message):
             Gf2Subspace(3, rows)
 
+    def test_subspace_refuses_an_empty_ground_set(self):
+        with pytest.raises(ValueError, match="ground size must be >= 1, got 0"):
+            Gf2Subspace(0, ())
+
     def test_eventown_family_span_dim_matches_dense_oracle(self):
         a, _ = eventown_pair(4)
         vectors = list(a.members)

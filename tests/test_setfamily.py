@@ -331,11 +331,22 @@ class TestRowKernelAcrossBytes:
         sets = list(dict.fromkeys([first | {n}, *rest]))  # point n is in the first set
         assert ot.c_kt(family_of(sets, n), t) == pairs_exact_t(sets, t)
 
-    @given(st.booleans().flatmap(lambda sparse: st.lists(mask_over(20, sparse), max_size=14)))
+    @given(
+        st.tuples(st.integers(1, 24), st.booleans()).flatmap(
+            lambda width_sparse: st.lists(mask_over(*width_sparse), max_size=40)
+        )
+    )
     @example([])
     @example([0, 0])
+    @example([(1 << 8) - 1 - j for j in range(9)])  # the top element ends the first byte
+    @example([(1 << 9) - 1 - j for j in range(17)])  # and opens the second
+    @example([(1 << 16) - 1 - j for j in range(33)])
+    @example([(1 << 17) - 1 - j for j in range(39)])
+    @example([(1 << 24) - 1 - 3 * j for j in range(40)])
     def test_element_basis(self, targets):
-        # at most two points of 20 in each target is the sparse, bit-by-bit transpose
+        # at most two points in each target is mostly the sparse, bit-by-bit
+        # transpose; widths 1 to 24 put the top element on and beside byte edges,
+        # and up to 40 targets leave counts that are not multiples of 8
         assert _element_basis(targets) == element_basis_reference(targets)
 
 
