@@ -26,7 +26,9 @@ devices on top of plain enumeration, all always on:
   lesser mask, and a family that continues with it to a lex-smaller one.
   So the lex-least optimum passes the test at every depth.  This is
   McKay's lex-leader rule ("Isomorph-free exhaustive generation",
-  J. Algorithms 1998) under coordinate permutations;
+  J. Algorithms 1998) under coordinate permutations.  A node splits its
+  parent's cells by its newest member only once it has passed its
+  conflict bound, so leaves and cut nodes split nothing;
 * complement twins (_tree; even class, even n): a set and its complement
   have the same conflict row, so a set holding point n is admitted only
   beside its complement, the smaller mask.  Swapping such a set for its
@@ -40,7 +42,11 @@ devices on top of plain enumeration, all always on:
   reaches at least v plus the sum of the r smallest candidate conflict
   counts against the fixed partial family (under the twin rule, counting
   each undecided set below point n twice, for itself and its twin), sets
-  the lex-leader test refuses included, since a deeper node may admit them;
+  the lex-leader test refuses included, since a deeper node may admit them.
+  On 1-byte counts a walk over the values 0, 1, 2, ... (_reaches) takes the
+  smallest counts with one bytes.count scan per value and stops once the
+  bound is reached; it runs where the bound leaves a mean count of at most
+  2 per member to add, and sorting decides elsewhere;
 * a floor (_floor): the larger of the deficiency floor (a class whose
   rule-abiding families have at most B members forces m - B odd pairs on m
   members) and the averaging bound from each certified minimum of a smaller
@@ -312,6 +318,7 @@ _CERTIFIED_MINIMA: dict[tuple[str, str, int | None, int | None, int, int], int] 
     ("odd", "op", None, None, 6, 7): 3,
     ("odd", "op", None, None, 7, 8): 3,
     ("odd", "op", None, None, 8, 9): 3,  # thm-odd n=8: ~0.3 s
+    ("odd", "op", None, None, 9, 10): 3,  # thm-odd n=9: ~2 s
 }
 
 
@@ -384,6 +391,28 @@ def _split(x: int, cells: Iterable[int]) -> tuple[int, ...]:
             if part & (part - 1):
                 parts.append(part)
     return tuple(parts)
+
+
+def _reaches(counts: bytes | bytearray, cur: int, need: int, bound: float) -> bool:
+    """Whether cur plus the sum of the need smallest counts reaches bound.
+
+    A walk over v = 0, 1, 2, ...: the need smallest counts are every count
+    below v and then enough counts equal to v, and counts.count(v) is one
+    C-speed scan.  While left counts are still to take, all at least v,
+    the running sum plus left * v is a lower bound on the full sum, so the
+    walk stops as soon as that reaches bound.  A walk that runs to the end
+    decides on the full sum, sum(sorted(counts)[:need]).  counts holds at
+    least need counts.
+    """
+    total, left, v = cur, need, 0
+    while total + left * v < bound:
+        c = counts.count(v)
+        if c >= left:
+            return False
+        total += c * v
+        left -= c
+        v += 1
+    return True
 
 
 class _Outcome(NamedTuple):
@@ -586,12 +615,22 @@ def _tree(
     counts than members to add is cut.  In every other class and mode the
     lower half is the whole pool and no twin is pending.
 
+    The conflict bound is read one of two ways, with the same cut.  On
+    1-byte counts, where bound - cur <= 2 * need, _reaches walks the count
+    values 0, 1, 2, ... with one bytes.count scan each and stops as soon as
+    the bound is reached.  It makes about one scan per unit of the mean
+    count the bound leaves each member to add, so past 2 sorting the counts
+    is cheaper, and sum(sorted(counts)[:need]) decides there, on 2-byte
+    counts, and under an infinite bound.
+
     Lex-leaders (bnb): each node carries the cells of the ground set, the
     classes of two or more points that every chosen member treats alike;
     at the empty family they are the one cell [n], so the first members
     admitted are the prefix sets {1,..,c}.  A lower
     candidate X is admitted only if it holds the lowest points of each cell
-    (_lex_leader), and its child splits each cell by X (_split).  A
+    (_lex_leader).  Its child splits each of its parent's cells by X
+    (_split) only after the child's poll, leaf step and conflict bound, so
+    a leaf or a cut node splits nothing.  A
     permutation of the points inside the cells fixes each chosen member
     setwise and keeps the class and the value.  If the lex-least optimum
     continued with an X that fails the test, one such permutation would
@@ -641,13 +680,16 @@ def _tree(
         chosen: tuple[int, ...],
         pending: tuple[int, ...],
         cells: tuple[int, ...],
+        newest: int | None,
         packed: int,
         cur: int,
         path: tuple[int, ...],
     ) -> None:
         # pending: the twins admitted by chosen members, ascending, all >= start,
         # the index after the last member chosen;
-        # cells: the points every chosen member treats alike, two or more a cell;
+        # cells: the parent's cells, the points every member chosen before the
+        # newest treats alike, two or more a cell; newest: the newest member's mask,
+        # which splits them once the node passes its bound (None: no split);
         # path: the rest of the resume path below this node, empty off it
         nonlocal nodes, next_check, next_save, bound, val, wit, aborted
         if nodes >= next_check:
@@ -681,12 +723,21 @@ def _tree(
             return
         if bounding:
             counts = ws[: 2 * low] if twinned else ws
-            if pending:  # a loop, not a generator, keeps ws and start local
-                counts = list(counts)
+            if pending:  # a loop, not a comprehension, keeps ws and start local
+                counts = bytearray(counts) if width == 1 else list(counts)
                 for t in pending:
                     counts.append(ws[t - start])
-            if cur + sum(sorted(counts)[:need]) >= bound or len(counts) < need:
+            if len(counts) < need:
                 return
+            # the walk makes about one scan per unit of the mean count the
+            # bound leaves each member to add; past 2, sorting is cheaper
+            if width == 1 and bound - cur <= 2 * need:
+                if _reaches(counts, cur, need, bound):
+                    return
+            elif cur + sum(sorted(counts)[:need]) >= bound:
+                return
+        if newest is not None:
+            cells = _split(newest, cells)
         # on the resume path, the children below path[0] are finished
         first = path[0] if path else start
         for j, w in zip(range(first, min(half, P - need + 1)), ws[first - start :] if path else ws):
@@ -699,7 +750,8 @@ def _tree(
             extend(
                 chosen + (j,),
                 (P - 1 - j,) + pending if twinned else pending,
-                _split(x, cells),
+                cells,
+                x,
                 packed + spread(j),
                 nv,
                 path[1:] if j == first else (),
@@ -714,7 +766,7 @@ def _tree(
                 if nv >= bound or t < first:  # the twins below path[0] are finished
                     continue
                 # a twin splits the cells as its chosen complement did
-                extend(chosen + (t,), pending[i + 1 :], cells, packed + spread(t), nv,
+                extend(chosen + (t,), pending[i + 1 :], cells, None, packed + spread(t), nv,
                        path[1:] if t == first else ())
                 if aborted or bound <= floor:
                     return
@@ -730,7 +782,7 @@ def _tree(
     sys.setrecursionlimit(limit + m)
     try:
         cells = ((1 << spec.ground_size) - 1,) if bounding else ()
-        extend(top, pending, cells, 0, 0, tuple(resume))
+        extend(top, pending, cells, None, 0, 0, tuple(resume))
     finally:
         sys.setrecursionlimit(limit)
     if save is not None and not aborted:

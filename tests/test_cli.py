@@ -763,8 +763,9 @@ class TestProcessEntry:
 
     def test_budget_cut_leaves_a_checkpoint(self, tmp_path):
         # the first first-level branch of odd n=9 m=10, {1} (pool index 0),
-        # ends after ~1.1 s on a 2-core x86-64 host: a 0.5 s budget cuts
-        # inside it, and the file records the path there
+        # ends after ~0.3-0.5 s and the whole search after ~2 s on a 2-core
+        # x86-64 host: a 0.5 s budget cuts below the top node, in that branch
+        # or the next, and the file records the path there
         ckpt = tmp_path / "odd9.ckpt"
         proc = run_process(
             "-m", "oddtown.cli", "--json", "search", "--class", "odd", "--n", "9",

@@ -11,6 +11,8 @@ import time
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oddtown as ot
 from oddtown import CheckpointError, InfeasibleSpecError, OracleSoundnessError, SearchSpec, search
@@ -203,6 +205,29 @@ def test_counts_past_one_byte(mode, nodes):
     assert result.best_value == comb(258, 2)
 
 
+@settings(deadline=None)
+@given(
+    counts=st.one_of(
+        st.binary(max_size=300), st.lists(st.integers(0, 7), max_size=300).map(bytes)
+    ),
+    cur=st.integers(0, 40),
+    slack=st.integers(-4, 4),
+)
+@example(counts=bytes(range(256)) + bytes(44), cur=0, slack=0)
+def test_the_walk_cuts_where_sorting_does(counts, cur, slack):
+    # a node is cut when it has fewer counts than members to add, or else
+    # when cur plus its need smallest counts reaches the bound; the walk
+    # must decide as the sorted sum does at every need, under a bound near
+    # that sum (both sides of it) and under no bound at all, on the bytes
+    # of a node without pending twins and the bytearray of one with them
+    for need in range(1, len(counts) + 2):
+        exact = cur + sum(sorted(counts)[:need])
+        for bound in (exact + slack, float("inf")):
+            for box in (bytes, bytearray):
+                walked = len(counts) < need or search._reaches(box(counts), cur, need, bound)
+                assert walked == (len(counts) < need or exact >= bound), (need, bound)
+
+
 def test_the_hint_counts_in_the_run(monkeypatch, tmp_path):
     # nodes_explored and a checkpoint's nodes are the hint climb's evaluations
     # plus the tree's.  A climb whose count is dropped leaves the tree's alone:
@@ -293,7 +318,8 @@ class TestCertifiedMinima:
         ]
         # no entry of another class, objective or ground size applies
         assert search._floor(SearchSpec(ground_size=8, family_size=17, family_class="even")) == (1, None)
-        assert search._floor(SearchSpec(ground_size=9, family_size=11, family_class="odd")) == (2, None)
+        # the n=9, m=10 entry: ceil(3 * 11*10 / (10*9)) = 4, against 11 - 9
+        assert search._floor(SearchSpec(ground_size=9, family_size=11, family_class="odd")) == (4, (10, 3))
 
     @pytest.mark.parametrize(
         "n,m", [(n, m) for n in range(4, 8) for m in range(n + 1, n + 4)]
@@ -1306,13 +1332,19 @@ class TestVerifyTheorem:
         assert op_sets([frozenset(m.elements()) for m in paired.members]) == 4
         assert ot.op_count(report.result.witness) == 4
 
-    @pytest.mark.parametrize("n,s,minimum", [(7, 2, 4), (7, 3, 5), (8, 2, 4), (8, 3, 5), (8, 4, 6)])
+    @pytest.mark.parametrize(
+        "n,s,minimum",
+        [(7, 2, 4), (7, 3, 5), (8, 2, 4), (8, 3, 5), (8, 4, 6), (9, 2, 4), (9, 3, 5), (9, 4, 6),
+         (9, 5, 7)],
+    )
     def test_odd_class_minimum_is_s_plus_2_not_3s(self, n, s, minimum):
         # recorded finding: s+2 singleton/triple pairs over a reserved 2-set
         # plus padding singletons give n+s odd sets with op = s+2, and the
         # exact minimum matches; 3s only survives where n < s+4.  In every
         # case here the averaging floor from the thm-odd minimum 3 at m = n+1
-        # equals s+2, so the search stops at its first optimal leaf
+        # equals s+2, so the search stops at its first optimal leaf, and the
+        # lex-least optimum is that family.  At (9, 2) the run without the
+        # table, the whole tree (~5 s), gives the same value and witness
         padded = ot.SetFamily.from_sets(
             n,
             [(i,) for i in range(1, n - 1)]
@@ -1325,6 +1357,7 @@ class TestVerifyTheorem:
         assert report.verdict == "COUNTEREXAMPLE"
         assert report.minimum == minimum == s + 2
         assert ot.op_count(report.result.witness) == minimum
+        assert to_sets(report.result.witness) == to_sets(padded)
 
     def test_conj_even_is_tight_across_its_range_at_n6(self):
         # recorded finding: the even-class bound s*2^(n/2-1) is attained for
@@ -1343,13 +1376,28 @@ class TestVerifyTheorem:
         assert (report.verdict, report.minimum, report.claimed_bound) == ("TIGHT", 8, 8)
         assert op_sets(to_sets(report.result.witness)) == 8
 
+    # The two deepest trees the suite runs, ~1-2 s each, pinned by their
+    # evaluations and witness: the twinned even tree and the odd tree.  They
+    # stay out of NODE_COUNT_PINS, whose memo-cap test would run each twice more
     def test_thm_even_n8_s2_is_certified(self):
         # recorded finding: 18 even sets over [8] force 16 odd pairs, and the
-        # bound is attained; with the lex-leader test it is certified in ~4 s
+        # bound is attained; certified in ~1 s
         report = verify_theorem("thm-even", 8, 2)
         assert report.result.optimal
         assert (report.verdict, report.minimum, report.claimed_bound) == ("TIGHT", 16, 16)
         assert op_sets(to_sets(report.result.witness)) == 16
+        assert report.result.nodes_explored == 10_400_502
+        assert report.result.witness.masks == (
+            0, 3, 5, 10, 12, 15, 48, 51, 60, 63, 192, 195, 204, 207, 240, 243, 252, 255
+        )
+
+    def test_thm_odd_n9_is_certified(self):
+        # recorded finding: 10 odd sets over [9] force 3 odd pairs; ~2 s
+        report = verify_theorem("thm-odd", 9, 1)
+        assert report.result.optimal
+        assert (report.verdict, report.minimum, report.claimed_bound) == ("TIGHT", 3, 3)
+        assert report.result.nodes_explored == 51_551_409
+        assert report.result.witness.masks == (1, 2, 4, 7, 8, 16, 32, 64, 128, 256)
 
     def test_range_validation(self):
         with pytest.raises(ValueError, match="thm-even claims 1 <= s <= 2 at n=4, got s=3"):
