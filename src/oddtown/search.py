@@ -18,17 +18,17 @@ devices on top of plain enumeration, all always on:
   whose one cell [n] lets the lex-leader test (below) admit only the prefix
   sets {1,..,c} as first members.  In the even class it is {∅} instead:
   the empty set meets every set evenly, so the lex-least optimum holds it;
-* lex-leaders (_tree, _lex_leader, _split): each node carries the cells of
-  the ground set, the classes of points that every chosen member treats
-  alike, and admits a set only if it holds the lowest points of each cell.
-  A permutation inside the cells fixes every chosen member and keeps the
-  class and the value; one of them sends a set that fails the test to a
-  lesser mask, and a family that continues with it to a lex-smaller one.
-  So the lex-least optimum passes the test at every depth.  This is
-  McKay's lex-leader rule ("Isomorph-free exhaustive generation",
-  J. Algorithms 1998) under coordinate permutations.  A node splits its
-  parent's cells by its newest member only once it has passed its
-  conflict bound, so leaves and cut nodes split nothing;
+* lex-leaders (_tree): each node carries the cells of the ground set, the
+  classes of points that every chosen member treats alike, and admits a
+  set only if it holds the lowest points of each cell.  A permutation
+  inside the cells fixes every chosen member and keeps the class and the
+  value; one of them sends a set that fails the test to a lesser mask, and
+  a family that continues with it to a lex-smaller one.  So the lex-least
+  optimum passes the test at every depth.  This is McKay's lex-leader
+  rule ("Isomorph-free exhaustive generation", J. Algorithms 1998) under
+  coordinate permutations.  Every cell is a run of consecutive points, so
+  a node keeps its cells as one mask and tests and splits them with a few
+  integer operations;
 * complement twins (_tree; even class, even n): a set and its complement
   have the same conflict row, so a set holding point n is admitted only
   beside its complement, the smaller mask.  Swapping such a set for its
@@ -366,33 +366,6 @@ def _floor(spec: SearchSpec) -> tuple[int, tuple[int, int] | None]:
     return floor, entry
 
 
-def _lex_leader(x: int, cells: Iterable[int]) -> bool:
-    """Whether mask x holds the lowest points of each cell, a mask of points.
-
-    For a cell c, with y = x & c and r = c ^ y (the points of c outside x),
-    that holds when r == 0 or every point of y lies below the lowest point
-    of r.  A set that fails is sent to a lesser mask by a permutation of
-    the points inside the cells: the one that moves x & c onto the lowest
-    points of each cell c.
-    """
-    for c in cells:
-        y = x & c
-        r = c ^ y
-        if r and y >= r & -r:
-            return False
-    return True
-
-
-def _split(x: int, cells: Iterable[int]) -> tuple[int, ...]:
-    """The cells split by mask x, keeping the parts of two or more points."""
-    parts = []
-    for c in cells:
-        for part in (c & x, c & ~x):
-            if part & (part - 1):
-                parts.append(part)
-    return tuple(parts)
-
-
 def _reaches(counts: bytes | bytearray, cur: int, need: int, bound: float) -> bool:
     """Whether cur plus the sum of the need smallest counts reaches bound.
 
@@ -612,8 +585,11 @@ def _tree(
     twin, which a later choice may admit; the lower candidates and their
     twins are the slice [start, P - start) of the counts.  Dropping those
     undecided twins from the bound would be unsound, and a node with fewer
-    counts than members to add is cut.  In every other class and mode the
-    lower half is the whole pool and no twin is pending.
+    counts than members to add is cut.  The last member is the first least
+    of these counts: the lower candidates come first, and a twin of one
+    ties its lower set, so a lower candidate wins a tie and an undecided
+    twin never wins.  In every other class and mode the lower half is the
+    whole pool, no twin is pending, and the counts are the candidates'.
 
     The conflict bound is read one of two ways, with the same cut.  On
     1-byte counts, where bound - cur <= 2 * need, _reaches walks the count
@@ -624,24 +600,30 @@ def _tree(
     counts, and under an infinite bound.
 
     Lex-leaders (bnb): each node carries the cells of the ground set, the
-    classes of two or more points that every chosen member treats alike;
-    at the empty family they are the one cell [n], so the first members
-    admitted are the prefix sets {1,..,c}.  A lower
-    candidate X is admitted only if it holds the lowest points of each cell
-    (_lex_leader).  Its child splits each of its parent's cells by X
-    (_split) only after the child's poll, leaf step and conflict bound, so
-    a leaf or a cut node splits nothing.  A
-    permutation of the points inside the cells fixes each chosen member
-    setwise and keeps the class and the value.  If the lex-least optimum
-    continued with an X that fails the test, one such permutation would
-    send X to a lesser mask and the family to a lex-smaller one with the
-    same value.  So the lex-least optimum passes the test at every depth.
+    classes of points that every chosen member treats alike; at the empty
+    family they are the one cell [n], so the first members admitted are
+    the prefix sets {1,..,c}.  A lower candidate X is admitted only if it
+    holds the lowest points of each cell.  A permutation of the points
+    inside the cells fixes each chosen member setwise and keeps the class
+    and the value.  If the lex-least optimum continued with an X that
+    fails the test, the permutation that moves X's points of each cell to
+    the bottom of that cell would send X to a lesser mask and the family
+    to a lex-smaller one with the same value.  So the lex-least optimum
+    passes the test at every depth.  An admitted X holds a prefix of each
+    cell, so it splits each cell into a lower and an upper run, and since
+    the first cell [n] is a run, every cell is a run of consecutive
+    points.  A node keeps them as one mask, tied: the points in the same
+    cell as the point just below them, every point but the lowest at the
+    top node ((1 << n) - 2), none outside bnb.  With moved = X ^ X << 1,
+    the points that X holds without their predecessor or the reverse, X
+    passes the test when X & tied & moved == 0, no point of X lacking its
+    cell-predecessor, and its child's mask is tied & ~moved.
     Pending twins are neither tested nor used to split: a twin splits the
-    cells as its chosen complement did.  The conflict bound still counts
-    every candidate, since one refused here may pass deeper, once its cell
-    is split.  At the last level the least count is taken over every lower
-    candidate: a leaf the test would refuse is still a real family, met in
-    lex order.
+    cells as its chosen complement did, so its child keeps tied.  The
+    conflict bound still counts every candidate, since one refused here
+    may pass deeper, once its cell is split.  At the last level the least
+    count is taken over the counts, untested: a leaf the test would refuse
+    is still a real family, met in lex order.
 
     A node adds its candidates, the lower ones and the pending twins,
     counted before the lex-leader test, to the evaluation count
@@ -679,17 +661,14 @@ def _tree(
     def extend(
         chosen: tuple[int, ...],
         pending: tuple[int, ...],
-        cells: tuple[int, ...],
-        newest: int | None,
+        tied: int,
         packed: int,
         cur: int,
         path: tuple[int, ...],
     ) -> None:
         # pending: the twins admitted by chosen members, ascending, all >= start,
         # the index after the last member chosen;
-        # cells: the parent's cells, the points every member chosen before the
-        # newest treats alike, two or more a cell; newest: the newest member's mask,
-        # which splits them once the node passes its bound (None: no split);
+        # tied: the points in the same cell as the point just below them;
         # path: the rest of the resume path below this node, empty off it
         nonlocal nodes, next_check, next_save, bound, val, wit, aborted
         if nodes >= next_check:
@@ -708,27 +687,24 @@ def _tree(
         low = half - start if start < half else 0  # lower candidates: [start, half)
         # a node on the path counted its candidates in the run that saved it
         nodes += 0 if path else low + len(pending)
+        # the lower candidates, their twins when twinned, then the pending twins
+        counts = ws[: 2 * low] if twinned else ws
+        if pending:  # a loop, not a comprehension, keeps ws and start local
+            counts = bytearray(counts) if width == 1 else list(counts)
+            for t in pending:
+                counts.append(ws[t - start])
+        if len(counts) < need:
+            return
         if need == 1:  # keep the first least leaf, as ascending j would: none is below floor
-            w = min(ws[:low]) if low else bound
-            j = None
-            if pending:  # empty outside the twin rule
-                for t in pending:
-                    if ws[t - start] < w:
-                        w, j = ws[t - start], t
+            w = min(counts)
             if cur + w < bound:
                 bound = cur + w
-                leaf = chosen + (start + ws.index(w) if j is None else j,)
+                i = counts.index(w)  # never an undecided twin, which ties its lower set
+                leaf = chosen + (start + i if i < low else pending[i - 2 * low],)
                 if wit is None or bound < val or leaf < wit:  # a tie keeps the lex-lesser
                     val, wit = bound, leaf
             return
         if bounding:
-            counts = ws[: 2 * low] if twinned else ws
-            if pending:  # a loop, not a comprehension, keeps ws and start local
-                counts = bytearray(counts) if width == 1 else list(counts)
-                for t in pending:
-                    counts.append(ws[t - start])
-            if len(counts) < need:
-                return
             # the walk makes about one scan per unit of the mean count the
             # bound leaves each member to add; past 2, sorting is cheaper
             if width == 1 and bound - cur <= 2 * need:
@@ -736,8 +712,6 @@ def _tree(
                     return
             elif cur + sum(sorted(counts)[:need]) >= bound:
                 return
-        if newest is not None:
-            cells = _split(newest, cells)
         # on the resume path, the children below path[0] are finished
         first = path[0] if path else start
         for j, w in zip(range(first, min(half, P - need + 1)), ws[first - start :] if path else ws):
@@ -745,13 +719,13 @@ def _tree(
             if bounding and nv >= bound:
                 continue
             x = pool[j]
-            if not _lex_leader(x, cells):  # cells is empty outside bnb
+            moved = x ^ x << 1  # the points x holds without their predecessor, or the reverse
+            if x & tied & moved:  # a point of x without its cell-predecessor
                 continue
             extend(
                 chosen + (j,),
                 (P - 1 - j,) + pending if twinned else pending,
-                cells,
-                x,
+                tied & ~moved,
                 packed + spread(j),
                 nv,
                 path[1:] if j == first else (),
@@ -766,7 +740,7 @@ def _tree(
                 if nv >= bound or t < first:  # the twins below path[0] are finished
                     continue
                 # a twin splits the cells as its chosen complement did
-                extend(chosen + (t,), pending[i + 1 :], cells, None, packed + spread(t), nv,
+                extend(chosen + (t,), pending[i + 1 :], tied, packed + spread(t), nv,
                        path[1:] if t == first else ())
                 if aborted or bound <= floor:
                     return
@@ -774,15 +748,16 @@ def _tree(
     def outcome() -> _Outcome:
         return _Outcome(val, wit, known.nodes + nodes, aborted)
 
-    # the top node splits no cell; at even n the twin of ∅ is [n], index P - 1
+    # the top node splits no cell: in bnb its one cell is [n], every point
+    # but the lowest tied; at even n the twin of ∅ is [n], index P - 1
+    tied = (1 << spec.ground_size) - 2 if bounding else 0
     pending = (P - 1,) if twinned and top else ()
     # extend recurses once per member, and m may reach the pool cap 2^16;
     # CPython >= 3.11 keeps these Python-to-Python calls off the C stack
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + m)
     try:
-        cells = ((1 << spec.ground_size) - 1,) if bounding else ()
-        extend(top, pending, cells, None, 0, 0, tuple(resume))
+        extend(top, pending, tied, 0, 0, tuple(resume))
     finally:
         sys.setrecursionlimit(limit)
     if save is not None and not aborted:

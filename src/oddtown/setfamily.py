@@ -103,8 +103,13 @@ class SetFamily(_Value):
     def __iter__(self) -> Iterator[BitSubset]:
         return iter(self.members)
 
-    def __contains__(self, item: BitSubset) -> bool:
-        return item.ground_size == self.ground_size and item.mask in self.masks
+    def __contains__(self, item: object) -> bool:
+        """Whether item is a BitSubset on this ground set that is a member."""
+        return (
+            isinstance(item, BitSubset)
+            and item.ground_size == self.ground_size
+            and item.mask in self.masks
+        )
 
 
 class OpReport(NamedTuple):

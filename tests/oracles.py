@@ -3,7 +3,8 @@
 Everything here deliberately avoids the package's bit-mask code paths:
 families are tuples of Python frozensets, matrices are lists of 0/1 lists,
 and searches are plain itertools scans, so agreement with the package is
-evidence rather than tautology.
+evidence rather than tautology.  The lex-leader reference keeps its cells
+as a tuple of point masks of any shape, where the search keeps one mask.
 """
 
 from __future__ import annotations
@@ -116,6 +117,34 @@ def subspace_vectors(basis_masks: Sequence[int]) -> set[int]:
     for b in basis_masks:
         out |= {v ^ b for v in out}
     return out
+
+
+def lex_leader(x: int, cells: Iterable[int]) -> bool:
+    """Whether mask x holds the lowest points of each cell, a mask of points.
+
+    The general form of branch and bound's lex-leader test, with the cells
+    as a tuple of masks of any shape.  For a cell c, with y = x & c and
+    r = c ^ y (the points of c outside x), that holds when r == 0 or every
+    point of y lies below the lowest point of r.  A set that fails is sent
+    to a lesser mask by a permutation of the points inside the cells: the
+    one that moves x & c onto the lowest points of each cell c.
+    """
+    for c in cells:
+        y = x & c
+        r = c ^ y
+        if r and y >= r & -r:
+            return False
+    return True
+
+
+def split(x: int, cells: Iterable[int]) -> tuple[int, ...]:
+    """The cells split by mask x, keeping the parts of two or more points."""
+    parts = []
+    for c in cells:
+        for part in (c & x, c & ~x):
+            if part & (part - 1):
+                parts.append(part)
+    return tuple(parts)
 
 
 def min_objective_brute(

@@ -22,9 +22,11 @@ from oddtown.search import candidate_pool, local_search, minimize, verify_theore
 from oracles import (
     all_optima_brute,
     climb_reference,
+    lex_leader,
     min_objective_brute,
     op_sets,
     pairs_exact_t,
+    split,
     to_sets,
 )
 
@@ -203,6 +205,18 @@ def test_counts_past_one_byte(mode, nodes):
         33153, nodes, True
     )
     assert result.best_value == comb(258, 2)
+
+
+def test_twinned_counts_past_one_byte():
+    # 511 of the 512 even sets over [10]: counts take 2 bytes, and the twin
+    # rule (even class, even n) leaves pending twins at most nodes, so the
+    # leaf and the bound read those twins' 2-byte counts
+    spec = dict(ground_size=10, family_size=511, family_class="even")
+    bnb = minimize(SearchSpec(**spec))
+    plain = minimize(SearchSpec(mode="exhaustive", **spec))
+    assert (bnb.best_value, bnb.nodes_explored, bnb.optimal) == (65_024, 2_926_214, True)
+    assert plain.optimal
+    assert (plain.best_value, plain.witness) == (bnb.best_value, bnb.witness)
 
 
 @settings(deadline=None)
@@ -384,44 +398,65 @@ LEX_LEADER_PINS = [
 
 
 def _lex_leader_path(masks, n):
-    """Whether each member of an ascending family passes the lex-leader test
-    against the cells of the members before it."""
+    """Whether each member of an ascending family passes the reference
+    lex-leader test against the cells of the members before it."""
     cells = ((1 << n) - 1,)
     for x in masks:
-        if not search._lex_leader(x, cells):
+        if not lex_leader(x, cells):
             return False
-        cells = search._split(x, cells)
+        cells = split(x, cells)
     return True
+
+
+def _tied(cells):
+    """The tree's one mask for cells that are runs of consecutive points:
+    each point in the same cell as the point just below it."""
+    tied = 0
+    for c in cells:
+        tied |= c & c << 1
+    return tied
+
+
+def _admits(x, tied):
+    """The tree's lex-leader test: no point of x lacks its cell-predecessor."""
+    return x & tied & ~(x << 1) == 0
 
 
 class TestLexLeader:
     def test_cell_test_by_hand(self):
-        whole = (0b1111,)
-        assert search._lex_leader(0b0000, whole)
-        assert search._lex_leader(0b0011, whole)
-        assert search._lex_leader(0b1111, whole)
-        assert not search._lex_leader(0b0101, whole)  # holds point 3 without point 2
-        assert not search._lex_leader(0b1000, whole)
-        assert search._lex_leader(0b10000, whole)  # points outside every cell are free
-        halves = (0b0011, 0b1100)
-        assert search._lex_leader(0b0101, halves)
-        assert search._lex_leader(0b0111, halves)
-        assert not search._lex_leader(0b0110, halves)  # point 2 without point 1
-        assert not search._lex_leader(0b1001, halves)  # point 4 without point 3
-        assert search._lex_leader(0b1010_0000, ())
+        # each case on the reference cells and on the tree's one mask
+        cases = [
+            (0b0000, (0b1111,), True),
+            (0b0011, (0b1111,), True),
+            (0b1111, (0b1111,), True),
+            (0b0101, (0b1111,), False),  # holds point 3 without point 2
+            (0b1000, (0b1111,), False),
+            (0b10000, (0b1111,), True),  # points outside every cell are free
+            (0b0101, (0b0011, 0b1100), True),
+            (0b0111, (0b0011, 0b1100), True),
+            (0b0110, (0b0011, 0b1100), False),  # point 2 without point 1
+            (0b1001, (0b0011, 0b1100), False),  # point 4 without point 3
+            (0b1010_0000, (), True),
+        ]
+        for x, cells, admitted in cases:
+            assert lex_leader(x, cells) == admitted, (x, cells)
+            assert _admits(x, _tied(cells)) == admitted, (x, cells)
+        assert (_tied((0b1111,)), _tied((0b0011, 0b1100)), _tied(())) == (0b1110, 0b1010, 0)
 
     def test_refinement_by_hand(self):
-        assert search._split(0b0011, (0b1111,)) == (0b0011, 0b1100)
-        assert search._split(0b0000, (0b1111,)) == (0b1111,)
-        assert search._split(0b1111, (0b1111,)) == (0b1111,)
+        assert split(0b0011, (0b1111,)) == (0b0011, 0b1100)
+        assert split(0b0000, (0b1111,)) == (0b1111,)
+        assert split(0b1111, (0b1111,)) == (0b1111,)
         # parts of one point are dropped
-        assert search._split(0b0001, (0b0111,)) == (0b0110,)
-        assert search._split(0b0101, (0b0011, 0b1100)) == ()
-        assert search._split(0b0_0111, (0b1_1111, 0b110_0000)) == (0b0_0111, 0b1_1000, 0b110_0000)
+        assert split(0b0001, (0b0111,)) == (0b0110,)
+        assert split(0b0101, (0b0011, 0b1100)) == ()
+        assert split(0b0_0111, (0b1_1111, 0b110_0000)) == (0b0_0111, 0b1_1000, 0b110_0000)
         # a set and its complement split the cells alike, in another order
         cells = (0b0_1111, 0b1_0000)
-        assert search._split(0b1_0110, cells) == (0b0110, 0b1001)
-        assert search._split(0b0_1001, cells) == (0b1001, 0b0110)
+        assert split(0b1_0110, cells) == (0b0110, 0b1001)
+        assert split(0b0_1001, cells) == (0b1001, 0b0110)
+        # the tree's split of a run by an admitted prefix: tied & ~(x ^ x << 1)
+        assert 0b1110 & ~(0b0011 ^ 0b0011 << 1) == _tied((0b0011, 0b1100)) == 0b1010
         # test and split along a family: {2} first fails against the ground
         # set; after {1}, the cell {2, 3} admits {2} but not {3}
         assert not _lex_leader_path((0b010,), 3)
@@ -429,10 +464,36 @@ class TestLexLeader:
         assert not _lex_leader_path((0b001, 0b100), 3)
 
     def test_prefix_sets_are_the_lex_leaders_of_the_ground_set(self):
+        # the top node's one cell [n] is the mask of every point but the lowest
         for n in range(1, 8):
-            ground = ((1 << n) - 1,)
+            ground, top = (1 << n) - 1, (1 << n) - 2
+            assert _tied((ground,)) == top
             for x in range(1 << n):
-                assert search._lex_leader(x, ground) == (x & (x + 1) == 0), (n, x)
+                prefix = x & (x + 1) == 0
+                assert lex_leader(x, (ground,)) == _admits(x, top) == prefix, (n, x)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_cells_are_runs_so_one_mask_holds_them(self, n):
+        # every ascending sequence of admitted members, to depth 3, from the
+        # one cell [n]: each reference cell is a run of consecutive points
+        # (adding its lowest bit clears it), the mask admits exactly what the
+        # reference admits, and the child's mask tied & ~(x ^ x << 1) is
+        # that of the reference's split cells
+        nodes = 0
+        stack = [((), ((1 << n) - 1,), (1 << n) - 2)]
+        while stack:
+            members, cells, tied = stack.pop()
+            nodes += 1
+            assert all(c & (c + (c & -c)) == 0 for c in cells), (members, cells)
+            assert tied == _tied(cells), members
+            if len(members) == 3:
+                continue
+            for x in range(members[-1] + 1 if members else 0, 1 << n):
+                admitted = lex_leader(x, cells)
+                assert _admits(x, tied) == admitted, (members, x)
+                if admitted:
+                    stack.append((members + (x,), split(x, cells), tied & ~(x ^ x << 1)))
+        assert nodes == {1: 4, 2: 11, 3: 36, 4: 111, 5: 302, 6: 730}[n]
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_lex_least_optima_pass_at_every_depth(self, n):

@@ -103,6 +103,14 @@ class TestSetFamily:
         assert len(fam) == 2
         assert ot.is_eventown(fam)
 
+    def test_membership_of_any_object(self):
+        fam = SetFamily(4, [0, 0b11])
+        assert BitSubset(0b11, 4) in fam
+        assert BitSubset(0b101, 4) not in fam
+        assert BitSubset(0b11, 5) not in fam  # another ground set
+        for other in (1, 0b11, None, "ab", (0b11, 4), [0, 0b11]):
+            assert other not in fam
+
 
 class TestOp:
     def test_x5_has_three_odd_pairs(self):
