@@ -366,7 +366,7 @@ def _floor(spec: SearchSpec) -> tuple[int, tuple[int, int] | None]:
     return floor, entry
 
 
-def _reaches(counts: bytes | bytearray, cur: int, need: int, bound: float) -> bool:
+def _reaches(counts: bytes, cur: int, need: int, bound: float) -> bool:
     """Whether cur plus the sum of the need smallest counts reaches bound.
 
     A walk over v = 0, 1, 2, ...: the need smallest counts are every count
@@ -375,7 +375,8 @@ def _reaches(counts: bytes | bytearray, cur: int, need: int, bound: float) -> bo
     the running sum plus left * v is a lower bound on the full sum, so the
     walk stops as soon as that reaches bound.  A walk that runs to the end
     decides on the full sum, sum(sorted(counts)[:need]).  counts holds at
-    least need counts.
+    least need counts below 0xFF, so the walk ends below 0xFF and never
+    takes a blocked field.
     """
     total, left, v = cur, need, 0
     while total + left * v < bound:
@@ -563,8 +564,10 @@ def _tree(
     and makes progress whatever its budget.
 
     Each node carries one packed integer whose field j counts candidate j's
-    pairs with the partial family.  Fields are 1 byte wide when m <= 256
-    and 2 bytes otherwise, since a count is at most m - 1.  Adding member j
+    pairs with the partial family.  Fields are 1 byte wide when m < 256
+    and 2 bytes otherwise.  A count is at most m - 1, so it stays below a
+    field of all ones, which blocks a twin (below): the twin rule needs an
+    even n, where the pool cap keeps m at most 2^15.  Adding member j
     adds spread(j), row j with each bit widened to a field, so a node reads
     all its counts with one to_bytes instead of a popcount per candidate.
 
@@ -577,19 +580,29 @@ def _tree(
     decided earlier, is chosen.  The lex-least optimum obeys this rule: a
     family holding an upper X but not X^c keeps its value when X is swapped
     for X^c, and gets lex-smaller.  A node's start is the index after its
-    last member, 0 at the empty family.  Its admitted candidates are
-    the lower ones in [start, P/2) and the pending twins: those of chosen
-    members, at index >= start, all above the lower ones.  Its conflict
-    bound sums the smallest counts of a multiset holding each pending twin
-    once and each lower candidate twice, once for itself and once for its
-    twin, which a later choice may admit; the lower candidates and their
-    twins are the slice [start, P - start) of the counts.  Dropping those
-    undecided twins from the bound would be unsound, and a node with fewer
-    counts than members to add is cut.  The last member is the first least
-    of these counts: the lower candidates come first, and a twin of one
-    ties its lower set, so a lower candidate wins a tie and an undecided
-    twin never wins.  In every other class and mode the lower half is the
-    whole pool, no twin is pending, and the counts are the candidates'.
+    last member, 0 at the empty family.  Its admitted candidates are the
+    lower ones in [start, P/2) and the pending twins: those of chosen
+    members, at index >= start, all above the lower ones.  A node carries
+    block, every bit of the fields of the upper sets whose twin its path
+    passed over, and reads (packed | block) >> start fields once: that
+    slice of counts serves the bound, the leaf and the child loop.  It
+    holds the lower candidates, then their undecided twins in
+    [P/2, P - start), which a later choice may admit, then from P - start
+    up the twins of decided sets: the pending twins, and blocked fields of
+    all ones, above every count.  So the conflict bound sums the smallest
+    counts of the slice, each pending twin once and each lower candidate
+    twice, for itself and its twin; dropping the undecided twins would be
+    unsound.  The evaluation count and the cut of a node with fewer real
+    counts than members to add leave out the blocked fields, counted by
+    one count of the all-ones value.  A child from lower j blocks the
+    fields of the twins of start..j-1, [P - j, P - start); a child from a
+    pending twin keeps block, since its slice starts past every undecided
+    twin.  The last member is the first least count of the slice at
+    start + counts.index: the lower candidates come first, and a twin of
+    one ties its lower set, so a lower candidate wins a tie and an
+    undecided twin never wins.  In every other class and mode the lower
+    half is the whole pool, nothing is blocked, and the counts are the
+    candidates'.
 
     The conflict bound is read one of two ways, with the same cut.  On
     1-byte counts, where bound - cur <= 2 * need, _reaches walks the count
@@ -644,8 +657,9 @@ def _tree(
     twinned = bounding and spec.family_class == "even" and spec.ground_size % 2 == 0
     half = P // 2 if twinned else P
     budget_nodes = spec.budget_nodes
-    width = 1 if m <= 256 else 2
+    width = 1 if m < 256 else 2
     bits = 8 * width
+    full = (1 << bits) - 1  # a blocked field, above every count
     spread = _spreader(rows, width)
     top = _top(spec)
 
@@ -660,14 +674,14 @@ def _tree(
 
     def extend(
         chosen: tuple[int, ...],
-        pending: tuple[int, ...],
+        block: int,
         tied: int,
         packed: int,
         cur: int,
         path: tuple[int, ...],
     ) -> None:
-        # pending: the twins admitted by chosen members, ascending, all >= start,
-        # the index after the last member chosen;
+        # block: every bit of the fields of the upper sets whose twin the path
+        # passed over;
         # tied: the points in the same cell as the point just below them;
         # path: the rest of the resume path below this node, empty off it
         nonlocal nodes, next_check, next_save, bound, val, wit, aborted
@@ -682,25 +696,22 @@ def _tree(
                 return
         start = chosen[-1] + 1 if chosen else 0
         need = m - len(chosen)
-        raw = (packed >> (start * bits)).to_bytes((P - start) * width, "little")
-        ws = raw if width == 1 else _two_byte_fields(raw)
+        raw = ((packed | block) >> (start * bits)).to_bytes((P - start) * width, "little")
+        counts = raw if width == 1 else _two_byte_fields(raw)
         low = half - start if start < half else 0  # lower candidates: [start, half)
+        # the lower candidates, and when twinned their undecided twins up to
+        # P - start, then the pending twins among the blocked fields
+        real = len(counts) - (counts.count(full) if block else 0)
         # a node on the path counted its candidates in the run that saved it
-        nodes += 0 if path else low + len(pending)
-        # the lower candidates, their twins when twinned, then the pending twins
-        counts = ws[: 2 * low] if twinned else ws
-        if pending:  # a loop, not a comprehension, keeps ws and start local
-            counts = bytearray(counts) if width == 1 else list(counts)
-            for t in pending:
-                counts.append(ws[t - start])
-        if len(counts) < need:
+        nodes += 0 if path else (real - low if twinned else real)
+        if real < need:
             return
         if need == 1:  # keep the first least leaf, as ascending j would: none is below floor
             w = min(counts)
             if cur + w < bound:
                 bound = cur + w
-                i = counts.index(w)  # never an undecided twin, which ties its lower set
-                leaf = chosen + (start + i if i < low else pending[i - 2 * low],)
+                # never an undecided twin, which ties its lower set
+                leaf = chosen + (start + counts.index(w),)
                 if wit is None or bound < val or leaf < wit:  # a tie keeps the lex-lesser
                     val, wit = bound, leaf
             return
@@ -714,7 +725,7 @@ def _tree(
                 return
         # on the resume path, the children below path[0] are finished
         first = path[0] if path else start
-        for j, w in zip(range(first, min(half, P - need + 1)), ws[first - start :] if path else ws):
+        for j, w in zip(range(first, min(half, P - need + 1)), counts[first - start :]):
             nv = cur + w
             if bounding and nv >= bound:
                 continue
@@ -724,7 +735,8 @@ def _tree(
                 continue
             extend(
                 chosen + (j,),
-                (P - 1 - j,) + pending if twinned else pending,
+                # the child passes over start..j-1: block their twins
+                block | ((1 << (j - start) * bits) - 1) << (P - j) * bits if twinned else block,
                 tied & ~moved,
                 packed + spread(j),
                 nv,
@@ -732,15 +744,15 @@ def _tree(
             )
             if aborted or bound <= floor:  # no later leaf beats the floor
                 return
-        if pending:  # empty outside the twin rule
-            for i, t in enumerate(pending):
-                if t > P - need:  # too few sets after t, as for j above
-                    break
-                nv = cur + ws[t - start]
-                if nv >= bound or t < first:  # the twins below path[0] are finished
+        if twinned:  # the unblocked fields from P - start up are the pending twins
+            for t in range(max(first, P - start), P - need + 1):
+                w = counts[t - start]
+                nv = cur + w
+                if w == full or nv >= bound:
                     continue
-                # a twin splits the cells as its chosen complement did
-                extend(chosen + (t,), pending[i + 1 :], tied, packed + spread(t), nv,
+                # a twin splits the cells as its chosen complement did, and its
+                # slice starts past every undecided twin
+                extend(chosen + (t,), block, tied, packed + spread(t), nv,
                        path[1:] if t == first else ())
                 if aborted or bound <= floor:
                     return
@@ -749,15 +761,15 @@ def _tree(
         return _Outcome(val, wit, known.nodes + nodes, aborted)
 
     # the top node splits no cell: in bnb its one cell is [n], every point
-    # but the lowest tied; at even n the twin of ∅ is [n], index P - 1
+    # but the lowest tied; it blocks nothing, so at even n the twin of ∅,
+    # [n] at index P - 1, is pending
     tied = (1 << spec.ground_size) - 2 if bounding else 0
-    pending = (P - 1,) if twinned and top else ()
     # extend recurses once per member, and m may reach the pool cap 2^16;
     # CPython >= 3.11 keeps these Python-to-Python calls off the C stack
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + m)
     try:
-        extend(top, pending, tied, 0, 0, tuple(resume))
+        extend(top, 0, tied, 0, 0, tuple(resume))
     finally:
         sys.setrecursionlimit(limit)
     if save is not None and not aborted:

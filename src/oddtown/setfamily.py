@@ -141,18 +141,19 @@ def _element_basis(masks: Sequence[int]) -> dict[int, int]:
     """basis[e] has bit j set iff masks[j] contains element e (0-based).
 
     Its keys are the elements some mask holds, so its size follows the set
-    bits, not the highest element.  When more than one bit in 8 of the
+    bits, not the highest element.  When more than one bit in 100 of the
     m x n bit matrix is set, it is transposed with bytes operations: the
     masks are joined as ceil(n/8)-byte little-endian strings, the last mask
     first, so a stride slice reads byte e // 8 of every mask, translate
     turns each of those bytes into the digit of its bit e % 8, and
     int(digits, 2) turns them into basis[e].  The joined masks take
     m * ceil(n/8) bytes, and each column 2m bytes while it is read.
-    Sparser matrices are transposed one set bit at a time.
+    Sparser matrices are transposed one set bit at a time, which costs
+    about as much per set bit as the bytes path does per 100 matrix bits.
     """
     used = reduce(or_, masks, 0)
     n = used.bit_length()
-    if len(masks) * n >= 8 * sum(map(int.bit_count, masks)):
+    if len(masks) * n >= 100 * sum(map(int.bit_count, masks)):
         basis = dict.fromkeys(_bit_indices(used), 0)
         for j, x in enumerate(masks):
             for e in _bit_indices(x):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
@@ -157,6 +158,12 @@ NODE_COUNT_PINS = [
     # odd n, so no twin rule: below the top node {∅} the lex-leader test
     # does all the cutting (4,733,203 tree evaluations without it)
     ("bnb", dict(ground_size=7, family_size=9, family_class="even"), (4, 37_503)),
+    # even n=6 m = 10…14 (m=9 opens the list): the twin rule's tree below n=8
+    ("bnb", dict(ground_size=6, family_size=10, family_class="even"), (8, 3_697)),
+    ("bnb", dict(ground_size=6, family_size=11, family_class="even"), (12, 8_495)),
+    ("bnb", dict(ground_size=6, family_size=12, family_class="even"), (16, 18_822)),
+    ("bnb", dict(ground_size=6, family_size=13, family_class="even"), (20, 25_218)),
+    ("bnb", dict(ground_size=6, family_size=14, family_class="even"), (24, 31_284)),
 ]
 
 
@@ -209,8 +216,9 @@ def test_counts_past_one_byte(mode, nodes):
 
 def test_twinned_counts_past_one_byte():
     # 511 of the 512 even sets over [10]: counts take 2 bytes, and the twin
-    # rule (even class, even n) leaves pending twins at most nodes, so the
-    # leaf and the bound read those twins' 2-byte counts
+    # rule (even class, even n) leaves pending twins and blocked fields of
+    # 0xFFFF at most nodes, so the leaf and the bound read those twins'
+    # 2-byte counts beside the blocked fields
     spec = dict(ground_size=10, family_size=511, family_class="even")
     bnb = minimize(SearchSpec(**spec))
     plain = minimize(SearchSpec(mode="exhaustive", **spec))
@@ -219,27 +227,61 @@ def test_twinned_counts_past_one_byte():
     assert (plain.best_value, plain.witness) == (bnb.best_value, bnb.witness)
 
 
+@pytest.mark.parametrize(
+    "m,value,nodes,digest",
+    [(255, 15_120, 5_000_437, "951bdf8de8fcd6c0"), (256, 15_256, 5_000_719, "15fefc7158ffc636")],
+)
+def test_twinned_counts_at_the_one_byte_edge(m, value, nodes, digest):
+    # counts take 1 byte up to m = 255, where a count reaches at most 254,
+    # below a blocked field's 0xFF; at m = 256 a count may reach 255, so they
+    # take 2.  Both runs are cut by the budget, so the pin is the tree's
+    # incumbent and its evaluations; the digest pins the witness's masks
+    spec = SearchSpec(ground_size=10, family_size=m, family_class="even", budget_nodes=5_000_000)
+    result = minimize(spec)
+    masks = result.witness.masks
+    assert (result.best_value, result.nodes_explored, result.optimal) == (value, nodes, False)
+    assert hashlib.sha256(repr(masks).encode()).hexdigest()[:16] == digest
+    assert ot.op_count(result.witness) == value
+
+
 @settings(deadline=None)
 @given(
     counts=st.one_of(
         st.binary(max_size=300), st.lists(st.integers(0, 7), max_size=300).map(bytes)
     ),
+    blocked=st.lists(st.integers(0, 300), max_size=40),
     cur=st.integers(0, 40),
     slack=st.integers(-4, 4),
 )
-@example(counts=bytes(range(256)) + bytes(44), cur=0, slack=0)
-def test_the_walk_cuts_where_sorting_does(counts, cur, slack):
-    # a node is cut when it has fewer counts than members to add, or else
-    # when cur plus its need smallest counts reaches the bound; the walk
-    # must decide as the sorted sum does at every need, under a bound near
-    # that sum (both sides of it) and under no bound at all, on the bytes
-    # of a node without pending twins and the bytearray of one with them
-    for need in range(1, len(counts) + 2):
-        exact = cur + sum(sorted(counts)[:need])
-        for bound in (exact + slack, float("inf")):
-            for box in (bytes, bytearray):
-                walked = len(counts) < need or search._reaches(box(counts), cur, need, bound)
-                assert walked == (len(counts) < need or exact >= bound), (need, bound)
+@example(counts=bytes(range(256)) + bytes(44), blocked=[], cur=0, slack=0)
+@example(counts=bytes(range(8)) * 4, blocked=[0, 3, 3, 17, 300], cur=2, slack=0)
+def test_the_walk_cuts_where_sorting_does(counts, blocked, cur, slack):
+    # a node is cut when it has fewer real counts than members to add, or
+    # else when cur plus its need smallest real counts reaches the bound.  A
+    # blocked field is all ones, 0xFF on 1-byte counts (every 0xFF here, and
+    # one more at each position in blocked) and 0xFFFF on 2-byte ones, above
+    # every real count.  The walk on 1-byte counts and the sorted sum on
+    # both widths must decide on the real counts alone at every need, under
+    # a bound near that sum (both sides of it) and under no bound at all
+    counts = bytearray(counts)
+    for i in blocked:
+        counts[i:i] = b"\xff"
+    counts = bytes(counts)
+    real = sorted(c for c in counts if c != 0xFF)
+    # 2-byte counts stay below 2^15, since m <= 2^15 in the twinned tree
+    wide = search._two_byte_fields(
+        b"".join((0xFFFF if c == 0xFF else 129 * c).to_bytes(2, "little") for c in counts)
+    )
+    for need in range(1, len(real) + 2):
+        for fields, scale in ((counts, 1), (wide, 129)):
+            exact = cur + scale * sum(real[:need])
+            for bound in (exact + slack, float("inf")):
+                cut = len(real) < need or exact >= bound
+                sorted_sum = cur + sum(sorted(fields)[:need])
+                assert (len(real) < need or sorted_sum >= bound) == cut, (need, bound)
+                if scale == 1:
+                    walked = len(real) < need or search._reaches(fields, cur, need, bound)
+                    assert walked == cut, (need, bound)
 
 
 def test_the_hint_counts_in_the_run(monkeypatch, tmp_path):

@@ -340,21 +340,26 @@ class TestRowKernelAcrossBytes:
         assert ot.c_kt(family_of(sets, n), t) == pairs_exact_t(sets, t)
 
     @given(
-        st.tuples(st.integers(1, 24), st.booleans()).flatmap(
+        st.tuples(st.one_of(st.integers(1, 24), st.integers(200, 400)), st.booleans()).flatmap(
             lambda width_sparse: st.lists(mask_over(*width_sparse), max_size=40)
         )
     )
     @example([])
     @example([0, 0])
+    @example([1 << j for j in range(100)])  # one bit in 100: the bit-by-bit side
+    @example([1 << j for j in range(100)] + [3])  # just past it: the bytes side
+    @example([1 << 3 * j for j in range(70)])  # sparse over a wide ground
+    @example([0] * 150 + [1 << 30, 1])  # sparse by its empty targets
     @example([(1 << 8) - 1 - j for j in range(9)])  # the top element ends the first byte
     @example([(1 << 9) - 1 - j for j in range(17)])  # and opens the second
     @example([(1 << 16) - 1 - j for j in range(33)])
     @example([(1 << 17) - 1 - j for j in range(39)])
     @example([(1 << 24) - 1 - 3 * j for j in range(40)])
     def test_element_basis(self, targets):
-        # at most two points in each target is mostly the sparse, bit-by-bit
-        # transpose; widths 1 to 24 put the top element on and beside byte edges,
-        # and up to 40 targets leave counts that are not multiples of 8
+        # at most two points in each target over a width of 200 or more is
+        # mostly the sparse, bit-by-bit transpose, and over widths 1 to 24 the
+        # bytes one; those widths put the top element on and beside byte
+        # edges, and up to 40 targets leave counts that are not multiples of 8
         assert _element_basis(targets) == element_basis_reference(targets)
 
 
