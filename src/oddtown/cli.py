@@ -229,9 +229,8 @@ def _library_args(args: argparse.Namespace) -> dict[str, Any]:
 def _cmd_search(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     spec = se.SearchSpec(**_library_args(args))
     result = se.minimize(spec, checkpoint=getattr(args, "checkpoint", None))
-    # local search reports an incumbent, unless its budget ran out before one
-    found = spec.mode == "local" and result.witness is not None
-    code = EXIT_OK if found or result.optimal else EXIT_INCONCLUSIVE
+    # local search always reports an incumbent, its start family at the least
+    code = EXIT_OK if spec.mode == "local" or result.optimal else EXIT_INCONCLUSIVE
     return result.to_json_dict(), code
 
 

@@ -1,13 +1,16 @@
 """Exact and heuristic minimisation of pair-count objectives over set families.
 
-Each pool member carries a bitmask row marking the members it forms a
-counted pair with, built by F2 linearity (setfamily.odd_rows for op) or by
-bit-sliced counting (setfamily.exact_t_rows for c_kt), never pair by pair.
-For a pool of P sets with at least 1,024 sets per byte of their span (the
-bytes up to the highest element used), and more set bits per set than
-bytes in that span, odd_rows reads each row off per-byte tables of 256
-rows of P bits, one lookup per byte of a set: at most P/4 rows, dropped
-once the rows are built.  Other pools take one XOR per element.
+Each pool member has a bitmask row marking the members it forms a counted
+pair with, built by F2 linearity (setfamily.odd_row_reader for op) or by
+bit-sliced counting (setfamily.exact_t_row_reader for c_kt), never pair by
+pair.  The search holds no list of rows: it reads row j through the
+reader when it needs it, inside its polled loops, and keeps only the
+spreads (below) it memoizes.  For a pool of P sets with at least 1,024
+sets per byte of their span (the bytes up to the highest element used),
+and more set bits per set than bytes in that span, the op reader reads
+each row off per-byte tables of 256 rows of P bits, one lookup per byte of
+a set: at most P/4 rows, kept for the run.  Other pools take one XOR per
+element.
 
 The exact engine enumerates families as increasing-index combinations over a
 mask-sorted candidate pool, so the first optimum found in depth-first order
@@ -54,7 +57,7 @@ devices on top of plain enumeration, all always on:
   reaches the floor is optimal, so the search stops there.
 
 There is one hill climber, _climb: first-improvement single-set swaps over
-the rows, bounded by budget_nodes and budget_secs.  It keeps the counts
+the pool, bounded by budget_nodes and budget_secs.  It keeps the counts
 packed as the tree does (_spreader builds the spread rows of both), so a
 scan for a swap tests every candidate with a few integer operations: it
 makes the swaps of an ascending candidate loop, in the same order, adds
@@ -96,25 +99,25 @@ import os
 import sys
 import time
 from array import array
-from itertools import islice
 from math import comb
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import CheckpointError, InfeasibleSpecError, OracleSoundnessError
 from .gf2 import _bit_indices, _same_ground, _subsets, _Value
-from .setfamily import SetFamily, exact_t_rows, odd_rows
+from .setfamily import SetFamily, exact_t_row_reader, odd_row_reader
 
 DEFAULT_NODE_BUDGET = 10**9
 DEFAULT_TIME_BUDGET = 600.0
-# A pool of P sets has P rows of P bits, P^2/8 bytes: at most 2^16 sets
-# keeps the rows at 512 MiB.  A larger ground set is refused outright, since
-# every class on it but the lone uniform k = n set exceeds the cap.
+# At most 2^16 pool sets: the op reader's byte tables then take at most
+# P^2/32 bytes (128 MiB) for the run, and each spreader's kept spreads at
+# most _SPREAD_BYTES.  A larger ground set is refused outright, since every
+# class on it but the lone uniform k = n set exceeds the cap.
 _POOL_CAP = 1 << 16
 # A spread row takes P * width bytes (a count of 1 to 3 bytes per pool set),
 # so keeping all P of them could take 8 GiB or more at the cap: the tree and
-# the climber each keep at most 2^29 bytes of them (512 MiB, as much as the
-# rows) and rebuild the rest.
+# the climber each keep at most 2^29 bytes of them (512 MiB) and rebuild the
+# rest.
 _SPREAD_BYTES = 1 << 29
 _EXHAUSTIVE_CAP = 10**8  # most families exhaustive mode will enumerate
 _CHECK_INTERVAL = 1024  # budget polling granularity, in nodes
@@ -226,7 +229,7 @@ class SearchSpec(_Value):
         if pool > _POOL_CAP:
             raise InfeasibleSpecError(
                 f"the class has {pool} candidate sets, over the cap of {_POOL_CAP} "
-                f"(conflict rows take P^2/8 bytes)"
+                f"(spreads take up to 512 MiB per spreader, byte tables up to P^2/32 bytes)"
             )
         if self.family_size > pool:
             raise InfeasibleSpecError(
@@ -286,26 +289,6 @@ def candidate_pool(spec: SearchSpec) -> list[int]:
         return sorted(_subsets((1 << n) - 1, spec.k))  # type: ignore[arg-type]
     want = 0 if spec.family_class == "even" else 1
     return [m for m in range(1 << n) if m.bit_count() & 1 == want]
-
-
-def _pool_rows(
-    spec: SearchSpec, pool: Sequence[int], deadline: float = float("inf")
-) -> list[int] | None:
-    """Bitmask rows of counted pairs: bit j of row i marks (pool[i], pool[j]).
-
-    The deadline is polled before each _CHECK_INTERVAL rows: None when it
-    passes before the rows are all built.
-    """
-    if spec.objective == "op":
-        build = odd_rows(pool)
-    else:
-        build = exact_t_rows(pool, spec.t)  # type: ignore[arg-type]
-    rows: list[int] = []
-    while len(rows) < len(pool):
-        if time.monotonic() > deadline:
-            return None
-        rows.extend(islice(build, _CHECK_INTERVAL))
-    return rows
 
 
 # Class minima certified by this package's own branch and bound, each pinned
@@ -399,15 +382,15 @@ class _Outcome(NamedTuple):
 _NOTHING = _Outcome(None, None, 0, False)  # no family found, no evaluations
 
 
-def _spreader(rows: Sequence[int], width: int) -> Callable[[int], int]:
-    """spread(j): row j with each bit widened to a field of width bytes.
+def _spreader(row: Callable[[int], int], P: int, width: int) -> Callable[[int], int]:
+    """spread(j): row(j) of a pool of P sets with each bit widened to a field of width bytes.
 
-    Field i of spread(j) is bit i of rows[j], so adding spread(j) to a packed
+    Field i of spread(j) is bit i of row(j), so adding spread(j) to a packed
     integer of counts adds row j to all of them at once.  A spread takes
     P * width bytes: those of the first _SPREAD_BYTES // (P * width) pool
-    indices are kept, and later ones are rebuilt at each call.
+    indices are kept, and later ones, and their rows, are rebuilt at each
+    call.
     """
-    P = len(rows)
     nbytes = P * width
     bit_bytes = bytes.maketrans(b"01", b"\x00\x01")
     room = _SPREAD_BYTES // nbytes
@@ -418,7 +401,7 @@ def _spreader(rows: Sequence[int], width: int) -> Callable[[int], int]:
         if s is None:
             # format puts bit P-1 first, so read big-endian, field j holds bit j
             field = bytearray(nbytes)
-            field[width - 1 :: width] = format(rows[j], f"0{P}b").encode().translate(bit_bytes)
+            field[width - 1 :: width] = format(row(j), f"0{P}b").encode().translate(bit_bytes)
             s = int.from_bytes(field, "big")
             if j < room:
                 memo[j] = s
@@ -428,7 +411,8 @@ def _spreader(rows: Sequence[int], width: int) -> Callable[[int], int]:
 
 
 def _climb(
-    rows: Sequence[int],
+    row: Callable[[int], int],
+    P: int,
     start: Iterable[int],
     budget_nodes: int,
     deadline: float,
@@ -442,7 +426,8 @@ def _climb(
     given) passes budget_nodes or the deadline.  A deadline passed while
     the start's spread rows are built returns the start family, evals
     unchanged.  Returns (value, chosen indices ascending, evals, stopped),
-    the value recounted from the rows of the family returned.
+    the value recounted from the rows of the family returned.  row(j)
+    reads the row of pool index j, and P is the pool size.
 
     Each scan tests every candidate at once.  W packs w[x], x's pairs with
     the family, as field x of b bits, b the least multiple of 8 with
@@ -458,13 +443,12 @@ def _climb(
     candidates.
     """
     chosen = set(start)
-    P = len(rows)
     width = (len(chosen).bit_length() + 8) // 8
     b = 8 * width
     field = (1 << b) - 1
     lift = 1 << (b - 1)
     ones = int.from_bytes((b"\x01" + bytes(width - 1)) * P, "little")
-    spread = _spreader(rows, width)
+    spread = _spreader(row, P, width)
     W = 0
     free = ones << (b - 1)
     stopped = False
@@ -505,7 +489,7 @@ def _climb(
                 improved = True
                 break
     family = tuple(sorted(chosen))
-    return _recount(rows, family), family, evals, stopped
+    return _recount(row, family), family, evals, stopped
 
 
 def _two_byte_fields(raw: bytes) -> array:
@@ -530,7 +514,7 @@ def _top(spec: SearchSpec) -> tuple[int, ...]:
 
 def _tree(
     pool: Sequence[int],
-    rows: Sequence[int],
+    row: Callable[[int], int],
     spec: SearchSpec,
     resume: Sequence[int],
     known: _Outcome,
@@ -651,7 +635,7 @@ def _tree(
     when the budgets are spent, and otherwise at most every _SAVE_SECS.
     A search that ends uncut, at the floor stop too, calls save(None, ...).
     """
-    P = len(rows)
+    P = len(pool)
     m = spec.family_size
     bounding = spec.mode == "bnb"
     twinned = bounding and spec.family_class == "even" and spec.ground_size % 2 == 0
@@ -660,7 +644,7 @@ def _tree(
     width = 1 if m < 256 else 2
     bits = 8 * width
     full = (1 << bits) - 1  # a blocked field, above every count
-    spread = _spreader(rows, width)
+    spread = _spreader(row, P, width)
     top = _top(spec)
 
     val, wit = known.best_value, known.witness
@@ -802,7 +786,7 @@ def _index_list(x: object, lo: int, hi: int, sizes: range) -> bool:
 
 
 def _load_checkpoint(
-    path: Path, spec: SearchSpec, rows: Sequence[int]
+    path: Path, spec: SearchSpec, row: Callable[[int], int]
 ) -> tuple[list[int] | None, _Outcome]:
     """(resume path, best so far) from a checkpoint, or ([], _NOTHING) if absent.
 
@@ -811,7 +795,7 @@ def _load_checkpoint(
     Nothing in the file is trusted: the path must be fewer than m members
     with the top node's, increasing, from the top node's first candidate
     up to P - 1, nodes a count, a witness m increasing pool indices whose
-    value, recounted from the rows, is best_value, and the digest must
+    value, recounted from their rows, is best_value, and the digest must
     match the other fields.  The digest catches hand edits and corruption
     that leave a file self-consistent, such as a path moved past the
     subtrees searched; it does not authenticate a file whose digest was
@@ -832,7 +816,8 @@ def _load_checkpoint(
         raise CheckpointError(f"checkpoint {path} is truncated or corrupt: {exc}") from None
     if instance != _instance_identity(spec):
         raise CheckpointError(f"checkpoint {path} was written for a different instance")
-    P, m, first = len(rows), spec.family_size, len(_top(spec))  # the top node's first candidate
+    P, m = spec.pool_size(), spec.family_size
+    first = len(_top(spec))  # the top node's first candidate
     problem = None
     if not (resume is None or _index_list(resume, first, P, range(m - first))):
         problem = f"path {resume!r} is not under {m - first} increasing indices in [{first}, {P})"
@@ -842,7 +827,7 @@ def _load_checkpoint(
         if not _index_list(witness, 0, P, range(m, m + 1)):
             problem = f"witness {witness!r} is not {m} increasing pool indices"
         else:
-            recount = _recount(rows, witness)
+            recount = _recount(row, witness)
             if not (type(value) is int and value == recount):
                 problem = f"best_value {value!r} is not its witness's value {recount}"
     if problem is None:
@@ -880,27 +865,33 @@ def _write_checkpoint(path: Path, data: dict) -> None:
         raise
 
 
-def _setup(spec: SearchSpec) -> tuple[float, float, list[int], list[int] | None]:
-    """(start time, deadline, pool, rows) of a run; budget_secs counts from before the pool.
+def _setup(spec: SearchSpec) -> tuple[float, float, list[int], Callable[[int], int]]:
+    """(start time, deadline, pool, row reader) of a run; budget_secs counts from before the pool.
 
-    rows is None when the deadline passes before they are all built.
+    row(j) is the conflict row of pool[j]: bit i marks (pool[j], pool[i]) as
+    a counted pair.  The reader builds no row here, only the element basis
+    and, where they pay, the byte tables (setfamily.odd_row_reader).
     """
     start_time = time.monotonic()
     deadline = start_time + spec.budget_secs
     pool = candidate_pool(spec)
-    return start_time, deadline, pool, _pool_rows(spec, pool, deadline)
+    if spec.objective == "op":
+        row = odd_row_reader(pool)
+    else:
+        row = exact_t_row_reader(pool, spec.t)  # type: ignore[arg-type]
+    return start_time, deadline, pool, row
 
 
-def _recount(rows: Sequence[int], chosen: Sequence[int]) -> int:
+def _recount(row: Callable[[int], int], chosen: Sequence[int]) -> int:
     """The counted pairs among the pool indices chosen, read off their rows."""
     bits = sum(1 << i for i in chosen)
-    return sum((rows[i] & bits).bit_count() for i in chosen) // 2
+    return sum((row(i) & bits).bit_count() for i in chosen) // 2
 
 
 def _result(
     spec: SearchSpec,
     pool: Sequence[int],
-    rows: Sequence[int] | None,
+    row: Callable[[int], int],
     start_time: float,
     value: int | None = None,
     chosen: Sequence[int] | None = None,
@@ -913,7 +904,7 @@ def _result(
     search misreported it, and raises OracleSoundnessError.
     """
     if chosen is not None:
-        recount = _recount(rows, chosen)  # type: ignore[arg-type]
+        recount = _recount(row, chosen)
         if recount != value:
             raise OracleSoundnessError(
                 f"search reported value {value} for pool indices {list(chosen)}, "
@@ -939,20 +930,18 @@ def _minimize_exact(spec: SearchSpec, checkpoint: str | Path | None = None) -> S
     ck_path = None if checkpoint is None else Path(checkpoint)
     if ck_path is not None and not ck_path.parent.is_dir():
         raise CheckpointError(f"checkpoint {ck_path}: directory {ck_path.parent} does not exist")
-    start_time, deadline, pool, rows = _setup(spec)
-    if rows is None:
-        return _result(spec, pool, rows, start_time)
+    start_time, deadline, pool, row = _setup(spec)
     # exhaustive mode enumerates every family: no value is <= -1
     floor = _floor(spec)[0] if spec.mode == "bnb" else -1
-    resume, preload = ([], _NOTHING) if ck_path is None else _load_checkpoint(ck_path, spec, rows)
+    resume, preload = ([], _NOTHING) if ck_path is None else _load_checkpoint(ck_path, spec, row)
     if resume is None:  # the file holds an ended search and its result
         value, chosen, nodes, _ = preload
-        return _result(spec, pool, rows, start_time, value, chosen, nodes, optimal=True)
+        return _result(spec, pool, row, start_time, value, chosen, nodes, optimal=True)
     # the hint is the known family of a fresh run, and its evaluations open
     # the run's count; a resumed family already holds the first run's hint
     known, evals = preload, 0
     if spec.mode == "bnb" and preload.witness is None:
-        value, chosen, evals, _ = _climb(rows, range(m), spec.budget_nodes, deadline)
+        value, chosen, evals, _ = _climb(row, P, range(m), spec.budget_nodes, deadline)
         known = _Outcome(value, chosen, preload.nodes, False)
 
     def save(path: tuple[int, ...] | None, so_far: _Outcome) -> None:
@@ -968,10 +957,10 @@ def _minimize_exact(spec: SearchSpec, checkpoint: str | Path | None = None) -> S
         )
 
     value, chosen, nodes, aborted = _tree(
-        pool, rows, spec, resume, known, deadline, floor, evals,
+        pool, row, spec, resume, known, deadline, floor, evals,
         save if ck_path is not None else None,
     )
-    return _result(spec, pool, rows, start_time, value, chosen, nodes, not aborted)
+    return _result(spec, pool, row, start_time, value, chosen, nodes, not aborted)
 
 
 def minimize(spec: SearchSpec, checkpoint: str | Path | None = None) -> SearchResult:
@@ -994,14 +983,12 @@ def local_search(spec: SearchSpec, initial: SetFamily | None = None) -> SearchRe
     Deterministic for a fixed spec.seed; restart 0 starts from `initial` when
     given, later restarts from seeded random families.  The result is an
     upper-bound incumbent, never a proof, so optimal is always False.  A
-    run whose deadline passes while the conflict rows are built returns
-    no family.
+    run always returns a family: one whose deadline has passed before its
+    first climb returns that climb's start family.
     """
     import random
 
-    start_time, deadline, pool, rows = _setup(spec)
-    if rows is None:
-        return _result(spec, pool, rows, start_time)
+    start_time, deadline, pool, row = _setup(spec)
     m = spec.family_size
     rng = random.Random(spec.seed)
     found: list[tuple[int, tuple[int, ...]]] = []
@@ -1019,12 +1006,12 @@ def local_search(spec: SearchSpec, initial: SetFamily | None = None) -> SearchRe
         else:
             start = rng.sample(range(len(pool)), m)
         value, chosen, evals, stopped = _climb(
-            rows, start, spec.budget_nodes, deadline, evals
+            row, len(pool), start, spec.budget_nodes, deadline, evals
         )
         found.append((value, chosen))
         if stopped:
             break
-    return _result(spec, pool, rows, start_time, *min(found), evals)
+    return _result(spec, pool, row, start_time, *min(found), evals)
 
 
 # ---------------------------------------------------------------------------
@@ -1098,8 +1085,8 @@ def verify_theorem(
     k applies to prob-uniform only: odd, at least 3, 3 when left out.
     A COUNTEREXAMPLE verdict against a proven statement raises
     OracleSoundnessError, because it can only mean the search is wrong.
-    A run cut by its budgets, in the row build included, is INCONCLUSIVE
-    unless its incumbent is already below the bound.
+    A run cut by its budgets is INCONCLUSIVE unless its incumbent is
+    already below the bound.
     """
     if statement not in _STATEMENTS:
         raise ValueError(f"statement must be one of {_STATEMENTS}, got {statement!r}")

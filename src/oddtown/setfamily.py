@@ -10,14 +10,16 @@ A family holds its members as bit masks, the characteristic vectors in
 F2^n on which every statistic and the file format work, keeps insertion
 order and refuses duplicate members; a canonical mask-sorted form is
 available for comparisons.  BitSubset objects are built only for callers
-that ask for them.  Pair statistics come from the row builders odd_rows
-and exact_t_rows, which never visit a pair.  Both start from the element
-basis, the transposed bit matrix of the members: a dict keyed by the
-elements they hold, read off the members' bytes when it is dense.  For
-many dense members odd_rows reads each row off per-byte tables: for
-every byte of the ground set that a member uses, a 256-entry table of
-XORs of basis rows, so a row costs one lookup per byte rather than one
-XOR per element.  Family files are written from per-byte tables of
+that ask for them.  Pair statistics come from the row readers
+odd_row_reader and exact_t_row_reader, which build one member's row on
+each call and never visit a pair; odd_rows and exact_t_rows read every
+row in order.  A reader builds the element basis once, the transposed bit
+matrix of the members: a dict keyed by the elements they hold, read off
+the members' bytes when it is dense.  For many dense members
+odd_row_reader also builds per-byte tables once: for every byte of the
+ground set that a member uses, a 256-entry table of XORs of basis rows,
+so a row costs one lookup per byte rather than one XOR per element.  The
+basis and the tables live as long as the reader.  Family files are written from per-byte tables of
 pre-joined element strings on the same terms, and read through a dict
 from each distinct token to its element.  Sparse or few members take the
 element-by-element paths, so the memory used beyond the masks themselves
@@ -206,8 +208,8 @@ def _xor_all(rows: Iterable[int]) -> int:
     return reduce(xor, rows, 0)
 
 
-def odd_rows(masks: Sequence[int]) -> Iterator[int]:
-    """For each mask x = masks[i], the row whose bit j (j != i) is |x n masks[j]| mod 2.
+def odd_row_reader(masks: Sequence[int]) -> Callable[[int], int]:
+    """row(i): for x = masks[i], the row whose bit j (j != i) is |x n masks[j]| mod 2.
 
     |x n y| mod 2 is the F2 inner product <x, y>, and <x, .> is linear in x:
     <x ^ z, y> = <x, y> ^ <z, y>.  So the row of x is the XOR of basis[e]
@@ -215,47 +217,62 @@ def odd_rows(masks: Sequence[int]) -> Iterator[int]:
     and no pair of sets is ever visited.  For many dense masks the XORs are
     read off _byte_tables, one lookup per byte of x; otherwise they are
     taken one element at a time.  Bit i of row i, which is <x, x> = |x| mod 2,
-    is cleared.  Rows are yielded one at a time.
+    is cleared.  The basis and the tables are built once, here, and no read
+    changes them, so rows may be read in any order and any number of times.
     """
     basis = _element_basis(masks)
     # the tables fold every element below the highest, held or not
     top = max(basis, default=-1) + 1
     tables = _byte_tables(lambda e: basis.get(e, 0), masks, top, _xor_all)
     size = len(tables or ())
-    for i, x in enumerate(masks):
+
+    def row(i: int) -> int:
+        x = masks[i]
         if tables is None:
-            row = 0
-            for e in _bit_indices(x):
-                row ^= basis[e]
+            r = _xor_all(map(basis.__getitem__, _bit_indices(x)))
         else:
-            row = reduce(xor, map(getitem, tables, x.to_bytes(size, "little")), 0)
-        if x.bit_count() & 1:
-            row ^= 1 << i
-        yield row
+            r = _xor_all(map(getitem, tables, x.to_bytes(size, "little")))
+        return r ^ (x.bit_count() & 1) << i
+
+    return row
 
 
-def exact_t_rows(masks: Sequence[int], t: int) -> Iterator[int]:
-    """For each mask x = masks[i], the row whose bit j (j != i) is |x n masks[j]| == t.
+def odd_rows(masks: Sequence[int]) -> Iterator[int]:
+    """The rows of odd_row_reader(masks), in order."""
+    return map(odd_row_reader(masks), range(len(masks)))
+
+
+def exact_t_row_reader(masks: Sequence[int], t: int) -> Callable[[int], int]:
+    """row(i): for x = masks[i], the row whose bit j (j != i) is |x n masks[j]| == t.
 
     Adding the basis rows of x's elements in bit-sliced binary (plane p holds
     bit p of every count) gives all of x's intersection sizes at once; the
-    row is where the planes spell t.
+    row is where the planes spell t.  As in odd_row_reader, the basis is
+    built once and reads leave it unchanged.
     """
     basis = _element_basis(masks)
     everyone = (1 << len(masks)) - 1
-    for i, x in enumerate(masks):
+
+    def row(i: int) -> int:
         planes: list[int] = []
-        for e in _bit_indices(x):
+        for e in _bit_indices(masks[i]):
             carry = basis[e]
             for p, plane in enumerate(planes):
                 planes[p] = plane ^ carry
                 carry &= plane
             if carry:
                 planes.append(carry)
-        row = 0 if t >> len(planes) else everyone & ~(1 << i)
+        r = 0 if t >> len(planes) else everyone & ~(1 << i)
         for p, plane in enumerate(planes):
-            row &= plane if t >> p & 1 else ~plane
-        yield row
+            r &= plane if t >> p & 1 else ~plane
+        return r
+
+    return row
+
+
+def exact_t_rows(masks: Sequence[int], t: int) -> Iterator[int]:
+    """The rows of exact_t_row_reader(masks, t), in order."""
+    return map(exact_t_row_reader(masks, t), range(len(masks)))
 
 
 def op(family: SetFamily, materialize_pairs: bool = False) -> OpReport:

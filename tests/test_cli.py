@@ -345,15 +345,19 @@ class TestSearch:
         assert main(["search", "--class", "even", "--n", "4", "--m", "5", *budget]) == 2
         assert "budgets must be positive" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("mode", ["bnb", "local"])
-    def test_budget_spent_in_the_row_build_is_inconclusive(self, capsys, mode):
+    @pytest.mark.parametrize(
+        "mode,exit_code,value", [("bnb", 3, 95), ("local", 0, 101)], ids=["bnb", "local"]
+    )
+    def test_a_passed_deadline_still_reports_a_family(self, capsys, mode, exit_code, value):
+        # even n=12 m=20: bnb stops at the tree's first poll, INCONCLUSIVE
+        # with the hint's start family; local returns its start family
         code, doc = run(
             capsys,
-            "search", "--class", "even", "--n", "12", "--m", "2", "--mode", mode,
+            "search", "--class", "even", "--n", "12", "--m", "20", "--mode", mode,
             "--budget-secs", "1e-9",
         )
-        assert code == 3
-        assert (doc["best_value"], doc["witness"], doc["optimal"]) == (None, None, False)
+        assert code == exit_code
+        assert (doc["best_value"], len(doc["witness"]), doc["optimal"]) == (value, 20, False)
         jsonschema.validate(doc, SCHEMA)
 
     def test_threads_flag_deterministic(self, capsys):
@@ -428,7 +432,7 @@ class TestVerify:
             (["conj-odd", "--n", "5", "--s", "2", "--budget-secs", "1e-9"], "INCONCLUSIVE", 3),
             (["prob-uniform", "--n", "5", "--k", "3"], "COUNTEREXAMPLE", 4),
         ],
-        ids=["holds", "tight", "inconclusive", "inconclusive-in-row-build", "counterexample"],
+        ids=["holds", "tight", "inconclusive", "inconclusive-at-first-poll", "counterexample"],
     )
     def test_exit_code_of_each_verdict(self, capsys, argv, verdict, exit_code):
         code, doc = run(capsys, "verify", "--statement", *argv)
@@ -776,8 +780,7 @@ class TestProcessEntry:
         doc = json.loads(proc.stdout)
         assert doc["optimal"] is False
         spec = se.SearchSpec(ground_size=9, family_size=10, family_class="odd")
-        rows = se._pool_rows(spec, se.candidate_pool(spec))
-        path, best = se._load_checkpoint(ckpt, spec, rows)
+        path, best = se._load_checkpoint(ckpt, spec, se._setup(spec)[3])
         assert path  # a cut below the top node
         assert (best.best_value, best.nodes) == (doc["best_value"], doc["nodes_explored"])
 

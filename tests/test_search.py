@@ -9,6 +9,7 @@ import random
 import sys
 import threading
 import time
+import tracemalloc
 from math import comb
 
 import pytest
@@ -195,6 +196,20 @@ def test_spreads_rebuilt_past_the_memo_cap(monkeypatch, mode, kw, expected):
     assert (rebuilt.best_value, rebuilt.nodes_explored) == expected
 
 
+def test_no_row_matrix_is_built():
+    # even n=16 has P = 32,768 pool sets: a list of all their rows would take
+    # P^2/8 bytes, 128 MiB, while the search reads rows as it needs them
+    spec = SearchSpec(ground_size=16, family_size=40, family_class="even")
+    tracemalloc.start()
+    try:
+        result = minimize(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
+    assert (result.best_value, result.optimal, result.nodes_explored) == (0, True, 16_650_145)
+
+
 @pytest.mark.parametrize(
     "mode,nodes", [("bnb", 33_927), ("exhaustive", 2_895_878)], ids=["bnb", "exhaustive"]
 )
@@ -319,8 +334,8 @@ def test_the_hint_counts_in_the_run(monkeypatch, tmp_path):
     assert before == cut.nodes_explored > hints[0] == 7_892
     grow, trees = search._tree, []
 
-    def tree_counted(pool, rows, spec, resume, known, deadline, floor, nodes, save=None):
-        out = grow(pool, rows, spec, resume, known, deadline, floor, nodes, save)
+    def tree_counted(pool, row, spec, resume, known, deadline, floor, nodes, save=None):
+        out = grow(pool, row, spec, resume, known, deadline, floor, nodes, save)
         trees.append((known.nodes, nodes, out.nodes))
         return out
 
@@ -816,24 +831,51 @@ class TestBudgetsAndValidation:
             SearchSpec(ground_size=4, family_size=5, family_class="even", **budgets)
 
     @pytest.mark.parametrize("mode", ["bnb", "exhaustive", "local"])
-    def test_time_budget_covers_the_row_build(self, monkeypatch, mode):
-        # even n=12 has P = 2,048 rows; a deadline already passed stops the
-        # build at its first poll, and the run holds no family
-        built = []
+    def test_time_budget_covers_the_row_build(self, monkeypatch, tmp_path, mode):
+        # rows are read inside the polled loops, so at even n=12 (P = 2,048)
+        # a deadline passed before the search starts stops it at its first
+        # poll, having read fewer than P rows.  The
+        # bnb hint returns its start family, the first m pool members, and
+        # the tree stops at its first poll with that family and a
+        # checkpoint; local returns its start family
+        reads = []
+        reader = search.odd_row_reader
 
         def counted(masks):
-            for row in ot.setfamily.odd_rows(masks):
-                built.append(row)
-                yield row
+            row = reader(masks)
 
-        monkeypatch.setattr(search, "odd_rows", counted)
+            def read(j):
+                reads.append(j)
+                return row(j)
+
+            return read
+
+        monkeypatch.setattr(search, "odd_row_reader", counted)
+        # exhaustive mode refuses m=20 here: at m=2 its top node counts all
+        # 2,048 candidates, so it polls before its first leaf
+        m = 2 if mode == "exhaustive" else 20
         spec = SearchSpec(
-            ground_size=12, family_size=2, family_class="even", mode=mode, budget_secs=1e-9
+            ground_size=12, family_size=m, family_class="even", mode=mode, budget_secs=1e-9
         )
-        result = minimize(spec)
-        assert len(built) < spec.pool_size()
-        assert (result.best_value, result.witness, result.optimal) == (None, None, False)
-        assert result.nodes_explored == 0
+        ckpt = None if mode == "local" else tmp_path / "run.ckpt"
+        result = minimize(spec, checkpoint=ckpt)
+        assert len(reads) < spec.pool_size()
+        assert result.optimal is False
+        got = (result.best_value, result.nodes_explored)
+        if mode == "exhaustive":
+            assert result.witness is None and got == (None, 2_048)
+            return
+        assert len(result.witness) == 20
+        assert op_sets(to_sets(result.witness)) == result.best_value
+        if mode == "local":  # the start family of seed 0, unclimbed
+            assert got == (101, 0)
+            return
+        pool = candidate_pool(spec)
+        assert result.witness.masks == tuple(pool[:20])
+        assert got == (95, 1_024)
+        saved = json.loads(ckpt.read_text(encoding="utf-8"))
+        assert (saved["best_value"], saved["nodes"]) == got
+        assert saved["path"] is not None
 
     @pytest.mark.parametrize("mode", ["bnb", "local"])
     def test_a_misreported_climb_value_raises(self, monkeypatch, mode):
@@ -853,7 +895,7 @@ class TestBudgetsAndValidation:
     def test_a_misreported_tree_value_raises(self, monkeypatch):
         # spread rows of zeros make every leaf of the exhaustive tree look like
         # value 0, and the first family of even n=4 m=5 has odd pairs
-        monkeypatch.setattr(search, "_spreader", lambda rows, width: lambda j: 0)
+        monkeypatch.setattr(search, "_spreader", lambda row, P, width: lambda j: 0)
         spec = SearchSpec(ground_size=4, family_size=5, family_class="even", mode="exhaustive")
         with pytest.raises(OracleSoundnessError, match="reported value 0"):
             minimize(spec)
@@ -1002,14 +1044,14 @@ class TestCheckpoint:
         monkeypatch.setattr(search, "_SAVE_SECS", 0)
         spec = SearchSpec(**kw)
         pool = candidate_pool(spec)
-        rows = search._pool_rows(spec, pool)
+        row = search._setup(spec)[3]
         direct = minimize(spec)
         chosen = tuple(pool.index(mask) for mask in direct.witness.masks)
         known = search._Outcome(direct.best_value, chosen, 0, False)
         saves = []
 
         def tree(resume, save=None):
-            return search._tree(pool, rows, spec, resume, known, float("inf"), -1, 0, save)
+            return search._tree(pool, row, spec, resume, known, float("inf"), -1, 0, save)
 
         whole = tree((), lambda path, so_far: saves.append((path, so_far.nodes)))
         assert whole.witness == chosen and not whole.aborted
@@ -1028,10 +1070,10 @@ class TestCheckpoint:
         # as the least (value, witness) over it and the tree's leaves
         spec = SearchSpec(ground_size=5, family_size=6, family_class="odd")
         pool = candidate_pool(spec)
-        rows = search._pool_rows(spec, pool)
+        row = search._setup(spec)[3]
 
         def tree(known, floor):
-            return search._tree(pool, rows, spec, (3, 4, 5, 10), known, float("inf"), floor, 0)
+            return search._tree(pool, row, spec, (3, 4, 5, 10), known, float("inf"), floor, 0)
 
         known = search._Outcome(3, (3, 4, 6, 9, 10, 11), 0, False)
         assert tree(search._NOTHING, 3).witness == (3, 4, 8, 9, 10, 11)
@@ -1338,14 +1380,15 @@ def test_packed_climb_matches_the_candidate_loop():
     runs = stops = 0
     for kw in _climb_instances():
         spec = SearchSpec(**kw)
-        rows = search._pool_rows(spec, candidate_pool(spec))
+        pool, row = search._setup(spec)[2:]
+        rows = [row(j) for j in range(len(pool))]
         m = spec.family_size
         rng = random.Random(repr(sorted(kw.items())))
         for start in (range(m), rng.sample(range(len(rows)), m)):
             # a count carried in from earlier restarts moves the 4096 marks mid-scan
             for evals in (0, 4000):
                 for budget, deadline in CLIMB_BUDGETS:
-                    got = search._climb(rows, start, budget, deadline, evals)
+                    got = search._climb(row, len(rows), start, budget, deadline, evals)
                     assert got == climb_reference(rows, start, budget, deadline, evals), (
                         kw, list(start), evals, budget, deadline
                     )
@@ -1359,8 +1402,8 @@ def test_climb_polls_the_deadline_while_it_builds_its_start(monkeypatch):
     built = []
     spreader = search._spreader
 
-    def counting_spreader(rows, width):
-        spread = spreader(rows, width)
+    def counting_spreader(row, P, width):
+        spread = spreader(row, P, width)
 
         def counted(j):
             built.append(j)
@@ -1370,10 +1413,10 @@ def test_climb_polls_the_deadline_while_it_builds_its_start(monkeypatch):
 
     monkeypatch.setattr(search, "_spreader", counting_spreader)
     spec = SearchSpec(ground_size=8, family_size=17, family_class="even")
-    rows = search._pool_rows(spec, candidate_pool(spec))
+    pool, row = search._setup(spec)[2:]
     start = tuple(range(3, 20))
-    got = search._climb(rows, start, 10**9, time.monotonic() - 1, evals=123)
-    assert got == (search._recount(rows, start), start, 123, True)
+    got = search._climb(row, len(pool), start, 10**9, time.monotonic() - 1, evals=123)
+    assert got == (search._recount(row, start), start, 123, True)
     assert got[0] > 0
     assert len(built) <= 1
 

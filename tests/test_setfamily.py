@@ -431,6 +431,27 @@ class TestKernelSelection:
         assert ot.op(ot.eventown_pair(8)[0]).op_count == 0
         assert decisions == [False]
 
+    @pytest.mark.parametrize(
+        "masks,tables",
+        [
+            ([m for m in range(1 << 12) if m.bit_count() % 2 == 0], True),
+            (list(all_k_subsets(40, 2).masks), False),
+        ],
+        ids=["even-12", "pairs-40"],
+    )
+    def test_readers_read_rows_in_any_order(self, decisions, masks, tables):
+        # reverse, random and repeated reads of one reader give the rows read
+        # in order: no read changes the basis or the tables the reads share
+        P = len(masks)
+        order = [*reversed(range(P)), *random.Random(5).choices(range(P), k=P)]
+        readers = [(setfamily.odd_row_reader(masks), list(setfamily.odd_rows(masks)))]
+        for t in (0, 1, 2):
+            rows = list(setfamily.exact_t_rows(masks, t))
+            readers.append((setfamily.exact_t_row_reader(masks, t), rows))
+        for row, rows in readers:
+            assert [row(i) for i in order] == [rows[i] for i in order]
+        assert decisions == [tables, tables]
+
 
 class TestCkt:
     def test_all_4_subsets_of_5_at_t3(self):
