@@ -7,6 +7,12 @@ validation and shadows).  search and verify hand the flags given to
 SearchSpec and verify_theorem by name, so a flag left out takes the
 library's default.
 
+_parse reads argv against one table, _COMMANDS (each command's handler and
+flags), with argparse's rules and messages: `--flag value` or
+`--flag=value`, a unique prefix for its flag, the last of a repeated flag
+wins, and -h or --help prints the usage.  It replaces argparse, whose import
+and parser builds cost ~4 ms of CPU in every process.
+
 Machine output is JSON on stdout; when stdout is a terminal a plain
 key/value table is shown instead (force JSON with --json).  Exit codes:
 0 success/optimal, 2 usage or argument error, 3 inconclusive under budget,
@@ -19,18 +25,19 @@ skips the interpreter's finalization (module teardown, the last garbage
 collections, freeing every object), 8-11 ms of CPU per command.  Every
 file a command writes is closed before main returns, and nothing here
 registers an atexit handler or starts a thread.  A usage error or --help
-(SystemExit from argparse) and any unexpected exception leave run() as
+(SystemExit from _parse) and any unexpected exception leave run() as
 they leave main(), and the interpreter finalizes as usual.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
 from math import comb
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Callable, NoReturn
 
 from . import constructions as cons
@@ -65,11 +72,15 @@ _FAMILIES: dict[str, tuple[tuple[str, ...], Callable[..., sf.SetFamily]]] = {
 }
 
 
+class _BadValue(Exception):
+    """Raised by a flag's converter; the message says why the value is refused."""
+
+
 def _thread_count(raw: str) -> int:
     """--threads: accepted for existing command lines and dropped, but still >= 1."""
     value = int(raw)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+        raise _BadValue(f"must be >= 1, got {value}")
     return value
 
 
@@ -90,77 +101,6 @@ def _fraction_fields(value: Fraction) -> dict[str, Any]:
     return {"exact": f"{value.numerator}/{value.denominator}", "float": float(value)}
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="oddtown",
-        description="Construct, analyze and optimise set families by intersection parity.",
-    )
-    parser.add_argument("--json", action="store_true", help="force JSON output on a terminal")
-    sub = parser.add_subparsers(dest="command", required=True)
-    # search and verify pass the flags given, by name, to SearchSpec and
-    # verify_theorem: a flag left out is absent, and the library's default applies
-    run = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    run.add_argument("--threads", type=_thread_count, help="accepted for existing command lines; no effect")
-    run.add_argument("--budget-nodes", type=int)
-    run.add_argument("--budget-secs", type=float)
-
-    p = sub.add_parser("construct", help="generate a named family")
-    p.set_defaults(handler=_cmd_construct)
-    p.add_argument("--family", required=True, choices=tuple(_FAMILIES))
-    p.add_argument("--n", type=int, help="ground set size")
-    p.add_argument("--s", type=int, help="number of added sets (eventown-plus, oddtown-plus)")
-    p.add_argument("--k", type=int, help="uniformity parameter for f2")
-    p.add_argument("--seed", type=int, help="draw the added sets as a seeded sample (eventown-plus, oddtown-plus)")
-    p.add_argument("--out", type=Path, help="write the family file here")
-
-    p = sub.add_parser("analyze", help="statistics of a family file")
-    p.set_defaults(handler=_cmd_analyze)
-    p.add_argument("--in", dest="path", required=True, type=Path)
-    p.add_argument("--pairs", action="store_true", help="list odd pairs by member index")
-    p.add_argument("--ckt", type=int, metavar="T", help="count pairs meeting in exactly T elements")
-    p.add_argument("--density", action="store_true", help="report the exact odd-pair density")
-    p.add_argument("--links", type=int, metavar="K", help="check the link double count at uniformity K")
-
-    p = sub.add_parser(
-        "search", parents=[run], argument_default=argparse.SUPPRESS,
-        help="minimise an objective over a family class",
-    )
-    p.set_defaults(handler=_cmd_search)
-    p.add_argument("--class", dest="family_class", required=True, choices=se._CLASSES)
-    p.add_argument("--n", dest="ground_size", metavar="N", type=int, required=True)
-    p.add_argument("--m", dest="family_size", metavar="M", type=int, required=True, help="family size")
-    p.add_argument("--k", type=int, help="uniform class member size")
-    p.add_argument("--objective", choices=se._OBJECTIVES)
-    p.add_argument("--t", type=int, help="intersection size for objective ckt")
-    p.add_argument("--mode", choices=se._MODES)
-    p.add_argument("--seed", type=int, help="seed for local search")
-    p.add_argument("--restarts", type=int, help="restarts for local search")
-    p.add_argument("--checkpoint", type=Path, help="resume file: where the budget stopped the tree, or its end (exact modes only)")
-
-    p = sub.add_parser(
-        "verify", parents=[run], argument_default=argparse.SUPPRESS,
-        help="check a statement instance against the oracle",
-    )
-    p.set_defaults(handler=_cmd_verify)
-    p.add_argument("--statement", required=True, choices=se._STATEMENTS)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=int)
-    p.add_argument("--k", type=int, help="uniformity for prob-uniform (odd, default 3)")
-    p.add_argument("--mode", choices=tuple(m for m in se._MODES if m != "local"))
-
-    p = sub.add_parser("steiner", help="validate block designs, emit shadows")
-    p.set_defaults(handler=_cmd_steiner)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--validate", type=Path, help="block file to validate")
-    group.add_argument("--partition", action="store_true", help="build the quadruple partition design")
-    p.add_argument("--n", type=int, help="ground size for --partition")
-    p.add_argument("--k", type=int, help="expected block size for --validate")
-    p.add_argument("--t", type=int, help="expected cover size for --validate")
-    p.add_argument("--shadow", type=int, metavar="K", help="emit the K-shadow of the blocks")
-    p.add_argument("--out", type=Path, help="write the shadow family file here")
-    return parser
-
-
 def _family_stats(family: sf.SetFamily, report: sf.OpReport) -> dict[str, Any]:
     """Size, op and the two rule checks, which need only op and the size parities."""
     odd = sum(x.bit_count() & 1 for x in family.masks)
@@ -174,7 +114,7 @@ def _family_stats(family: sf.SetFamily, report: sf.OpReport) -> dict[str, Any]:
     }
 
 
-def _cmd_construct(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
+def _cmd_construct(args: SimpleNamespace) -> tuple[dict[str, Any], int]:
     name = args.family
     takes, build = _FAMILIES[name]
     for flag in ("n", "s", "k", "seed"):
@@ -194,7 +134,7 @@ def _cmd_construct(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     return payload, EXIT_OK
 
 
-def _cmd_analyze(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
+def _cmd_analyze(args: SimpleNamespace) -> tuple[dict[str, Any], int]:
     family = sf.load_family(args.path)
     report = sf.op(family, materialize_pairs=args.pairs)
     payload = _family_stats(family, report)
@@ -222,11 +162,11 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
 _CLI_ONLY = ("command", "json", "handler", "threads", "checkpoint")
 
 
-def _library_args(args: argparse.Namespace) -> dict[str, Any]:
+def _library_args(args: SimpleNamespace) -> dict[str, Any]:
     return {key: value for key, value in vars(args).items() if key not in _CLI_ONLY}
 
 
-def _cmd_search(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
+def _cmd_search(args: SimpleNamespace) -> tuple[dict[str, Any], int]:
     spec = se.SearchSpec(**_library_args(args))
     result = se.minimize(spec, checkpoint=getattr(args, "checkpoint", None))
     # local search always reports an incumbent, its start family at the least
@@ -234,12 +174,12 @@ def _cmd_search(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     return result.to_json_dict(), code
 
 
-def _cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
+def _cmd_verify(args: SimpleNamespace) -> tuple[dict[str, Any], int]:
     report = se.verify_theorem(**_library_args(args))
     return report.to_json_dict(), _VERDICT_EXIT[report.verdict]
 
 
-def _cmd_steiner(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
+def _cmd_steiner(args: SimpleNamespace) -> tuple[dict[str, Any], int]:
     if args.out is not None and args.shadow is None:
         raise ValueError("--out needs --shadow")
     if args.partition:
@@ -273,9 +213,245 @@ def _cmd_steiner(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     return payload, EXIT_OK
 
 
+# A flag is (name, dest, kind, required, help).  kind is the converter of its
+# value (int, float, Path, _thread_count), the tuple of its choices, or None
+# for a switch, which takes no value and reads True when given.
+_HELP = ("-h/--help", "help", None, False, "show this help message and exit")
+_TOP_FLAGS = (("--json", "json", None, False, "force JSON output on a terminal"),)
+_RUN_FLAGS = (
+    ("--threads", "threads", _thread_count, False, "accepted for existing command lines; no effect"),
+    ("--budget-nodes", "budget_nodes", int, False, ""),
+    ("--budget-secs", "budget_secs", float, False, ""),
+)
+
+# each command: its handler, its help line, whether a flag left out is absent
+# from the namespace, its flags, and the flags of which it needs exactly one.
+# search and verify pass the flags given, by name, to SearchSpec and
+# verify_theorem, so a flag left out is absent and the library's default
+# applies; in the other commands it reads None (False for a switch)
+_COMMANDS: dict[str, tuple[Any, ...]] = {
+    "construct": (_cmd_construct, "generate a named family", False, (
+        ("--family", "family", tuple(_FAMILIES), True, ""),
+        ("--n", "n", int, False, "ground set size"),
+        ("--s", "s", int, False, "number of added sets (eventown-plus, oddtown-plus)"),
+        ("--k", "k", int, False, "uniformity parameter for f2"),
+        ("--seed", "seed", int, False, "draw the added sets as a seeded sample (eventown-plus, oddtown-plus)"),
+        ("--out", "out", Path, False, "write the family file here"),
+    ), ()),
+    "analyze": (_cmd_analyze, "statistics of a family file", False, (
+        ("--in", "path", Path, True, ""),
+        ("--pairs", "pairs", None, False, "list odd pairs by member index"),
+        ("--ckt", "ckt", int, False, "count pairs meeting in exactly this many elements"),
+        ("--density", "density", None, False, "report the exact odd-pair density"),
+        ("--links", "links", int, False, "check the link double count at this uniformity"),
+    ), ()),
+    "search": (_cmd_search, "minimise an objective over a family class", True, (
+        *_RUN_FLAGS,
+        ("--class", "family_class", se._CLASSES, True, ""),
+        ("--n", "ground_size", int, True, ""),
+        ("--m", "family_size", int, True, "family size"),
+        ("--k", "k", int, False, "uniform class member size"),
+        ("--objective", "objective", se._OBJECTIVES, False, ""),
+        ("--t", "t", int, False, "intersection size for objective ckt"),
+        ("--mode", "mode", se._MODES, False, ""),
+        ("--seed", "seed", int, False, "seed for local search"),
+        ("--restarts", "restarts", int, False, "restarts for local search"),
+        ("--checkpoint", "checkpoint", Path, False,
+         "resume file: where the budget stopped the tree, or its end (exact modes only)"),
+    ), ()),
+    "verify": (_cmd_verify, "check a statement instance against the oracle", True, (
+        *_RUN_FLAGS,
+        ("--statement", "statement", se._STATEMENTS, True, ""),
+        ("--n", "n", int, True, ""),
+        ("--s", "s", int, False, ""),
+        ("--k", "k", int, False, "uniformity for prob-uniform (odd, default 3)"),
+        ("--mode", "mode", tuple(m for m in se._MODES if m != "local"), False, ""),
+    ), ()),
+    "steiner": (_cmd_steiner, "validate block designs, emit shadows", False, (
+        ("--validate", "validate", Path, False, "block file to validate"),
+        ("--partition", "partition", None, False, "build the quadruple partition design"),
+        ("--n", "n", int, False, "ground size for --partition"),
+        ("--k", "k", int, False, "expected block size for --validate"),
+        ("--t", "t", int, False, "expected cover size for --validate"),
+        ("--shadow", "shadow", int, False, "emit the shadow of the blocks at this size"),
+        ("--out", "out", Path, False, "write the shadow family file here"),
+    ), ("--validate", "--partition")),
+}
+
+
+def _level(command: str | None) -> tuple[str, tuple[tuple[Any, ...], ...], tuple[str, ...]]:
+    """(prog, flags, flags of which exactly one is needed) of the top level or a command."""
+    if command is None:
+        return "oddtown", _TOP_FLAGS, ()
+    _, _, _, flags, one_of = _COMMANDS[command]
+    return f"oddtown {command}", flags, one_of
+
+
+def _synopsis(flag: tuple[Any, ...]) -> str:
+    name, _, kind, _, _ = flag
+    if kind is None:
+        return name
+    metavar = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else name[2:].upper().replace("-", "_")
+    return f"{name} {metavar}"
+
+
+def _usage(command: str | None) -> str:
+    prog, flags, one_of = _level(command)
+    words = ["usage:", prog, "[-h]"]
+    for flag in flags:
+        if flag[0] not in one_of:
+            words.append(_synopsis(flag) if flag[3] else f"[{_synopsis(flag)}]")
+        elif flag[0] == one_of[0]:
+            words.append("(" + " | ".join(_synopsis(f) for f in flags if f[0] in one_of) + ")")
+    if command is None:
+        words.append("{" + ",".join(_COMMANDS) + "} ...")
+    return " ".join(words)
+
+
+def _refuse(command: str | None, message: str) -> NoReturn:
+    """Print the usage and the error on stderr and exit 2, as argparse did."""
+    prog, _, _ = _level(command)
+    print(f"{_usage(command)}\n{prog}: error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
+
+
+def _help(command: str | None) -> NoReturn:
+    """Print the usage and one line per command and flag on stdout, and exit 0."""
+    _, flags, _ = _level(command)
+    options = [("-h, --help", _HELP[4])] + [(_synopsis(flag), flag[4]) for flag in flags]
+    if command is None:
+        about = "Construct, analyze and optimise set families by intersection parity."
+        sections = [("commands", [(name, entry[1]) for name, entry in _COMMANDS.items()]),
+                    ("options", options)]
+    else:
+        about, sections = _COMMANDS[command][1], [("options", options)]
+    lines = [_usage(command), "", about]
+    for title, rows in sections:
+        lines += ["", f"{title}:"]
+        for left, right in rows:
+            if len(left) > 20 and right:  # the help text starts a new line
+                lines.append(f"  {left}")
+                left = ""
+            lines.append(f"  {left:20}  {right}".rstrip())
+    print("\n".join(lines))
+    raise SystemExit(EXIT_OK)
+
+
+def _classify(command: str | None, options: dict[str, tuple[Any, ...]], token: str):
+    """None for a value; else (the flag, or None for an unknown one, and its value after '=')."""
+    if not token.startswith("-") or token == "-":
+        return None
+    if token in options:
+        return options[token], None
+    head, eq, tail = token.partition("=")
+    if eq and head in options:
+        return options[head], tail
+    if token[1] == "-":  # a unique prefix stands for its flag
+        names = [name for name in options if name.startswith(head)]
+        value = tail if eq else None
+    else:  # -hX reads as -h given the value X, and -hh as -h -h
+        names, value = ["-h"] if token.startswith("-h") else [], token[2:].lstrip("h") or None
+    if len(names) > 1:
+        _refuse(command, f"ambiguous option: {token} could match {', '.join(names)}")
+    if names:
+        return options[names[0]], value
+    if " " in token or token[1] != "-" and re.match(r"^-\d+$|^-\d*\.\d+$", token):
+        return None  # a value with a space or a negative number, though it starts with '-'
+    return None, None
+
+
+def _convert(command: str | None, flag: tuple[Any, ...], raw: str) -> Any:
+    name, _, kind, _, _ = flag
+    if isinstance(kind, tuple):
+        if raw not in kind:
+            choices = ", ".join(map(repr, kind))
+            _refuse(command, f"argument {name}: invalid choice: {raw!r} (choose from {choices})")
+        return raw
+    try:
+        return kind(raw)
+    except _BadValue as exc:
+        _refuse(command, f"argument {name}: {exc}")
+    except (TypeError, ValueError):
+        _refuse(command, f"argument {name}: invalid {kind.__name__} value: {raw!r}")
+
+
+def _read(command: str | None, tokens: list[str], ns: dict[str, Any], extras: list[str]) -> int:
+    """Read the flags of one level into ns, in order; the last of a repeated flag wins.
+
+    Tokens that are no flag of this level go to extras.  The top level
+    stops at its first value, the command, and returns its index.
+    """
+    _, flags, one_of = _level(command)
+    options = {"-h": _HELP, "--help": _HELP, **{flag[0]: flag for flag in flags}}
+    # "--" ends the flags, and every token before it is classified before
+    # any is read, so an ambiguous prefix is refused first
+    end = tokens.index("--") if "--" in tokens else len(tokens)
+    forms = [_classify(command, options, token) for token in tokens[:end]]
+    seen: set[str] = set()
+    i = 0
+    while i < end:
+        form = forms[i]
+        if form is None and command is None:
+            return i
+        if form is None or form[0] is None:
+            extras.append(tokens[i])
+            i += 1
+            continue
+        flag, value = form
+        name, dest, kind, _, _ = flag
+        i += 1
+        if kind is None:
+            if value is not None:
+                _refuse(command, f"argument {name}: ignored explicit argument {value!r}")
+            value = True
+        else:
+            if value is None:
+                if i == end or forms[i] is not None:
+                    _refuse(command, f"argument {name}: expected one argument")
+                value = tokens[i]
+                i += 1
+            value = _convert(command, flag, value)
+        if name in one_of:
+            for other in one_of:
+                if other != name and other in seen:
+                    _refuse(command, f"argument {name}: not allowed with argument {other}")
+        if flag is _HELP:
+            _help(command)
+        seen.add(name)
+        ns[dest] = value
+    extras.extend(tokens[end:])
+    missing = [flag[0] for flag in flags if flag[3] and flag[0] not in seen]
+    if missing:
+        _refuse(command, f"the following arguments are required: {', '.join(missing)}")
+    if one_of and seen.isdisjoint(one_of):
+        _refuse(command, f"one of the arguments {' '.join(one_of)} is required")
+    return end
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The namespace of argv read against _COMMANDS, or SystemExit: 2 on a refusal, 0 after help."""
+    ns: dict[str, Any] = {"json": False, "command": None}
+    extras: list[str] = []
+    i = _read(None, argv, ns, extras)
+    if argv[i:] in ([], ["--"]):
+        _refuse(None, "the following arguments are required: command")
+    command = argv[i]
+    if command not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        _refuse(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
+    handler, _, absent, flags, _ = _COMMANDS[command]
+    ns["command"] = command
+    if not absent:
+        ns.update((flag[1], False if flag[2] is None else None) for flag in flags)
+    ns["handler"] = handler
+    _read(command, argv[i + 1:], ns, extras)
+    if extras:
+        _refuse(None, f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**ns)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         payload, code = args.handler(args)
     except SteinerValidationError as exc:
@@ -297,7 +473,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> NoReturn:
-    """main() on sys.argv, then flush and os._exit with its code."""
+    """main() on sys.argv, then flush and os._exit with its code.
+
+    A refusal or --help raises SystemExit out of main, past the exit here.
+    """
     code = main()
     sys.stdout.flush()
     sys.stderr.flush()

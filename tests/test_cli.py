@@ -566,7 +566,7 @@ class TestThinShell:
     )
     def test_no_flag_sets_a_default(self, argv, required):
         # a flag left out is absent, so the library's own default applies
-        args = cli._build_parser().parse_args(argv)
+        args = cli._parse(argv)
         handler = {"search": cli._cmd_search, "verify": cli._cmd_verify}[argv[0]]
         assert vars(args) == {"json": False, "command": argv[0], "handler": handler, **required}
 
@@ -584,8 +584,341 @@ class TestThinShell:
         ids=["search", "verify"],
     )
     def test_every_library_parameter_has_a_flag(self, argv, target):
-        given = cli._library_args(cli._build_parser().parse_args(argv))
+        given = cli._library_args(cli._parse(argv))
         assert set(given) == set(inspect.signature(target).parameters)
+
+
+class TestParse:
+    """cli._parse reads argv against the command table as argparse did."""
+
+    # each namespace is argparse's for the same argv: the benchmark's twenty
+    # command lines (paths and seeds fixed, budgets appended as the benchmark
+    # does), then --flag=value, a unique prefix, a repeated flag and a
+    # negative value
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+        pytest.param(
+            [
+                "--json", "verify", "--statement", "conj-even", "--n", "6", "--s", "5",
+                "--threads", "2", "--budget-nodes", "1000000000", "--budget-secs", "600.0",
+            ],
+            {
+                "json": True, "command": "verify", "statement": "conj-even", "n": 6, "s": 5,
+                "threads": 2, "budget_nodes": 1000000000, "budget_secs": 600.0,
+            },
+            id="conj-even-n6-s5-t2",
+        ),
+        pytest.param(
+            [
+                "--json", "verify", "--statement", "conj-even", "--n", "6", "--s", "6",
+                "--budget-nodes", "1000000000", "--budget-secs", "600.0",
+            ],
+            {
+                "json": True, "command": "verify", "statement": "conj-even", "n": 6, "s": 6,
+                "budget_nodes": 1000000000, "budget_secs": 600.0,
+            },
+            id="conj-even-n6-s6",
+        ),
+        pytest.param(
+            [
+                "--json", "search", "--class", "even", "--n", "7", "--m", "9", "--budget-nodes",
+                "1000000000", "--budget-secs", "600.0",
+            ],
+            {
+                "json": True, "command": "search", "family_class": "even", "ground_size": 7,
+                "family_size": 9, "budget_nodes": 1000000000, "budget_secs": 600.0,
+            },
+            id="even-n7-m9",
+        ),
+        pytest.param(
+            [
+                "--json", "verify", "--statement", "conj-odd", "--n", "7", "--s", "2",
+                "--budget-nodes", "1000000000", "--budget-secs", "600.0",
+            ],
+            {
+                "json": True, "command": "verify", "statement": "conj-odd", "n": 7, "s": 2,
+                "budget_nodes": 1000000000, "budget_secs": 600.0,
+            },
+            id="conj-odd-n7-s2",
+        ),
+        pytest.param(
+            [
+                "--json", "verify", "--statement", "prob-uniform", "--n", "7", "--k", "3", "--s",
+                "2", "--budget-nodes", "1000000000", "--budget-secs", "600.0",
+            ],
+            {
+                "json": True, "command": "verify", "statement": "prob-uniform", "n": 7, "k": 3,
+                "s": 2, "budget_nodes": 1000000000, "budget_secs": 600.0,
+            },
+            id="prob-uniform-n7-k3-s2",
+        ),
+        pytest.param(
+            [
+                "--json", "search", "--class", "uniform", "--k", "4", "--n", "6", "--m", "9",
+                "--objective", "ckt", "--t", "2", "--budget-nodes", "1000000000", "--budget-secs",
+                "600.0",
+            ],
+            {
+                "json": True, "command": "search", "family_class": "uniform", "k": 4,
+                "ground_size": 6, "family_size": 9, "objective": "ckt", "t": 2, "budget_nodes":
+                1000000000, "budget_secs": 600.0,
+            },
+            id="uniform-ckt-n6-k4-m9",
+        ),
+        pytest.param(
+            [
+                "--json", "search", "--class", "even", "--n", "13", "--m", "16", "--budget-nodes",
+                "1000000000", "--budget-secs", "600.0",
+            ],
+            {
+                "json": True, "command": "search", "family_class": "even", "ground_size": 13,
+                "family_size": 16, "budget_nodes": 1000000000, "budget_secs": 600.0,
+            },
+            id="even-n13-m16",
+        ),
+        pytest.param(
+            [
+                "--json", "search", "--class", "uniform", "--k", "3", "--n", "28", "--m", "10",
+                "--budget-nodes", "1000000000", "--budget-secs", "600.0",
+            ],
+            {
+                "json": True, "command": "search", "family_class": "uniform", "k": 3,
+                "ground_size": 28, "family_size": 10, "budget_nodes": 1000000000, "budget_secs":
+                600.0,
+            },
+            id="uniform-n28-k3-m10",
+        ),
+        pytest.param(
+            [
+                "--json", "search", "--class", "uniform", "--k", "4", "--n", "16", "--m", "10",
+                "--objective", "ckt", "--t", "2", "--budget-nodes", "1000000000", "--budget-secs",
+                "600.0",
+            ],
+            {
+                "json": True, "command": "search", "family_class": "uniform", "k": 4,
+                "ground_size": 16, "family_size": 10, "objective": "ckt", "t": 2, "budget_nodes":
+                1000000000, "budget_secs": 600.0,
+            },
+            id="uniform-ckt-n16-k4-m10",
+        ),
+        pytest.param(
+            [
+                "--json", "search", "--class", "odd", "--n", "12", "--m", "12", "--budget-nodes",
+                "1000000000", "--budget-secs", "600.0",
+            ],
+            {
+                "json": True, "command": "search", "family_class": "odd", "ground_size": 12,
+                "family_size": 12, "budget_nodes": 1000000000, "budget_secs": 600.0,
+            },
+            id="odd-n12-m12",
+        ),
+        pytest.param(
+            [
+                "--json", "search", "--class", "even", "--n", "12", "--m", "65", "--mode", "local",
+                "--seed", "1234567", "--budget-nodes", "1000000000", "--budget-secs", "600.0",
+            ],
+            {
+                "json": True, "command": "search", "family_class": "even", "ground_size": 12,
+                "family_size": 65, "mode": "local", "seed": 1234567, "budget_nodes": 1000000000,
+                "budget_secs": 600.0,
+            },
+            id="local-even-n12-m65",
+        ),
+        pytest.param(
+            [
+                "--json", "construct", "--family", "eventown-plus", "--n", "24", "--s", "4",
+                "--seed", "7654321", "--out", "work/family-out.txt",
+            ],
+            {
+                "json": True, "command": "construct", "family": "eventown-plus", "n": 24, "s": 4,
+                "k": None, "seed": 7654321, "out": Path("work/family-out.txt"),
+            },
+            id="construct-eventown-plus-n24-s4",
+        ),
+        pytest.param(
+            [
+                "--json", "analyze", "--in", "work/family.txt", "--density",
+            ],
+            {
+                "json": True, "command": "analyze", "path": Path("work/family.txt"), "pairs":
+                False, "ckt": None, "density": True, "links": None,
+            },
+            id="analyze-density-4100",
+        ),
+        pytest.param(
+            [
+                "--json", "steiner", "--validate", "work/design.txt", "--shadow", "4", "--out",
+                "work/shadow-out.txt",
+            ],
+            {
+                "json": True, "command": "steiner", "validate": Path("work/design.txt"),
+                "partition": False, "n": None, "k": None, "t": None, "shadow": 4, "out":
+                Path("work/shadow-out.txt"),
+            },
+            id="steiner-validate-21-5-2",
+        ),
+        pytest.param(
+            [
+                "--json", "analyze", "--in", "work/shadow.txt", "--ckt", "1",
+            ],
+            {
+                "json": True, "command": "analyze", "path": Path("work/shadow.txt"), "pairs":
+                False, "ckt": 1, "density": False, "links": None,
+            },
+            id="analyze-ckt-shadow",
+        ),
+        pytest.param(
+            [
+                "--json", "steiner", "--partition", "--n", "24",
+            ],
+            {
+                "json": True, "command": "steiner", "validate": None, "partition": True, "n": 24,
+                "k": None, "t": None, "shadow": None, "out": None,
+            },
+            id="steiner-partition-n24",
+        ),
+        pytest.param(
+            [
+                "--json", "verify", "--statement", "thm-even", "--n", "8", "--s", "1",
+                "--budget-secs", "2", "--budget-nodes", "1000000000",
+            ],
+            {
+                "json": True, "command": "verify", "statement": "thm-even", "n": 8, "s": 1,
+                "budget_secs": 2.0, "budget_nodes": 1000000000,
+            },
+            id="thm-even-n8-s1-2s",
+        ),
+        pytest.param(
+            [
+                "--json", "verify", "--statement", "conj-odd", "--n", "8", "--s", "2",
+                "--budget-secs", "2", "--budget-nodes", "1000000000",
+            ],
+            {
+                "json": True, "command": "verify", "statement": "conj-odd", "n": 8, "s": 2,
+                "budget_secs": 2.0, "budget_nodes": 1000000000,
+            },
+            id="conj-odd-n8-s2-2s",
+        ),
+        pytest.param(
+            [
+                "--json", "verify", "--statement", "conj-odd", "--n", "8", "--s", "3",
+                "--budget-secs", "2", "--budget-nodes", "1000000000",
+            ],
+            {
+                "json": True, "command": "verify", "statement": "conj-odd", "n": 8, "s": 3,
+                "budget_secs": 2.0, "budget_nodes": 1000000000,
+            },
+            id="conj-odd-n8-s3-2s",
+        ),
+        pytest.param(
+            [
+                "--json", "search", "--class", "uniform", "--k", "3", "--n", "30", "--m", "12",
+                "--budget-secs", "0.5", "--budget-nodes", "1000000000",
+            ],
+            {
+                "json": True, "command": "search", "family_class": "uniform", "k": 3,
+                "ground_size": 30, "family_size": 12, "budget_secs": 0.5, "budget_nodes":
+                1000000000,
+            },
+            id="uniform-n30-k3-m12-0.5s",
+        ),
+        pytest.param(
+            [
+                "construct", "--family", "eventown-a", "--n=6",
+            ],
+            {
+                "json": False, "command": "construct", "family": "eventown-a", "n": 6, "s": None,
+                "k": None, "seed": None, "out": None,
+            },
+            id="n-equals",
+        ),
+        pytest.param(
+            [
+                "verify", "--stat", "thm-even", "--n", "4",
+            ],
+            {
+                "json": False, "command": "verify", "statement": "thm-even", "n": 4,
+            },
+            id="stat-prefix",
+        ),
+        pytest.param(
+            [
+                "search", "--class", "odd", "--n", "5", "--m", "6", "--mode", "bnb", "--mode",
+                "exhaustive",
+            ],
+            {
+                "json": False, "command": "search", "family_class": "odd", "ground_size": 5,
+                "family_size": 6, "mode": "exhaustive",
+            },
+            id="repeated-flag",
+        ),
+        pytest.param(
+            [
+                "construct", "--family", "oddtown-plus", "--n", "4", "--s", "-1",
+            ],
+            {
+                "json": False, "command": "construct", "family": "oddtown-plus", "n": 4, "s": -1,
+                "k": None, "seed": None, "out": None,
+            },
+            id="negative-value",
+        ),
+        ],
+    )
+    def test_namespace_matches_argparse(self, argv, expected):
+        handler = getattr(cli, f"_cmd_{expected['command']}")
+        assert vars(cli._parse(argv)) == {**expected, "handler": handler}
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["frobnicate"], "argument command: invalid choice: 'frobnicate' (choose from 'construct'"),
+            (["construct", "--family", "x5", "--bogus"], "unrecognized arguments: --bogus"),
+            (["construct", "--family", "x5", "--class", "even"], "unrecognized arguments: --class even"),
+            (["construct", "--family"], "argument --family: expected one argument"),
+            (["construct", "--family", "f2", "--k", "--out", "f.txt"], "argument --k: expected one argument"),
+            (["construct", "--family", "x5", "--n", "x"], "argument --n: invalid int value: 'x'"),
+            (["search", "--class", "even", "--n", "4", "--m", "5", "--budget-secs", "x"],
+             "argument --budget-secs: invalid float value: 'x'"),
+            (["construct", "--family", "nope"],
+             "argument --family: invalid choice: 'nope' (choose from 'eventown-a', 'eventown-b'"),
+            (["search", "--class", "even", "--n", "4"], "the following arguments are required: --m"),
+            (["search", "--class", "even", "--n", "4", "--m", "5", "--budget", "5"],
+             "ambiguous option: --budget could match --budget-nodes, --budget-secs"),
+            (["steiner", "--validate", "b.txt", "--partition"],
+             "argument --partition: not allowed with argument --validate"),
+            (["steiner", "--n", "8"], "one of the arguments --validate --partition is required"),
+        ],
+        ids=[
+            "unknown-command", "unknown-flag", "another-commands-flag", "no-value",
+            "flag-as-value", "bad-int", "bad-float", "bad-choice", "missing-required",
+            "ambiguous-prefix", "steiner-both", "steiner-neither",
+        ],
+    )
+    def test_refusal_exits_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        captured = capsys.readouterr()
+        assert err.value.code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("usage: oddtown")
+        assert message in captured.err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]], ids=["top", "verify"])
+    def test_help_lists_every_flag(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        captured = capsys.readouterr()
+        assert err.value.code == 0
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert lines[0].startswith("usage: oddtown")
+        listed = {line.split()[0] for line in lines if line.startswith("  ")}
+        if len(argv) == 1:
+            expected = {"-h,", "--json", *cli._COMMANDS}
+        else:
+            expected = {"-h,", *(flag[0] for flag in cli._COMMANDS[argv[0]][3])}
+        assert listed == expected
 
 
 def test_schema_enums_are_the_search_names():
@@ -597,11 +930,6 @@ def test_schema_enums_are_the_search_names():
 
 
 class TestHarness:
-    def test_unknown_subcommand_exits_2(self):
-        with pytest.raises(SystemExit) as err:
-            main(["frobnicate"])
-        assert err.value.code == 2
-
     def test_terminal_gets_a_table(self, capsys, monkeypatch):
         import sys as _sys
 
@@ -690,17 +1018,20 @@ class TestHarness:
     def test_cold_start_leaves_out_heavy_modules(self):
         # every command is a fresh process, so all it imports is paid on every
         # run: dataclasses (with inspect, ast and dis) and fractions (with
-        # decimal) took ~25 ms of a ~100 ms process
-        heavy = ("dataclasses", "inspect", "fractions", "decimal")
-        code = (
-            "import sys; before = set(sys.modules); import oddtown.cli; "
-            "print(' '.join(sorted(set(sys.modules) - before)))"
-        )
-        proc = run_process("-c", code, capture_output=True)
-        assert proc.returncode == 0, proc.stderr
-        loaded = proc.stdout.split()
-        assert "oddtown.cli" in loaded
-        assert [name for name in heavy if name in loaded] == []
+        # decimal) took ~25 ms of a ~100 ms process, and argparse (with
+        # gettext, and locale at its first parser) ~4 ms
+        heavy = ("dataclasses", "inspect", "fractions", "decimal", "argparse", "gettext", "locale")
+        for command in ("", "oddtown.cli.main(['--json', 'construct', '--family', 'x5']); "):
+            code = (
+                "import sys; before = set(sys.modules); import oddtown.cli; "
+                + command
+                + "print(' '.join(sorted(set(sys.modules) - before)), file=sys.stderr)"
+            )
+            proc = run_process("-c", code, capture_output=True)
+            assert proc.returncode == 0, proc.stderr
+            loaded = proc.stderr.split()
+            assert "oddtown.cli" in loaded
+            assert [name for name in heavy if name in loaded] == []
 
 
 class TestProcessEntry:
@@ -726,11 +1057,16 @@ class TestProcessEntry:
         assert json.loads(proc.stdout)["op"] == 3
 
     def test_usage_error_still_finalizes(self):
+        # a refusal and --help leave main by SystemExit, not through run()'s exit
         proc = self.entry("construct", "--family", "nope")
         assert proc.returncode == 2
         assert "invalid choice" in proc.stderr
         assert proc.stderr.endswith("finalized")
         assert proc.stdout == ""
+        proc = self.entry("--help")
+        assert proc.returncode == 0
+        assert proc.stderr == "finalized"
+        assert proc.stdout.startswith("usage: oddtown")
 
     @pytest.mark.parametrize(
         "argv,code,key,value",
