@@ -8,10 +8,10 @@ SearchSpec and verify_theorem by name, so a flag left out takes the
 library's default.
 
 _parse reads argv against one table, _COMMANDS (each command's handler and
-flags), with argparse's rules and messages: `--flag value` or
-`--flag=value`, a unique prefix for its flag, the last of a repeated flag
-wins, and -h or --help prints the usage.  It replaces argparse, whose import
-and parser builds cost ~4 ms of CPU in every process.
+flags), in one pass: `--flag value` or `--flag=value`, where the value may
+start with a single '-'; a unique prefix for its flag; the last of a
+repeated flag wins; and -h or --help prints the usage.  It replaces
+argparse, whose import and parser builds cost ~4 ms of CPU in every process.
 
 Machine output is JSON on stdout; when stdout is a terminal a plain
 key/value table is shown instead (force JSON with --json).  Exit codes:
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import sys
 from math import comb
 from pathlib import Path
@@ -77,8 +76,11 @@ class _BadValue(Exception):
 
 
 def _thread_count(raw: str) -> int:
-    """--threads: accepted for existing command lines and dropped, but still >= 1."""
-    value = int(raw)
+    """--threads: accepted for existing command lines and dropped, but still an int >= 1."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise _BadValue(f"invalid int value: {raw!r}") from None
     if value < 1:
         raise _BadValue(f"must be >= 1, got {value}")
     return value
@@ -163,12 +165,14 @@ _CLI_ONLY = ("command", "json", "handler", "threads", "checkpoint")
 
 
 def _library_args(args: SimpleNamespace) -> dict[str, Any]:
-    return {key: value for key, value in vars(args).items() if key not in _CLI_ONLY}
+    """The library flags given; one left out reads None here and is dropped."""
+    return {key: value for key, value in vars(args).items()
+            if key not in _CLI_ONLY and value is not None}
 
 
 def _cmd_search(args: SimpleNamespace) -> tuple[dict[str, Any], int]:
     spec = se.SearchSpec(**_library_args(args))
-    result = se.minimize(spec, checkpoint=getattr(args, "checkpoint", None))
+    result = se.minimize(spec, checkpoint=args.checkpoint)
     # local search always reports an incumbent, its start family at the least
     code = EXIT_OK if spec.mode == "local" or result.optimal else EXIT_INCONCLUSIVE
     return result.to_json_dict(), code
@@ -180,6 +184,8 @@ def _cmd_verify(args: SimpleNamespace) -> tuple[dict[str, Any], int]:
 
 
 def _cmd_steiner(args: SimpleNamespace) -> tuple[dict[str, Any], int]:
+    if (args.validate is not None) == args.partition:
+        raise ValueError("steiner needs exactly one of --validate and --partition")
     if args.out is not None and args.shadow is None:
         raise ValueError("--out needs --shadow")
     if args.partition:
@@ -224,28 +230,26 @@ _RUN_FLAGS = (
     ("--budget-secs", "budget_secs", float, False, ""),
 )
 
-# each command: its handler, its help line, whether a flag left out is absent
-# from the namespace, its flags, and the flags of which it needs exactly one.
-# search and verify pass the flags given, by name, to SearchSpec and
-# verify_theorem, so a flag left out is absent and the library's default
-# applies; in the other commands it reads None (False for a switch)
+# each command: its handler, its help line and its flags.  A flag left out
+# reads None (False for a switch); search and verify pass only the flags
+# given to SearchSpec and verify_theorem, so the library's default applies
 _COMMANDS: dict[str, tuple[Any, ...]] = {
-    "construct": (_cmd_construct, "generate a named family", False, (
+    "construct": (_cmd_construct, "generate a named family", (
         ("--family", "family", tuple(_FAMILIES), True, ""),
         ("--n", "n", int, False, "ground set size"),
         ("--s", "s", int, False, "number of added sets (eventown-plus, oddtown-plus)"),
         ("--k", "k", int, False, "uniformity parameter for f2"),
         ("--seed", "seed", int, False, "draw the added sets as a seeded sample (eventown-plus, oddtown-plus)"),
         ("--out", "out", Path, False, "write the family file here"),
-    ), ()),
-    "analyze": (_cmd_analyze, "statistics of a family file", False, (
+    )),
+    "analyze": (_cmd_analyze, "statistics of a family file", (
         ("--in", "path", Path, True, ""),
         ("--pairs", "pairs", None, False, "list odd pairs by member index"),
         ("--ckt", "ckt", int, False, "count pairs meeting in exactly this many elements"),
         ("--density", "density", None, False, "report the exact odd-pair density"),
         ("--links", "links", int, False, "check the link double count at this uniformity"),
-    ), ()),
-    "search": (_cmd_search, "minimise an objective over a family class", True, (
+    )),
+    "search": (_cmd_search, "minimise an objective over a family class", (
         *_RUN_FLAGS,
         ("--class", "family_class", se._CLASSES, True, ""),
         ("--n", "ground_size", int, True, ""),
@@ -258,16 +262,16 @@ _COMMANDS: dict[str, tuple[Any, ...]] = {
         ("--restarts", "restarts", int, False, "restarts for local search"),
         ("--checkpoint", "checkpoint", Path, False,
          "resume file: where the budget stopped the tree, or its end (exact modes only)"),
-    ), ()),
-    "verify": (_cmd_verify, "check a statement instance against the oracle", True, (
+    )),
+    "verify": (_cmd_verify, "check a statement instance against the oracle", (
         *_RUN_FLAGS,
         ("--statement", "statement", se._STATEMENTS, True, ""),
         ("--n", "n", int, True, ""),
         ("--s", "s", int, False, ""),
         ("--k", "k", int, False, "uniformity for prob-uniform (odd, default 3)"),
         ("--mode", "mode", tuple(m for m in se._MODES if m != "local"), False, ""),
-    ), ()),
-    "steiner": (_cmd_steiner, "validate block designs, emit shadows", False, (
+    )),
+    "steiner": (_cmd_steiner, "validate block designs, emit shadows", (
         ("--validate", "validate", Path, False, "block file to validate"),
         ("--partition", "partition", None, False, "build the quadruple partition design"),
         ("--n", "n", int, False, "ground size for --partition"),
@@ -275,16 +279,15 @@ _COMMANDS: dict[str, tuple[Any, ...]] = {
         ("--t", "t", int, False, "expected cover size for --validate"),
         ("--shadow", "shadow", int, False, "emit the shadow of the blocks at this size"),
         ("--out", "out", Path, False, "write the shadow family file here"),
-    ), ("--validate", "--partition")),
+    )),
 }
 
 
-def _level(command: str | None) -> tuple[str, tuple[tuple[Any, ...], ...], tuple[str, ...]]:
-    """(prog, flags, flags of which exactly one is needed) of the top level or a command."""
+def _level(command: str | None) -> tuple[str, tuple[tuple[Any, ...], ...]]:
+    """(prog, flags) of the top level or a command."""
     if command is None:
-        return "oddtown", _TOP_FLAGS, ()
-    _, _, _, flags, one_of = _COMMANDS[command]
-    return f"oddtown {command}", flags, one_of
+        return "oddtown", _TOP_FLAGS
+    return f"oddtown {command}", _COMMANDS[command][2]
 
 
 def _synopsis(flag: tuple[Any, ...]) -> str:
@@ -296,28 +299,24 @@ def _synopsis(flag: tuple[Any, ...]) -> str:
 
 
 def _usage(command: str | None) -> str:
-    prog, flags, one_of = _level(command)
+    prog, flags = _level(command)
     words = ["usage:", prog, "[-h]"]
-    for flag in flags:
-        if flag[0] not in one_of:
-            words.append(_synopsis(flag) if flag[3] else f"[{_synopsis(flag)}]")
-        elif flag[0] == one_of[0]:
-            words.append("(" + " | ".join(_synopsis(f) for f in flags if f[0] in one_of) + ")")
+    words += [_synopsis(flag) if flag[3] else f"[{_synopsis(flag)}]" for flag in flags]
     if command is None:
         words.append("{" + ",".join(_COMMANDS) + "} ...")
     return " ".join(words)
 
 
 def _refuse(command: str | None, message: str) -> NoReturn:
-    """Print the usage and the error on stderr and exit 2, as argparse did."""
-    prog, _, _ = _level(command)
+    """Print the usage and the error on stderr and exit 2."""
+    prog, _ = _level(command)
     print(f"{_usage(command)}\n{prog}: error: {message}", file=sys.stderr)
     raise SystemExit(EXIT_USAGE)
 
 
 def _help(command: str | None) -> NoReturn:
     """Print the usage and one line per command and flag on stdout, and exit 0."""
-    _, flags, _ = _level(command)
+    _, flags = _level(command)
     options = [("-h, --help", _HELP[4])] + [(_synopsis(flag), flag[4]) for flag in flags]
     if command is None:
         about = "Construct, analyze and optimise set families by intersection parity."
@@ -327,37 +326,9 @@ def _help(command: str | None) -> NoReturn:
         about, sections = _COMMANDS[command][1], [("options", options)]
     lines = [_usage(command), "", about]
     for title, rows in sections:
-        lines += ["", f"{title}:"]
-        for left, right in rows:
-            if len(left) > 20 and right:  # the help text starts a new line
-                lines.append(f"  {left}")
-                left = ""
-            lines.append(f"  {left:20}  {right}".rstrip())
+        lines += ["", f"{title}:", *(f"  {left:20}  {right}".rstrip() for left, right in rows)]
     print("\n".join(lines))
     raise SystemExit(EXIT_OK)
-
-
-def _classify(command: str | None, options: dict[str, tuple[Any, ...]], token: str):
-    """None for a value; else (the flag, or None for an unknown one, and its value after '=')."""
-    if not token.startswith("-") or token == "-":
-        return None
-    if token in options:
-        return options[token], None
-    head, eq, tail = token.partition("=")
-    if eq and head in options:
-        return options[head], tail
-    if token[1] == "-":  # a unique prefix stands for its flag
-        names = [name for name in options if name.startswith(head)]
-        value = tail if eq else None
-    else:  # -hX reads as -h given the value X, and -hh as -h -h
-        names, value = ["-h"] if token.startswith("-h") else [], token[2:].lstrip("h") or None
-    if len(names) > 1:
-        _refuse(command, f"ambiguous option: {token} could match {', '.join(names)}")
-    if names:
-        return options[names[0]], value
-    if " " in token or token[1] != "-" and re.match(r"^-\d+$|^-\d*\.\d+$", token):
-        return None  # a value with a space or a negative number, though it starts with '-'
-    return None, None
 
 
 def _convert(command: str | None, flag: tuple[Any, ...], raw: str) -> Any:
@@ -371,80 +342,64 @@ def _convert(command: str | None, flag: tuple[Any, ...], raw: str) -> Any:
         return kind(raw)
     except _BadValue as exc:
         _refuse(command, f"argument {name}: {exc}")
-    except (TypeError, ValueError):
+    except ValueError:
         _refuse(command, f"argument {name}: invalid {kind.__name__} value: {raw!r}")
 
 
-def _read(command: str | None, tokens: list[str], ns: dict[str, Any], extras: list[str]) -> int:
-    """Read the flags of one level into ns, in order; the last of a repeated flag wins.
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The namespace of argv read against _COMMANDS, or SystemExit: 2 on a refusal, 0 after help.
 
-    Tokens that are no flag of this level go to extras.  The top level
-    stops at its first value, the command, and returns its index.
+    One pass, in order.  The first token that does not start with "-" names
+    the command, and the flags after it are the command's.  A flag is -h, or
+    a name that starts with "--" or a unique prefix of one; a token that is
+    no flag of its level is an unrecognized argument.  The last of a
+    repeated flag wins.
     """
-    _, flags, one_of = _level(command)
-    options = {"-h": _HELP, "--help": _HELP, **{flag[0]: flag for flag in flags}}
-    # "--" ends the flags, and every token before it is classified before
-    # any is read, so an ambiguous prefix is refused first
-    end = tokens.index("--") if "--" in tokens else len(tokens)
-    forms = [_classify(command, options, token) for token in tokens[:end]]
-    seen: set[str] = set()
-    i = 0
-    while i < end:
-        form = forms[i]
-        if form is None and command is None:
-            return i
-        if form is None or form[0] is None:
-            extras.append(tokens[i])
-            i += 1
+    ns: dict[str, Any] = {"json": False}
+    command, flags, extras = None, _TOP_FLAGS, []
+    tokens = iter(argv)
+    for token in tokens:
+        if command is None and not token.startswith("-"):
+            if token not in _COMMANDS:
+                choices = ", ".join(map(repr, _COMMANDS))
+                _refuse(None, f"argument command: invalid choice: {token!r} (choose from {choices})")
+            command = token
+            handler, _, flags = _COMMANDS[command]
+            ns.update(command=command, handler=handler)
+            ns.update((flag[1], False if flag[2] is None else None) for flag in flags)
             continue
-        flag, value = form
+        # an exact name, or a unique prefix of a "--" name, with its value after "="
+        options = {"-h": _HELP, "--help": _HELP, **{flag[0]: flag for flag in flags}}
+        head, eq, value = token.partition("=")
+        if head in options:
+            names = [head]
+        else:
+            names = [name for name in options if head.startswith("--") and name.startswith(head)]
+        if len(names) > 1:
+            _refuse(command, f"ambiguous option: {token} could match {', '.join(names)}")
+        if not names:
+            extras.append(token)
+            continue
+        flag = options[names[0]]
         name, dest, kind, _, _ = flag
-        i += 1
         if kind is None:
-            if value is not None:
+            if eq:
                 _refuse(command, f"argument {name}: ignored explicit argument {value!r}")
             value = True
         else:
-            if value is None:
-                if i == end or forms[i] is not None:
+            if not eq:  # the next token, which may start with a single "-"
+                value = next(tokens, None)
+                if value is None or value.startswith("--") or value == "-h":
                     _refuse(command, f"argument {name}: expected one argument")
-                value = tokens[i]
-                i += 1
             value = _convert(command, flag, value)
-        if name in one_of:
-            for other in one_of:
-                if other != name and other in seen:
-                    _refuse(command, f"argument {name}: not allowed with argument {other}")
         if flag is _HELP:
             _help(command)
-        seen.add(name)
         ns[dest] = value
-    extras.extend(tokens[end:])
-    missing = [flag[0] for flag in flags if flag[3] and flag[0] not in seen]
+    if command is None:
+        _refuse(None, "the following arguments are required: command")
+    missing = [flag[0] for flag in flags if flag[3] and ns[flag[1]] is None]
     if missing:
         _refuse(command, f"the following arguments are required: {', '.join(missing)}")
-    if one_of and seen.isdisjoint(one_of):
-        _refuse(command, f"one of the arguments {' '.join(one_of)} is required")
-    return end
-
-
-def _parse(argv: list[str]) -> SimpleNamespace:
-    """The namespace of argv read against _COMMANDS, or SystemExit: 2 on a refusal, 0 after help."""
-    ns: dict[str, Any] = {"json": False, "command": None}
-    extras: list[str] = []
-    i = _read(None, argv, ns, extras)
-    if argv[i:] in ([], ["--"]):
-        _refuse(None, "the following arguments are required: command")
-    command = argv[i]
-    if command not in _COMMANDS:
-        choices = ", ".join(map(repr, _COMMANDS))
-        _refuse(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
-    handler, _, absent, flags, _ = _COMMANDS[command]
-    ns["command"] = command
-    if not absent:
-        ns.update((flag[1], False if flag[2] is None else None) for flag in flags)
-    ns["handler"] = handler
-    _read(command, argv[i + 1:], ns, extras)
     if extras:
         _refuse(None, f"unrecognized arguments: {' '.join(extras)}")
     return SimpleNamespace(**ns)

@@ -499,6 +499,18 @@ class TestSteiner:
         assert captured.err == "error: --partition requires --n\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--validate", "b.txt", "--partition"], ["--n", "8"]],
+        ids=["steiner-both", "steiner-neither"],
+    )
+    def test_needs_exactly_one_of_validate_and_partition(self, capsys, argv):
+        code = main(["steiner", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: steiner needs exactly one of --validate and --partition\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("flag", ["--k", "--t"])
     def test_partition_refuses_design_flags(self, capsys, flag):
         # the partition design is always k=4, t=1: --k and --t would do nothing
@@ -565,10 +577,8 @@ class TestThinShell:
         ids=["search", "verify"],
     )
     def test_no_flag_sets_a_default(self, argv, required):
-        # a flag left out is absent, so the library's own default applies
-        args = cli._parse(argv)
-        handler = {"search": cli._cmd_search, "verify": cli._cmd_verify}[argv[0]]
-        assert vars(args) == {"json": False, "command": argv[0], "handler": handler, **required}
+        # a flag left out is not passed, so the library's own default applies
+        assert cli._library_args(cli._parse(argv)) == required
 
     @pytest.mark.parametrize(
         "argv,target",
@@ -589,12 +599,19 @@ class TestThinShell:
 
 
 class TestParse:
-    """cli._parse reads argv against the command table as argparse did."""
+    """cli._parse reads argv against the command table, by the README's grammar."""
 
-    # each namespace is argparse's for the same argv: the benchmark's twenty
-    # command lines (paths and seeds fixed, budgets appended as the benchmark
-    # does), then --flag=value, a unique prefix, a repeated flag and a
-    # negative value
+    # every flag of search and verify reads None when it is not given; each
+    # expected namespace below lists the flags given
+    UNSET = {
+        "search": dict.fromkeys(("threads", "budget_nodes", "budget_secs", "k", "objective",
+                                 "t", "mode", "seed", "restarts", "checkpoint")),
+        "verify": dict.fromkeys(("threads", "budget_nodes", "budget_secs", "s", "k", "mode")),
+    }
+
+    # the benchmark's twenty command lines (paths and seeds fixed, budgets
+    # appended as the benchmark does), then --flag=value, a unique prefix, a
+    # repeated flag and values that start with a single "-"
     @pytest.mark.parametrize(
         "argv,expected",
         [
@@ -863,11 +880,23 @@ class TestParse:
             },
             id="negative-value",
         ),
+        pytest.param(
+            [
+                "construct", "--family", "eventown-plus", "--n", "8", "--s", "2", "--seed", "-3",
+                "--out", "-x.fam",
+            ],
+            {
+                "json": False, "command": "construct", "family": "eventown-plus", "n": 8, "s": 2,
+                "k": None, "seed": -3, "out": Path("-x.fam"),
+            },
+            id="dash-values",
+        ),
         ],
     )
     def test_namespace_matches_argparse(self, argv, expected):
-        handler = getattr(cli, f"_cmd_{expected['command']}")
-        assert vars(cli._parse(argv)) == {**expected, "handler": handler}
+        command = expected["command"]
+        handler = getattr(cli, f"_cmd_{command}")
+        assert vars(cli._parse(argv)) == {**self.UNSET.get(command, {}), **expected, "handler": handler}
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -880,19 +909,23 @@ class TestParse:
             (["construct", "--family", "x5", "--n", "x"], "argument --n: invalid int value: 'x'"),
             (["search", "--class", "even", "--n", "4", "--m", "5", "--budget-secs", "x"],
              "argument --budget-secs: invalid float value: 'x'"),
+            (["search", "--class", "even", "--n", "4", "--m", "5", "--threads", "x"],
+             "argument --threads: invalid int value: 'x'"),
             (["construct", "--family", "nope"],
              "argument --family: invalid choice: 'nope' (choose from 'eventown-a', 'eventown-b'"),
             (["search", "--class", "even", "--n", "4"], "the following arguments are required: --m"),
             (["search", "--class", "even", "--n", "4", "--m", "5", "--budget", "5"],
              "ambiguous option: --budget could match --budget-nodes, --budget-secs"),
-            (["steiner", "--validate", "b.txt", "--partition"],
-             "argument --partition: not allowed with argument --validate"),
-            (["steiner", "--n", "8"], "one of the arguments --validate --partition is required"),
+            (["--"], "ambiguous option: -- could match --help, --json"),
+            (["construct", "--family", "x5", "-hh"], "unrecognized arguments: -hh"),
+            (["construct", "--family", "x5", "-x"], "unrecognized arguments: -x"),
+            (["construct", "--family", "x5", "--out", "--x"], "argument --out: expected one argument"),
         ],
         ids=[
             "unknown-command", "unknown-flag", "another-commands-flag", "no-value",
-            "flag-as-value", "bad-int", "bad-float", "bad-choice", "missing-required",
-            "ambiguous-prefix", "steiner-both", "steiner-neither",
+            "flag-as-value", "bad-int", "bad-float", "bad-thread-count", "bad-choice",
+            "missing-required", "ambiguous-prefix", "double-dash", "h-with-more", "single-dash-flag",
+            "unknown-flag-as-value",
         ],
     )
     def test_refusal_exits_2(self, capsys, argv, message):
@@ -904,7 +937,12 @@ class TestParse:
         assert captured.err.startswith("usage: oddtown")
         assert message in captured.err
 
-    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]], ids=["top", "verify"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["--help"], *([command, "--help"] for command in
+                       ("construct", "analyze", "search", "verify", "steiner"))],
+        ids=["top", "construct", "analyze", "search", "verify", "steiner"],
+    )
     def test_help_lists_every_flag(self, capsys, argv):
         with pytest.raises(SystemExit) as err:
             main(argv)
@@ -917,8 +955,21 @@ class TestParse:
         if len(argv) == 1:
             expected = {"-h,", "--json", *cli._COMMANDS}
         else:
-            expected = {"-h,", *(flag[0] for flag in cli._COMMANDS[argv[0]][3])}
+            expected = {"-h,", *(flag[0] for flag in cli._COMMANDS[argv[0]][2])}
         assert listed == expected
+
+    def test_readme_command_lines_parse(self):
+        # every `oddtown ...` line of the README's Command line block, comments stripped
+        readme = (ROOT / "README.md").read_text()
+        block = readme.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+        argvs = [words[1:] for words in lines if words[:1] == ["oddtown"]]
+        assert argvs  # the block was found
+        for argv in argvs:
+            try:
+                cli._parse(argv)
+            except SystemExit:
+                pytest.fail(f"the README line `oddtown {' '.join(argv)}` is refused")
 
 
 def test_schema_enums_are_the_search_names():
