@@ -226,8 +226,9 @@ _HELP = ("-h/--help", "help", None, False, "show this help message and exit")
 _TOP_FLAGS = (("--json", "json", None, False, "force JSON output on a terminal"),)
 _RUN_FLAGS = (
     ("--threads", "threads", _thread_count, False, "accepted for existing command lines; no effect"),
-    ("--budget-nodes", "budget_nodes", int, False, ""),
-    ("--budget-secs", "budget_secs", float, False, ""),
+    ("--budget-nodes", "budget_nodes", int, False, "cap on candidate evaluations (no cap unless given)"),
+    ("--budget-secs", "budget_secs", float, False,
+     f"time budget in seconds (default {se.DEFAULT_TIME_BUDGET:g})"),
 )
 
 # each command: its handler, its help line and its flags.  A flag left out

@@ -57,17 +57,22 @@ devices on top of plain enumeration, all always on:
   reaches the floor is optimal, so the search stops there.
 
 There is one hill climber, _climb: first-improvement single-set swaps over
-the pool, bounded by budget_nodes and budget_secs.  It keeps the counts
-packed as the tree does (_spreader builds the spread rows of both), so a
-scan for a swap tests every candidate with a few integer operations: it
-makes the swaps of an ascending candidate loop, in the same order, adds
-the evaluations that loop would count, and polls the budgets at the same
-4096-evaluation marks.  local_search runs it once per restart.  Branch and
-bound runs it once, from the first m pool members, before the tree: this
-hint's value primes pruning, and its family is the incumbent if the tree
-is cut before it reaches a leaf.  The hint's evaluations open the run's
-count, which the tree continues, so budget_nodes and nodes_explored cover
-both.
+the pool, bounded by the run's deadline and evaluation cap (below).  It
+keeps the counts packed as the tree does (_spreader builds the spread rows
+of both), so a scan for a swap tests every candidate with a few integer
+operations: it makes the swaps of an ascending candidate loop, in the
+same order, adds the evaluations that loop would count, and polls the
+budgets at the same 4096-evaluation marks.  local_search runs it once per
+restart.  Branch and bound runs it once, from the first m pool members,
+before the tree: this hint's value primes pruning, and its family is the
+incumbent if the tree is cut before it reaches a leaf.  The hint's
+evaluations open the run's count, which the tree continues, so the
+evaluation cap and nodes_explored cover both.
+
+A run has two budgets: budget_secs, DEFAULT_TIME_BUDGET unless given, and
+budget_nodes, a cap on candidate evaluations only when given.  _setup turns
+them into the run's deadline and evaluation cap (inf for no cap), the two
+numbers every poll reads.
 
 The tree runs on the calling thread and stops only at a budget poll.  A
 checkpoint records the DFS path there, the pool indices chosen: every
@@ -99,16 +104,15 @@ import os
 import sys
 import time
 from array import array
-from math import comb
+from math import comb, inf
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import CheckpointError, InfeasibleSpecError, OracleSoundnessError
-from .gf2 import _bit_indices, _same_ground, _subsets, _Value
+from .gf2 import _bit_indices, _subsets, _Value
 from .setfamily import SetFamily, exact_t_row_reader, odd_row_reader
 
-DEFAULT_NODE_BUDGET = 10**9
-DEFAULT_TIME_BUDGET = 600.0
+DEFAULT_TIME_BUDGET = 600.0  # the one default stop: no evaluation cap unless given
 # At most 2^16 pool sets: the op reader's byte tables then take at most
 # P^2/32 bytes (128 MiB) for the run, and each spreader's kept spreads at
 # most _SPREAD_BYTES.  A larger ground set is refused outright, since every
@@ -141,7 +145,9 @@ class SearchSpec(_Value):
     conflict bound and the class floor (deficiency and averaging, see
     _floor), "exhaustive" none of them; both return the lex-least optimum.
     seed and restarts (>= 1) drive local search only, so the other modes
-    refuse any but their defaults 0 and 1.
+    refuse any but their defaults 0 and 1.  budget_secs (DEFAULT_TIME_BUDGET,
+    600 s, unless given) bounds every run; budget_nodes caps its candidate
+    evaluations (nodes_explored) only when given, and None means no cap.
     """
 
     __slots__ = (
@@ -164,7 +170,7 @@ class SearchSpec(_Value):
     objective: str
     t: int | None
     mode: str
-    budget_nodes: int
+    budget_nodes: int | None
     budget_secs: float
     seed: int
     restarts: int
@@ -178,7 +184,7 @@ class SearchSpec(_Value):
         objective: str = "op",
         t: int | None = None,
         mode: str = "bnb",
-        budget_nodes: int = DEFAULT_NODE_BUDGET,
+        budget_nodes: int | None = None,
         budget_secs: float = DEFAULT_TIME_BUDGET,
         seed: int = 0,
         restarts: int = 1,
@@ -223,7 +229,8 @@ class SearchSpec(_Value):
             raise InfeasibleSpecError(f"restarts must be >= 1, got {self.restarts}")
         if self.mode != "local" and (self.seed, self.restarts) != (0, 1):
             raise InfeasibleSpecError("seed and restarts only apply to mode 'local'")
-        if self.budget_nodes < 1 or not 0 < self.budget_secs < float("inf"):  # NaN fails too
+        nodes_bad = self.budget_nodes is not None and self.budget_nodes < 1
+        if nodes_bad or not 0 < self.budget_secs < inf:  # NaN fails too
             raise InfeasibleSpecError("budgets must be positive and finite")
         pool = self.pool_size()
         if pool > _POOL_CAP:
@@ -414,7 +421,7 @@ def _climb(
     row: Callable[[int], int],
     P: int,
     start: Iterable[int],
-    budget_nodes: int,
+    cap: float,
     deadline: float,
     evals: int = 0,
 ) -> tuple[int, tuple[int, ...], int, bool]:
@@ -423,8 +430,8 @@ def _climb(
     For a in ascending order, swap in the first c outside the family whose
     swap strictly lowers the value; rescan after each swap, stop when none
     improves or once evals (candidate evaluations, continuing the count
-    given) passes budget_nodes or the deadline.  A deadline passed while
-    the start's spread rows are built returns the start family, evals
+    given) passes cap (inf for no cap) or the deadline.  A deadline passed
+    while the start's spread rows are built returns the start family, evals
     unchanged.  Returns (value, chosen indices ascending, evals, stopped),
     the value recounted from the rows of the family returned.  row(j)
     reads the row of pool index j, and P is the pool size.
@@ -473,7 +480,7 @@ def _climb(
                 scanned = P - len(chosen)
             mark = (evals | 0xFFF) + 1
             while mark <= evals + scanned:
-                if mark > budget_nodes or time.monotonic() > deadline:
+                if mark > cap or time.monotonic() > deadline:
                     evals = mark
                     stopped = True
                     break
@@ -519,6 +526,7 @@ def _tree(
     resume: Sequence[int],
     known: _Outcome,
     deadline: float,
+    cap: float,
     floor: int,
     nodes: int,
     save: Callable[[tuple[int, ...] | None, _Outcome], None] | None = None,
@@ -624,8 +632,8 @@ def _tree(
 
     A node adds its candidates, the lower ones and the pending twins,
     counted before the lex-leader test, to the evaluation count
-    (nodes_explored, the unit of budget_nodes).  The count starts at nodes,
-    the evaluations made before the tree (the bnb hint's), so budget_nodes
+    (nodes_explored, the unit of the cap, inf for none).  The count starts at
+    nodes, the evaluations made before the tree (the bnb hint's), so cap
     bounds the two together; a hint of _CHECK_INTERVAL evaluations or more
     has the top node poll the budgets at once.  The search stops once the
     bound is at most floor, a lower bound on every family (_floor's, or -1
@@ -640,7 +648,6 @@ def _tree(
     bounding = spec.mode == "bnb"
     twinned = bounding and spec.family_class == "even" and spec.ground_size % 2 == 0
     half = P // 2 if twinned else P
-    budget_nodes = spec.budget_nodes
     width = 1 if m < 256 else 2
     bits = 8 * width
     full = (1 << bits) - 1  # a blocked field, above every count
@@ -649,7 +656,7 @@ def _tree(
 
     val, wit = known.best_value, known.witness
     if wit is None:
-        bound = float("inf")
+        bound = inf
     else:  # a known family still ahead of the path yields to a tie met first
         bound = val + 1 if wit > top + tuple(resume) else val
     next_check = _CHECK_INTERVAL
@@ -672,7 +679,7 @@ def _tree(
         if nodes >= next_check:
             next_check = nodes + _CHECK_INTERVAL
             now = time.monotonic()
-            aborted = nodes > budget_nodes or now > deadline
+            aborted = nodes > cap or now > deadline
             if save is not None and (aborted or now >= next_save):
                 next_save = now + _SAVE_SECS
                 save(chosen[len(top) :], outcome())
@@ -865,8 +872,11 @@ def _write_checkpoint(path: Path, data: dict) -> None:
         raise
 
 
-def _setup(spec: SearchSpec) -> tuple[float, float, list[int], Callable[[int], int]]:
-    """(start time, deadline, pool, row reader) of a run; budget_secs counts from before the pool.
+def _setup(spec: SearchSpec) -> tuple[float, float, list[int], Callable[[int], int], float]:
+    """(start time, deadline, pool, row reader, evaluation cap) of a run.
+
+    budget_secs counts from before the pool.  The cap is budget_nodes, or
+    inf when it is None: no cap.
 
     row(j) is the conflict row of pool[j]: bit i marks (pool[j], pool[i]) as
     a counted pair.  The reader builds no row here, only the element basis
@@ -879,7 +889,8 @@ def _setup(spec: SearchSpec) -> tuple[float, float, list[int], Callable[[int], i
         row = odd_row_reader(pool)
     else:
         row = exact_t_row_reader(pool, spec.t)  # type: ignore[arg-type]
-    return start_time, deadline, pool, row
+    cap = inf if spec.budget_nodes is None else spec.budget_nodes
+    return start_time, deadline, pool, row, cap
 
 
 def _recount(row: Callable[[int], int], chosen: Sequence[int]) -> int:
@@ -930,7 +941,7 @@ def _minimize_exact(spec: SearchSpec, checkpoint: str | Path | None = None) -> S
     ck_path = None if checkpoint is None else Path(checkpoint)
     if ck_path is not None and not ck_path.parent.is_dir():
         raise CheckpointError(f"checkpoint {ck_path}: directory {ck_path.parent} does not exist")
-    start_time, deadline, pool, row = _setup(spec)
+    start_time, deadline, pool, row, cap = _setup(spec)
     # exhaustive mode enumerates every family: no value is <= -1
     floor = _floor(spec)[0] if spec.mode == "bnb" else -1
     resume, preload = ([], _NOTHING) if ck_path is None else _load_checkpoint(ck_path, spec, row)
@@ -941,7 +952,7 @@ def _minimize_exact(spec: SearchSpec, checkpoint: str | Path | None = None) -> S
     # the run's count; a resumed family already holds the first run's hint
     known, evals = preload, 0
     if spec.mode == "bnb" and preload.witness is None:
-        value, chosen, evals, _ = _climb(row, P, range(m), spec.budget_nodes, deadline)
+        value, chosen, evals, _ = _climb(row, P, range(m), cap, deadline)
         known = _Outcome(value, chosen, preload.nodes, False)
 
     def save(path: tuple[int, ...] | None, so_far: _Outcome) -> None:
@@ -957,7 +968,7 @@ def _minimize_exact(spec: SearchSpec, checkpoint: str | Path | None = None) -> S
         )
 
     value, chosen, nodes, aborted = _tree(
-        pool, row, spec, resume, known, deadline, floor, evals,
+        pool, row, spec, resume, known, deadline, cap, floor, evals,
         save if ck_path is not None else None,
     )
     return _result(spec, pool, row, start_time, value, chosen, nodes, not aborted)
@@ -977,37 +988,28 @@ def minimize(spec: SearchSpec, checkpoint: str | Path | None = None) -> SearchRe
     return _minimize_exact(spec, checkpoint)
 
 
-def local_search(spec: SearchSpec, initial: SetFamily | None = None) -> SearchResult:
+def local_search(spec: SearchSpec) -> SearchResult:
     """First-improvement hill climbing over single-set swaps, spec.restarts times.
 
-    Deterministic for a fixed spec.seed; restart 0 starts from `initial` when
-    given, later restarts from seeded random families.  The result is an
-    upper-bound incumbent, never a proof, so optimal is always False.  A
+    spec.mode must be "local" (InfeasibleSpecError otherwise), so the result
+    never reads as a cut exact run.  Each restart climbs from a family drawn
+    with spec.seed, so a fixed seed gives a fixed run.  The restarts share
+    the budgets: budget_secs, and budget_nodes when given.  The result is
+    an upper-bound incumbent, never a proof, so optimal is always False.  A
     run always returns a family: one whose deadline has passed before its
     first climb returns that climb's start family.
     """
     import random
 
-    start_time, deadline, pool, row = _setup(spec)
-    m = spec.family_size
+    if spec.mode != "local":
+        raise InfeasibleSpecError(f"local search needs mode 'local', got {spec.mode!r}")
+    start_time, deadline, pool, row, cap = _setup(spec)
     rng = random.Random(spec.seed)
     found: list[tuple[int, tuple[int, ...]]] = []
     evals = 0
-    for r in range(spec.restarts):
-        if r == 0 and initial is not None:
-            _same_ground(initial.ground_size, spec.ground_size)
-            if len(initial) != m:
-                raise ValueError(f"initial family has {len(initial)} members, spec wants {m}")
-            index_of = {mask: i for i, mask in enumerate(pool)}
-            try:
-                start = [index_of[mask] for mask in initial.masks]
-            except KeyError as exc:
-                raise ValueError(f"initial member {exc} is not in the instance class") from None
-        else:
-            start = rng.sample(range(len(pool)), m)
-        value, chosen, evals, stopped = _climb(
-            row, len(pool), start, spec.budget_nodes, deadline, evals
-        )
+    for _ in range(spec.restarts):
+        start = rng.sample(range(len(pool)), spec.family_size)
+        value, chosen, evals, stopped = _climb(row, len(pool), start, cap, deadline, evals)
         found.append((value, chosen))
         if stopped:
             break
@@ -1066,7 +1068,7 @@ def verify_theorem(
     k: int | None = None,
     *,
     mode: str = "bnb",
-    budget_nodes: int = DEFAULT_NODE_BUDGET,
+    budget_nodes: int | None = None,
     budget_secs: float = DEFAULT_TIME_BUDGET,
 ) -> TheoremReport:
     """Compare the exact class minimum against a statement's claimed bound.
@@ -1086,7 +1088,9 @@ def verify_theorem(
     A COUNTEREXAMPLE verdict against a proven statement raises
     OracleSoundnessError, because it can only mean the search is wrong.
     A run cut by its budgets is INCONCLUSIVE unless its incumbent is
-    already below the bound.
+    already below the bound.  The budgets are SearchSpec's: budget_secs
+    (600 s unless given) bounds the run, and budget_nodes caps its
+    evaluations only when given.
     """
     if statement not in _STATEMENTS:
         raise ValueError(f"statement must be one of {_STATEMENTS}, got {statement!r}")

@@ -301,10 +301,11 @@ def _uniform_size(family: SetFamily) -> int:
 def c_kt(family: SetFamily, t: int) -> int:
     """Unordered pairs of distinct members meeting in exactly t elements.
 
-    The family must be k-uniform with 0 <= t < k.
+    The family must be k-uniform with 0 <= t < k.  An empty family is
+    k-uniform for every k, as in _links, so its count is 0 at every t >= 0.
     """
     k = _uniform_size(family)
-    if not 0 <= t < k:
+    if t < 0 or (len(family) and t >= k):
         raise ValueError(f"need 0 <= t < member size, got t={t}, k={k}")
     return sum(row.bit_count() for row in exact_t_rows(family.masks, t)) // 2
 
@@ -396,7 +397,7 @@ def check_application_bound(family: SetFamily, k: int, s: int) -> ApplicationBou
     if k < 4:
         raise ValueError(f"need k >= 4, got {k}")
     links = _links(family, k)  # its uniformity check comes before c_kt's
-    lhs = c_kt(family, k - 2) * (k - 2) if len(family) else 0
+    lhs = c_kt(family, k - 2) * (k - 2)
     mid = sum(op(fam).op_count for fam in links)
     rhs = 3 * s * comb(k, 3)
     return ApplicationBound(lhs, mid, rhs)

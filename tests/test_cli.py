@@ -147,6 +147,13 @@ class TestAnalyze:
         assert (doc["is_eventown"], doc["is_oddtown"]) == flags
         assert flags == (ot.is_eventown(family), ot.is_oddtown(family))
 
+    def test_ckt_of_a_header_only_file_is_zero(self, capsys, tmp_path):
+        path = tmp_path / "fam.txt"
+        path.write_text("n=4\n")
+        code, doc = run(capsys, "analyze", "--in", str(path), "--ckt", "1")
+        assert code == 0
+        assert doc["ckt"] == {"t": 1, "count": 0}
+
     def test_density_of_one_member_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "fam.txt"
         path.write_text("n=4\n1 2\n")
@@ -190,6 +197,7 @@ class TestSearch:
         )
         assert code == 0
         assert doc["best_value"] == 2 and doc["optimal"] is True
+        assert doc["spec"]["budget_nodes"] is None  # no evaluation cap unless given
         jsonschema.validate(doc, SCHEMA)
 
     def test_odd_class_n5(self, capsys):

@@ -34,7 +34,7 @@ from oddtown import (
     steiner_partition,
 )
 from oddtown.gf2 import _Value
-from oddtown.search import DEFAULT_NODE_BUDGET, DEFAULT_TIME_BUDGET
+from oddtown.search import DEFAULT_TIME_BUDGET
 
 from oracles import mask_to_row, nullspace_enumerated, rank_dense, subspace_vectors
 
@@ -203,7 +203,7 @@ class TestValueOrder:
     def test_search_spec_positional_and_keyword_forms_agree(self):
         keyword = SearchSpec(ground_size=6, family_size=9, family_class="odd")
         assert SearchSpec(6, 9, "odd") == keyword
-        defaults = (None, "op", None, "bnb", DEFAULT_NODE_BUDGET, DEFAULT_TIME_BUDGET, 0, 1)
+        defaults = (None, "op", None, "bnb", None, DEFAULT_TIME_BUDGET, 0, 1)
         assert tuple(getattr(keyword, name) for name in SPEC_FIELDS[3:]) == defaults
         assert SearchSpec(6, 9, "odd", *defaults) == keyword
         values = (5, 6, "uniform", 3, "ckt", 1, "local", 7, 0.5, 4, 3)

@@ -10,7 +10,7 @@ import sys
 import threading
 import time
 import tracemalloc
-from math import comb
+from math import comb, inf
 
 import pytest
 from hypothesis import example, given, settings
@@ -334,8 +334,8 @@ def test_the_hint_counts_in_the_run(monkeypatch, tmp_path):
     assert before == cut.nodes_explored > hints[0] == 7_892
     grow, trees = search._tree, []
 
-    def tree_counted(pool, row, spec, resume, known, deadline, floor, nodes, save=None):
-        out = grow(pool, row, spec, resume, known, deadline, floor, nodes, save)
+    def tree_counted(pool, row, spec, resume, known, deadline, cap, floor, nodes, save=None):
+        out = grow(pool, row, spec, resume, known, deadline, cap, floor, nodes, save)
         trees.append((known.nodes, nodes, out.nodes))
         return out
 
@@ -824,11 +824,17 @@ class TestBudgetsAndValidation:
     @pytest.mark.parametrize(
         "budgets",
         [dict(budget_secs=float("nan")), dict(budget_secs=0.0), dict(budget_secs=-1.0),
-         dict(budget_nodes=0), dict(budget_secs=float("inf"))],
+         dict(budget_nodes=0), dict(budget_secs=float("inf")), dict(budget_nodes=-1)],
     )
     def test_budgets_must_be_positive(self, budgets):
-        with pytest.raises(InfeasibleSpecError, match="budgets"):
+        with pytest.raises(InfeasibleSpecError, match="budgets must be positive and finite"):
             SearchSpec(ground_size=4, family_size=5, family_class="even", **budgets)
+
+    def test_the_evaluation_cap_is_the_node_budget_or_none(self):
+        # _setup is the one place budget_nodes None becomes no cap
+        kw = dict(ground_size=4, family_size=5, family_class="even")
+        assert search._setup(SearchSpec(**kw))[4] == inf
+        assert search._setup(SearchSpec(budget_nodes=7, **kw))[4] == 7
 
     @pytest.mark.parametrize("mode", ["bnb", "exhaustive", "local"])
     def test_time_budget_covers_the_row_build(self, monkeypatch, tmp_path, mode):
@@ -1051,7 +1057,7 @@ class TestCheckpoint:
         saves = []
 
         def tree(resume, save=None):
-            return search._tree(pool, row, spec, resume, known, float("inf"), -1, 0, save)
+            return search._tree(pool, row, spec, resume, known, inf, inf, -1, 0, save)
 
         whole = tree((), lambda path, so_far: saves.append((path, so_far.nodes)))
         assert whole.witness == chosen and not whole.aborted
@@ -1073,7 +1079,7 @@ class TestCheckpoint:
         row = search._setup(spec)[3]
 
         def tree(known, floor):
-            return search._tree(pool, row, spec, (3, 4, 5, 10), known, float("inf"), floor, 0)
+            return search._tree(pool, row, spec, (3, 4, 5, 10), known, inf, inf, floor, 0)
 
         known = search._Outcome(3, (3, 4, 6, 9, 10, 11), 0, False)
         assert tree(search._NOTHING, 3).witness == (3, 4, 8, 9, 10, 11)
@@ -1249,24 +1255,18 @@ class TestLocalSearch:
         assert not a.optimal
         assert ot.op_count(c.witness) == c.best_value
 
-    def test_seeded_with_construction_keeps_its_value(self):
-        start = ot.eventown_plus(8, 1)
-        spec = SearchSpec(ground_size=8, family_size=17, family_class="even", mode="local")
-        result = local_search(spec, initial=start)
-        assert result.best_value <= ot.op_count(start) == 8
-
-    def test_initial_family_of_the_wrong_size_is_refused(self):
-        spec = SearchSpec(ground_size=8, family_size=18, family_class="even", mode="local")
-        with pytest.raises(ValueError, match="initial family has 17 members, spec wants 18"):
-            local_search(spec, initial=ot.eventown_plus(8, 1))
-
     def test_large_even_instance_reaches_construction_value(self):
-        start = ot.eventown_plus(12, 1)
-        spec = SearchSpec(
-            ground_size=12, family_size=65, family_class="even", mode="local", restarts=2
-        )
-        result = local_search(spec, initial=start)
-        assert result.best_value <= 32
+        # one seeded climb at even n=12 m=65 reaches eventown_plus(12, 1)'s value
+        spec = SearchSpec(ground_size=12, family_size=65, family_class="even", mode="local")
+        result = local_search(spec)
+        assert result.best_value <= ot.op_count(ot.eventown_plus(12, 1)) == 32
+
+    @pytest.mark.parametrize("mode", ["bnb", "exhaustive"])
+    def test_exact_modes_are_refused(self, mode):
+        # a climb under an exact mode's spec would read as a cut exact run
+        spec = SearchSpec(ground_size=4, family_size=5, family_class="even", mode=mode)
+        with pytest.raises(InfeasibleSpecError, match=f"needs mode 'local', got '{mode}'"):
+            local_search(spec)
 
     def test_mode_dispatch(self):
         spec = SearchSpec(
@@ -1276,21 +1276,8 @@ class TestLocalSearch:
         assert not result.optimal
         assert result.best_value >= 2  # proven minimum for this instance
 
-    def test_initial_must_match_class(self):
-        spec = SearchSpec(ground_size=4, family_size=2, family_class="even", mode="local")
-        bad = ot.SetFamily.from_sets(4, [(1,), (2,)])
-        with pytest.raises(ValueError):
-            local_search(spec, initial=bad)
 
-    def test_initial_must_share_the_ground_set(self):
-        # {}, {1, 2}, {1, 3} over [10] are masks of even sets of [8] too
-        spec = SearchSpec(ground_size=8, family_size=3, family_class="even", mode="local")
-        other = ot.SetFamily(10, [0, 3, 5])
-        with pytest.raises(ot.GroundSetMismatchError, match="ground sets differ: 10 vs 8"):
-            local_search(spec, initial=other)
-
-
-# (spec kwargs, seed, initial family) -> (best_value, witness masks, nodes_explored),
+# (spec kwargs, seed, budget_nodes or None for no cap) -> (best_value, witness masks, nodes_explored),
 # recorded from the swap-by-swap local search this climber replaced
 LOCAL_SEARCH_PINS = [
     (dict(ground_size=8, family_size=17, family_class="even"), 0, None,
@@ -1311,17 +1298,14 @@ LOCAL_SEARCH_PINS = [
      (8, (0, 12, 48, 60, 65, 77, 113, 125, 130, 142, 178, 190, 195, 207, 240, 243, 255), 33053)),
     (dict(ground_size=6, family_size=12, family_class="even", restarts=2), 4, None,
      (16, (0, 3, 10, 12, 15, 17, 36, 46, 48, 51, 53, 63), 1366)),
-    (dict(ground_size=8, family_size=17, family_class="even", restarts=2), 0, (8, 1),
-     (8, (0, 3, 6, 12, 15, 48, 51, 60, 63, 192, 195, 204, 207, 240, 243, 252, 255), 12950)),
-    (dict(ground_size=8, family_size=17, family_class="even", restarts=3, budget_nodes=5000), 0, None,
+    (dict(ground_size=8, family_size=17, family_class="even", restarts=3), 0, 5000,
      (14, (0, 10, 48, 58, 65, 113, 123, 132, 142, 180, 190, 197, 207, 215, 245, 249, 255), 8192)),
 ]
 
 
-@pytest.mark.parametrize("kw,seed,initial,expected", LOCAL_SEARCH_PINS)
-def test_local_search_trajectory_is_pinned(kw, seed, initial, expected):
-    start = None if initial is None else ot.eventown_plus(*initial)
-    result = local_search(SearchSpec(mode="local", seed=seed, **kw), initial=start)
+@pytest.mark.parametrize("kw,seed,budget_nodes,expected", LOCAL_SEARCH_PINS)
+def test_local_search_trajectory_is_pinned(kw, seed, budget_nodes, expected):
+    result = local_search(SearchSpec(mode="local", seed=seed, budget_nodes=budget_nodes, **kw))
     assert (result.best_value, result.witness.masks, result.nodes_explored) == expected
 
 
@@ -1371,29 +1355,34 @@ def _climb_instances():
     yield dict(ground_size=9, family_size=200, family_class="even")
 
 
-# (budget_nodes, deadline): a stop falls on a multiple of 4096 evaluations,
-# before, at or after the budget; the last has its deadline already passed
-CLIMB_BUDGETS = [(b, float("inf")) for b in (1, 4095, 4096, 4097, 5000, 10**9)] + [(10**9, 0.0)]
+# (cap, deadline): a stop falls on a multiple of 4096 evaluations, before, at
+# or after the cap; a cap of inf is none (budget_nodes None); the last has its
+# deadline already passed
+CLIMB_BUDGETS = [(b, inf) for b in (1, 4095, 4096, 4097, 5000, 10**9, inf)] + [(10**9, 0.0)]
 
 
 def test_packed_climb_matches_the_candidate_loop():
     runs = stops = 0
     for kw in _climb_instances():
         spec = SearchSpec(**kw)
-        pool, row = search._setup(spec)[2:]
+        pool, row = search._setup(spec)[2:4]
         rows = [row(j) for j in range(len(pool))]
         m = spec.family_size
         rng = random.Random(repr(sorted(kw.items())))
         for start in (range(m), rng.sample(range(len(rows)), m)):
             # a count carried in from earlier restarts moves the 4096 marks mid-scan
             for evals in (0, 4000):
+                outcomes = {}
                 for budget, deadline in CLIMB_BUDGETS:
                     got = search._climb(row, len(rows), start, budget, deadline, evals)
                     assert got == climb_reference(rows, start, budget, deadline, evals), (
                         kw, list(start), evals, budget, deadline
                     )
+                    outcomes[budget, deadline] = got
                     runs += 1
                     stops += got[3]
+                # no climb here nears 10^9 evaluations, so no cap climbs the same
+                assert outcomes[inf, inf] == outcomes[10**9, inf]
     assert stops > 100 and runs - stops > 100  # both endings are exercised
 
 
@@ -1413,7 +1402,7 @@ def test_climb_polls_the_deadline_while_it_builds_its_start(monkeypatch):
 
     monkeypatch.setattr(search, "_spreader", counting_spreader)
     spec = SearchSpec(ground_size=8, family_size=17, family_class="even")
-    pool, row = search._setup(spec)[2:]
+    pool, row = search._setup(spec)[2:4]
     start = tuple(range(3, 20))
     got = search._climb(row, len(pool), start, 10**9, time.monotonic() - 1, evals=123)
     assert got == (search._recount(row, start), start, 123, True)

@@ -471,6 +471,14 @@ class TestCkt:
         with pytest.raises(ValueError):
             ot.c_kt(fam, -1)
 
+    def test_empty_family_has_no_pair_at_any_t(self):
+        # an empty family is k-uniform for every k, as _links takes it
+        empty = SetFamily(6, [])
+        assert [ot.c_kt(empty, t) for t in range(7)] == [0] * 7
+        assert ot.check_application_bound(empty, 5, s=1)[:2] == (0, 0)
+        with pytest.raises(ValueError, match="got t=-1"):
+            ot.c_kt(empty, -1)
+
     def test_matches_set_oracle(self):
         rng = random.Random(13)
         for _ in range(50):
