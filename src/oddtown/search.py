@@ -1083,7 +1083,9 @@ def verify_theorem(
 
     s outside the statement's claimed range (_S_RANGES) raises ValueError,
     "{statement} claims {lo} <= s <= {hi} at n={n}, got s={s}" (prob-uniform
-    has no upper end); the claimed bound is the class's entry in _CLAIMS.
+    has no upper end), and an empty range (conj-even at n <= 5) says
+    "{statement} claims no s at n={n} ({lo} <= s <= {hi} is empty)"; the
+    claimed bound is the class's entry in _CLAIMS.
     k applies to prob-uniform only: odd, at least 3, 3 when left out.
     A COUNTEREXAMPLE verdict against a proven statement raises
     OracleSoundnessError, because it can only mean the search is wrong.
@@ -1102,6 +1104,8 @@ def verify_theorem(
         raise ValueError(f"prob-uniform needs odd k >= 3, got k={spec_k}")
     rule = _rule_bound(family_class, n, spec_k)
     lo, hi = _S_RANGES[statement](n, rule)
+    if hi is not None and hi < lo:
+        raise ValueError(f"{statement} claims no s at n={n} ({lo} <= s <= {hi} is empty)")
     if s < lo or (hi is not None and s > hi):
         most = "" if hi is None else f" <= {hi}"
         raise ValueError(f"{statement} claims {lo} <= s{most} at n={n}, got s={s}")

@@ -19,17 +19,19 @@ the members' bytes when it is dense.  For many dense members
 odd_row_reader also builds per-byte tables once: for every byte of the
 ground set that a member uses, a 256-entry table of XORs of basis rows,
 so a row costs one lookup per byte rather than one XOR per element.  The
-basis and the tables live as long as the reader.  Family files are written from per-byte tables of
-pre-joined element strings on the same terms, and read through a dict
-from each distinct token to its element.  Sparse or few members take the
-element-by-element paths, so the memory used beyond the masks themselves
-follows the set bits, not the highest element.
+basis and the tables live as long as the reader.  Family files are
+written from per-byte tables of pre-joined element strings on the same
+terms.  They are read in one loop over the records, through a dict from
+each distinct token to its element's bit that reads and range-checks a
+token the first time it appears, so the first bad line in file order is
+the one reported.  Sparse or few members take the element-by-element
+paths, so the memory used beyond the masks themselves follows the set
+bits, not the highest element.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from itertools import chain
 from math import comb
 from operator import getitem, or_, xor
 from pathlib import Path
@@ -513,8 +515,8 @@ def _tokens(line: str) -> Iterator[str]:
     return filter(None, line.replace("\t", " ").split(" "))
 
 
-def _read(path: str | Path, usage: str) -> tuple[dict[str, int], list[tuple[int, str]]]:
-    """The header values and the (line number, text) records of a family or block file.
+def _read(path: str | Path, usage: str) -> tuple[dict[str, int], Iterator[tuple[int, str]]]:
+    """The header values of a family or block file, and its (line number, text) records.
 
     Lines end at line feeds only: read_text turns CR LF and CR into LF, and
     the other breaks of str.splitlines, such as VT and U+2028, stay inside
@@ -522,17 +524,19 @@ def _read(path: str | Path, usage: str) -> tuple[dict[str, int], list[tuple[int,
     cut, and blank ones are skipped.  The first is the header: a
     space-separated key=value token for each key=<...> token of usage, in
     any order, each key once, with an integer value >= 1 (key n is the
-    ground size).  Errors name the header's line.
+    ground size).  Errors name the header's line.  The records are the
+    lines after it, cut as they are iterated.
     """
     text = Path(path).read_text(encoding="utf-8")
-    records = [
+    records = (
         (line_no, line)
         for line_no, raw in enumerate(text.split("\n"), start=1)
         if (line := raw.split("#", 1)[0].strip(" \t"))
-    ]
-    if not records:
+    )
+    first = next(records, None)
+    if first is None:
         raise FamilyFormatError(f"missing {usage!r} header", None)
-    line_no, line = records.pop(0)
+    line_no, line = first
     keys = [tok.partition("=")[0] for tok in usage.split()]
     header: dict[str, int] = {}
     for tok in _tokens(line):
@@ -553,60 +557,51 @@ def _read(path: str | Path, usage: str) -> tuple[dict[str, int], list[tuple[int,
     return header, records
 
 
-def _member(line: str, line_no: int, what: str, ground_size: int) -> int:
-    """The mask of the subset a record lists as 1-based elements; errors name the line."""
-    try:
-        elements = [_number(tok) for tok in _tokens(line)]
-    except ValueError:
-        raise FamilyFormatError(f"bad {what} line {line!r}", line_no) from None
-    try:
-        return _mask_of(elements, ground_size)
-    except ValueError as exc:
-        raise FamilyFormatError(str(exc), line_no) from None
+class _ElementBits(dict):
+    """bits[token]: the bit of the element of [ground_size] that token names.
 
-
-def _members(records: list[tuple[int, str]], what: str, ground_size: int) -> list[int]:
-    """The masks of the subsets records list as 1-based elements, in order; errors name the line.
-
-    Each distinct token is read once, into a dict from tokens to element
-    bits, so a record is one reduce over C-level maps and the dict grows
-    with the tokens the file uses, not with [ground_size].  If some token
-    is not an element of [ground_size], _member reads the records one by
-    one instead and raises the error of the first bad one.
+    A token is read and range-checked the first time it is looked up, so a
+    file pays once per distinct token, and the dict grows with the tokens
+    the file uses, not with [ground_size].  A token that is not a number,
+    or a number outside [ground_size], raises ValueError and is not kept.
     """
-    bits: dict[str, int] = {}
-    for tok in set(chain.from_iterable(_tokens(line) for _, line in records)):
-        try:
-            e = _number(tok)
-        except ValueError:
-            break
-        if not 1 <= e <= ground_size:
-            break
-        bits[tok] = 1 << (e - 1)
-    else:  # every token is an element
-        return [reduce(or_, map(bits.__getitem__, _tokens(line))) for _, line in records]
-    return [_member(line, line_no, what, ground_size) for line_no, line in records]
+
+    def __init__(self, ground_size: int) -> None:
+        self.ground_size = ground_size
+
+    def __missing__(self, token: str) -> int:
+        self[token] = bit = _mask_of((_number(token),), self.ground_size)
+        return bit
 
 
 def _family(
-    records: list[tuple[int, str]], what: str, ground_size: int, empty: str | None = None
+    records: Iterable[tuple[int, str]], what: str, ground_size: int, empty: str | None = None
 ) -> SetFamily:
     """The family of the subsets records list, in order; errors name the line.
 
-    A record equal to empty, when given, is the empty set.  A repeated
-    member is a FamilyFormatError at the later line of the pair.
+    One loop reads the records.  A record equal to empty, when given, is
+    the empty set, and any other is the OR of its tokens' element bits, one
+    reduce over _ElementBits.  So the first bad record in file order raises
+    FamilyFormatError: one with a token that is not a number (the whole
+    record is bad), else with an element outside [ground_size], or one that
+    repeats the set of an earlier record.
     """
-    listed = iter(_members([r for r in records if r[1] != empty], what, ground_size))
-    masks = [0 if line == empty else next(listed) for _, line in records]
-    try:
-        return SetFamily(ground_size, masks)
-    except DuplicateMemberError as exc:
-        seen = set()  # only a file with a repeat pays for finding its line
-        for (line_no, _), x in zip(records, masks):
-            if x in seen:
-                break
-            seen.add(x)
-        raise FamilyFormatError(str(exc), line_no) from None
+    bits = _ElementBits(ground_size)
+    members: dict[int, None] = {}  # the masks read so far, as an ordered set
+    for line_no, line in records:
+        try:
+            x = 0 if line == empty else reduce(or_, map(bits.__getitem__, _tokens(line)))
+        except ValueError as exc:
+            message = str(exc)
+            try:  # a token that is not a number outranks an element outside [ground_size]
+                list(map(_number, _tokens(line)))
+            except ValueError:
+                message = f"bad {what} line {line!r}"
+            raise FamilyFormatError(message, line_no) from None
+        if x in members:
+            raise FamilyFormatError(f"duplicate member {BitSubset(x, ground_size)}", line_no)
+        members[x] = None
+    return SetFamily(ground_size, members)
 
 
 def load_family(path: str | Path) -> SetFamily:

@@ -1555,6 +1555,14 @@ class TestVerifyTheorem:
             with pytest.raises(ValueError, match="k only applies to prob-uniform"):
                 verify_theorem(statement, 8, s, 3)
 
+    @pytest.mark.parametrize("n,hi", [(1, 0), (2, 1), (3, 1), (4, 2), (5, 2)])
+    def test_empty_conj_even_range(self, n, hi):
+        # 3 <= s <= 2^(n/2) - 2^(n/4) holds for no s below n = 6
+        message = rf"^conj-even claims no s at n={n} \(3 <= s <= {hi} is empty\)$"
+        for s in (1, 3, 4):
+            with pytest.raises(ValueError, match=message):
+                verify_theorem("conj-even", n, s)
+
     @pytest.mark.parametrize(
         "statement,k,s_range,size,claim",
         [

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
@@ -24,7 +25,7 @@ from oddtown import (
     SetFamily,
     UniformityError,
 )
-from oddtown import setfamily
+from oddtown import constructions, setfamily
 from oddtown.setfamily import _element_basis
 
 from oracles import (
@@ -864,3 +865,94 @@ class TestFamilyFile:
         with pytest.raises(FamilyFormatError, match=message) as err:
             ot.load_family(path)
         assert err.value.line_no == 3
+
+    def test_first_bad_line_in_file_order(self, tmp_path):
+        # the repeat on line 3 comes before the element outside [1, 3] on line 4
+        path = tmp_path / "fam.txt"
+        path.write_text("n=3\n1 2\n1 2\n4\n")
+        with pytest.raises(FamilyFormatError, match=r"^line 3: duplicate member \{1 2\}$"):
+            ot.load_family(path)
+        path.write_text("n=8 k=4 t=1\n1 2 3 4\n4 3 2 1\n5 6 7 9\n")
+        with pytest.raises(FamilyFormatError, match=r"^line 3: duplicate member \{1 2 3 4\}$"):
+            ot.load_steiner(path)
+
+
+_NUMBER = re.compile(r"\+?[0-9]+")
+
+
+def reference_records(lines, what, n, empty):
+    """A plain per-line reader of the records after a header on line 1.
+
+    It gives the masks in order, or the (line number, message) of the
+    first bad record: a token that is not a number makes the whole record
+    bad, else the first element outside [1, n] does, else a set listed
+    before.
+    """
+    masks = []
+    for line_no, raw in enumerate(lines, start=2):
+        line = raw.split("#")[0].strip(" \t")
+        if not line:
+            continue
+        tokens = [] if line == empty else re.split("[ \t]+", line)
+        if not all(_NUMBER.fullmatch(tok) for tok in tokens):
+            return line_no, f"bad {what} line {line!r}"
+        elements = sorted({int(tok) for tok in tokens})
+        outside = [int(tok) for tok in tokens if not 1 <= int(tok) <= n]
+        if outside:
+            return line_no, f"element {outside[0]} outside ground set [1, {n}]"
+        mask = sum(1 << (e - 1) for e in elements)
+        if mask in masks:
+            return line_no, "duplicate member {" + " ".join(map(str, elements)) + "}"
+        masks.append(mask)
+    return masks
+
+
+@st.composite
+def record_files(draw):
+    """(n, blocks, lines): the lines after the header of a family or block file.
+
+    Tokens are elements of [0, n + 2] spelled plainly, with "+" or with
+    leading zeros, or tokens that are not numbers; lines hold tabs,
+    comments, blanks and "empty", and n is small, so sets repeat.
+    """
+    n = draw(st.integers(1, 4))
+    element = st.one_of(st.integers(1, n), st.integers(0, n + 2))
+    spelled = st.builds(str.format, st.sampled_from(["{}", "+{}", "00{}"]), element)
+    bad = st.sampled_from(["x", "-1", "1_0", "\u0663", "+", "1\xa02", "3\x0b4", "empty"])
+    tokens = st.one_of(
+        st.lists(spelled, min_size=1, max_size=4),
+        st.lists(st.one_of(spelled, bad), min_size=1, max_size=4),
+    )
+    gap = st.sampled_from([" ", "\t", "  ", " \t "])
+    record = st.builds(
+        lambda toks, sep, pad, note: pad + sep.join(toks) + pad + note,
+        tokens, gap, st.sampled_from(["", " ", "\t"]), st.sampled_from(["", " # note", "#"]),
+    )
+    line = st.one_of(record, record, st.sampled_from(["", "empty", " empty\t# none", "# note"]))
+    return n, draw(st.booleans()), draw(st.lists(line, max_size=10))
+
+
+class TestRecordReaderAgainstReference:
+    @given(record_files())
+    @example((3, False, ["1 2", "1 2", "4"]))  # the repeat on line 3 is reported, not line 4
+    @example((3, True, ["1 2", "+2 01", "x"]))
+    @example((3, False, ["1 2", "4 x"]))  # a token that is not a number outranks 4
+    def test_same_masks_or_same_error(self, tmp_path_factory, record_file):
+        n, blocks, lines = record_file
+        if blocks:
+            header, what, empty, read = f"n={n} k=2 t=1", "block", None, ot.load_steiner
+        else:
+            header, what, empty, read = f"n={n}", "set", "empty", ot.load_family
+        path = tmp_path_factory.mktemp("records") / "records.txt"
+        path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+        expected = reference_records(lines, what, n, empty)
+        # the blocks as read, before load_steiner checks the design
+        with mock.patch.object(constructions, "SteinerSystem", lambda n, k, t, blocks: blocks):
+            if isinstance(expected, tuple):
+                with pytest.raises(FamilyFormatError) as err:
+                    read(path)
+                line_no, message = expected
+                assert err.value.line_no == line_no
+                assert str(err.value) == f"line {line_no}: {message}"
+            else:
+                assert read(path).masks == tuple(expected)
